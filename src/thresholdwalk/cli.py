@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +63,11 @@ def _frac_obj(value: Fraction) -> dict:
 
 def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
+
+
+def _int_str(value: int) -> str:
+    """Decimal digits of any int; str() refuses ints over 4300 digits on newer Pythons."""
+    return str(Decimal(value))
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +118,12 @@ def _cmd_compute(args) -> CommandOutput:
 def _cmd_spectrum(args) -> CommandOutput:
     code = parse_code(args.code)
     spectrum = laplacian_spectrum(code)
-    tau = spanning_tree_count(code)
+    tau = _int_str(spanning_tree_count(code))
     payload = {
         "n": code.n,
         "lambda": list(spectrum.eigenvalues),
         "sorted": list(spectrum.sorted()),
-        "tau": str(tau),
+        "tau": tau,
     }
     text = [
         f"lambda (basis order): {' '.join(str(v) for v in spectrum.eigenvalues)}",
@@ -205,7 +211,10 @@ def _cmd_pineapple(args) -> CommandOutput:
 def _default_threads() -> int:
     env = os.environ.get("THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -449,6 +458,8 @@ def main(argv: list[str] | None = None) -> int:
     except ThresholdWalkError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
     elapsed = time.perf_counter() - started
     if not args.quiet:
         if args.json:

@@ -1,11 +1,12 @@
 """Exact effective resistances, 2-forest counts, moments, accessibility, and ordering checks.
 
 The resistance between two code positions has a closed form in the degrees
-and code bits whose inner sum telescopes, so the full matrix costs O(n^2)
-rational additions.  Forest counts are tau * R entrywise (and must come out
-integral); moments are degree-weighted resistance sums; accessibility is
-moment minus Kemeny's constant.  All of it is exact, which is what lets the
-ordering checks below be decided without tolerances.
+and code bits that splits into a row term plus a column term, r_{j,v} =
+a_j + b_v for j < v.  Forest counts F = tau * R are assembled in integers
+from tau * a and tau * b and must come out integral; moments, the
+degree-weighted sums of R, cost O(n) through prefix sums; accessibility is
+moment minus Kemeny's constant.  All of it is exact, so the ordering checks
+below are decided without tolerances.
 """
 
 from __future__ import annotations
@@ -71,8 +72,11 @@ def resistance_closed_form(code: ConstructionCode, j: int, v: int) -> Fraction:
 def resistance_matrix(code: ConstructionCode) -> ResistanceProfile:
     """Full exact profile: R, F, tau, moments, accessibility and Kemeny's constant.
 
-    Prefix sums over 1 / ((d_{i+1} + c_{i+1}) i (i+1)) share the inner sum
-    of the closed form across all pairs, so R costs O(n^2).
+    Only the O(n) row and column terms a and b are built, so R costs one
+    rational addition per pair and mu O(n) rational operations.  Two reduced
+    fractions tau * a_j, tau * b_v sum to an integer exactly when their
+    denominators agree and divide the numerator sum; every F entry is that
+    integer, checked.
     """
     _require_connected(code)
     n = code.n
@@ -82,33 +86,38 @@ def resistance_matrix(code: ConstructionCode) -> ResistanceProfile:
     prefix = [Fraction(0)] * n
     for i in range(1, n):
         prefix[i] = prefix[i - 1] + Fraction(1, dc[i] * i * (i + 1))
-    first_term = [Fraction(p, dc[p] * (p + 1)) for p in range(n)]
-    R = [[Fraction(0)] * n for _ in range(n)]
-    for j0 in range(n):
-        base = first_term[j0] - prefix[j0]
-        for v0 in range(j0 + 1, n):
-            value = base + Fraction(v0 + 1, dc[v0] * v0) + prefix[v0 - 1]
-            R[j0][v0] = R[v0][j0] = value
+    # 0-based: R[j][v] = a[j] + b[v] for j < v; b[0] is never paired and is 0
+    a = [Fraction(p, dc[p] * (p + 1)) - prefix[p] for p in range(n)]
+    b = [Fraction(0)] + [Fraction(v + 1, dc[v] * v) + prefix[v - 1] for v in range(1, n)]
 
     tau = spanning_tree_count(code)
-    F = []
-    for row in R:
-        f_row = []
-        for entry in row:
-            scaled = entry * tau
-            if scaled.denominator != 1:
-                raise NonIntegralEntry(f"tau * r = {scaled} is not an integer")
-            f_row.append(int(scaled))
-        F.append(tuple(f_row))
+    ta = [tau * x for x in a]
+    tb = [tau * x for x in b]
+    R = [[Fraction(0)] * n for _ in range(n)]
+    F = [[0] * n for _ in range(n)]
+    for j in range(n):
+        num, den = ta[j].numerator, ta[j].denominator
+        for v in range(j + 1, n):
+            R[j][v] = R[v][j] = a[j] + b[v]
+            entry, remainder = divmod(num + tb[v].numerator, den)
+            if remainder or tb[v].denominator != den:
+                raise NonIntegralEntry(f"tau * r = {ta[j] + tb[v]} is not an integer")
+            F[j][v] = F[v][j] = entry
 
     kemeny = kemeny_from_code(code).exact
-    mu = tuple(
-        sum((d[j0] * R[j0][v0] for j0 in range(n) if j0 != v0), Fraction(0))
-        for v0 in range(n)
-    )
+    # mu[v] = sum_{j<v} d_j (a_j + b_v) + sum_{j>v} d_j (a_v + b_j)
+    mu = []
+    d_before, da_before = 0, Fraction(0)
+    d_after, db_after = 2 * prof.m, sum((dj * bj for dj, bj in zip(d, b)), Fraction(0))
+    for v in range(n):
+        d_after -= d[v]
+        db_after -= d[v] * b[v]
+        mu.append(da_before + d_before * b[v] + d_after * a[v] + db_after)
+        d_before += d[v]
+        da_before += d[v] * a[v]
     alpha = tuple(value - kemeny for value in mu)
     return ResistanceProfile(
-        n, tuple(tuple(row) for row in R), tuple(F), tau, mu, alpha, kemeny
+        n, tuple(map(tuple, R)), tuple(map(tuple, F)), tau, tuple(mu), alpha, kemeny
     )
 
 
@@ -308,21 +317,16 @@ def verify_orderings(code: ConstructionCode) -> OrderingReport:
     # degree characterization: F entries are monotone against the reversed
     # degree order, and equal degrees force equal entries (twin blocks).
     # The full converse is not asserted: the equality branch of case (iv)
-    # can tie entries across strictly different degrees.
+    # can tie entries across strictly different degrees.  Both relations are
+    # transitive, so comparing neighbours in degree order decides every pair.
     ok_degree = True
+    by_degree = sorted(range(n), key=d.__getitem__)
     for i in range(n):
-        for w in others(i):
-            for v in others(i, w):
-                if d[w] <= d[v] and not F[i][w] >= F[i][v]:
-                    ok_degree = False
-                    witnesses.append(
-                        f"degree monotonicity fails at i={i + 1}, w={w + 1}, v={v + 1}"
-                    )
-                elif d[w] == d[v] and F[i][w] != F[i][v]:
-                    ok_degree = False
-                    witnesses.append(
-                        f"equal degrees, unequal entries at i={i + 1}, w={w + 1}, v={v + 1}"
-                    )
+        order = [w for w in by_degree if w != i]
+        for w, v in zip(order, order[1:]):
+            if F[i][w] < F[i][v] or (d[w] == d[v] and F[i][w] != F[i][v]):
+                ok_degree = False
+                witnesses.append(f"degree characterization fails at i={i + 1}, w={w + 1}, v={v + 1}")
 
     # block-level moment and accessibility ordering
     mu = profile.mu

@@ -3,7 +3,8 @@
 Every code-ordered threshold Laplacian of one order is diagonalized by the
 same upper-Hessenberg orthonormal basis, so eigenvalues come straight from
 the code as integers, spanning-tree counts from their product, and the
-pseudoinverse from integer eigenvectors in exact rational arithmetic.
+exact pseudoinverse from O(n) suffix sums over the integer eigenvectors,
+since its off-diagonal entries depend only on max(a, b).
 """
 
 from __future__ import annotations
@@ -151,9 +152,10 @@ def spanning_tree_count(code: ConstructionCode) -> int:
 def pseudo_inverse(code: ConstructionCode) -> list[list[Fraction]]:
     """Exact rational Moore-Penrose inverse of the Laplacian.
 
-    Accumulates (1 / lambda_i) v_i v_i^T / (i (i+1)) over the integer
-    eigenvectors, so no irrational entry ever appears; satisfies L L+ L = L
-    and L+ 1 = 0 exactly.
+    With s_i = 1 / (lambda_i i (i+1)) and S_b the sum of s_i over i > b
+    (0-based), L+[a][b] = S_b - b s_b for a < b, a function of max(a, b)
+    alone, and L+[a][a] = S_a + a^2 s_a: O(n) rational operations, then an
+    O(n^2) fill of shared values.  L L+ L = L and L+ 1 = 0 hold exactly.
     """
     if code.n < 2:
         raise OrderTooSmall("pseudoinverse is reported for order >= 2")
@@ -161,16 +163,9 @@ def pseudo_inverse(code: ConstructionCode) -> list[list[Fraction]]:
         raise Disconnected("pseudoinverse route requires a connected code")
     n = code.n
     lam = laplacian_spectrum(code).eigenvalues
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n):
-        scale = Fraction(1, lam[i - 1] * i * (i + 1))
-        vec = integer_eigenvector(n, i)
-        for a in range(i + 1):
-            sa = scale * vec[a]
-            row = out[a]
-            for b in range(a, i + 1):
-                row[b] += sa * vec[b]
-    for a in range(n):
-        for b in range(a + 1, n):
-            out[b][a] = out[a][b]
-    return out
+    s = [Fraction(0)] + [Fraction(1, lam[i - 1] * i * (i + 1)) for i in range(1, n)]
+    tail = [Fraction(0)] * n
+    for b in range(n - 2, -1, -1):
+        tail[b] = tail[b + 1] + s[b + 1]
+    off = [tail[b] - b * s[b] for b in range(n)]
+    return [[off[a]] * a + [tail[a] + a * a * s[a]] + off[a + 1 :] for a in range(n)]

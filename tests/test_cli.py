@@ -1,6 +1,7 @@
 """CLI contract: envelopes, exit codes, CSV shapes, error surfaces."""
 
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -81,6 +82,14 @@ class TestSpectrum:
         tau = envelope["payload"]["tau"]
         assert isinstance(tau, str)
         assert int(tau) == 26**24
+
+    def test_tau_beyond_int_str_digit_limit(self, capsys):
+        # 1400^1398 has 4399 digits, past the 4300-digit limit of str(int)
+        code, envelope, _ = run_json(capsys, "spectrum", "0 1^1399")
+        assert code == 0
+        tau = envelope["payload"]["tau"]
+        assert len(tau) == 4399
+        assert int(Decimal(tau)) == 1400**1398
 
 
 class TestResistanceAndForest:
@@ -165,6 +174,15 @@ class TestSearch:
         code, envelope, _ = run_json(capsys, "search", "--n", "4")
         assert code == 0
         assert envelope["payload"]["argmax_code"] == "0101"
+
+    def test_threads_env_not_integer_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("THREADS", "x")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "--n", "5"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err and "THREADS" in captured.err
+        assert captured.out == ""
 
     def test_checkpoint_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CHECKPOINT_DIR", str(tmp_path))

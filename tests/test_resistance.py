@@ -1,8 +1,12 @@
 """Exact resistances, forest counts, moments, accessibility, and the ordering checks."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
+
+import thresholdwalk.resistance as resistance_module
 
 from conftest import connected_codes_upto
 from thresholdwalk import (
@@ -18,7 +22,7 @@ from thresholdwalk import (
     two_forest_matrix,
     verify_orderings,
 )
-from thresholdwalk.errors import Disconnected, IndexOutOfRange
+from thresholdwalk.errors import Disconnected, IndexOutOfRange, NonIntegralEntry
 
 PAW = parse_code("0101")
 STAR = parse_code("0001")
@@ -119,6 +123,20 @@ class TestForestMatrix:
                     assert isinstance(entry, int) and entry >= 0
                     assert entry == profile.tau * profile.R[i][j]
 
+    def test_non_integral_entry_raises(self, monkeypatch):
+        # with a wrong tau, F must be refused exactly when some tau * r is fractional
+        cases = [(code, resistance_matrix(code).R) for code in connected_codes_upto(6)]
+        for code, R in cases:
+            for tau in range(1, 13):
+                monkeypatch.setattr(resistance_module, "spanning_tree_count", lambda _: tau)
+                if all((tau * x).denominator == 1 for row in R for x in row):
+                    assert resistance_matrix(code).F == tuple(
+                        tuple(int(tau * x) for x in row) for row in R
+                    )
+                else:
+                    with pytest.raises(NonIntegralEntry):
+                        resistance_matrix(code)
+
     def test_matches_enumeration(self):
         for code in connected_codes_upto(5):
             counts = two_forest_matrix(build_graph(code))
@@ -140,6 +158,16 @@ class TestMomentsAndAccessibility:
             for b in range(4):
                 if degrees[a] < degrees[b]:
                     assert mu[a] > mu[b]
+
+    def test_moments_match_definition(self):
+        for code in connected_codes_upto(9):
+            profile = resistance_matrix(code)
+            d = degree_profile(code).degrees
+            for v in range(code.n):
+                expected = sum(
+                    (d[j] * profile.R[j][v] for j in range(code.n) if j != v), Fraction(0)
+                )
+                assert profile.mu[v] == expected
 
     def test_star_accessibility(self):
         alpha = accessibility_profile(STAR)
@@ -222,3 +250,35 @@ class TestOrderings:
     def test_disconnected(self):
         with pytest.raises(Disconnected):
             verify_orderings(parse_code("010"))
+
+    def test_degree_check_matches_pairwise_reference(self, monkeypatch):
+        rng = random.Random(20261018)
+        codes = list(connected_codes_upto(9, n_min=3))
+        verdicts = set()
+        for _ in range(300):
+            code = rng.choice(codes)
+            profile = resistance_matrix(code)
+            F = [list(row) for row in profile.F]
+            i, j = rng.sample(range(code.n), 2)
+            F[i][j] = rng.choice([F[i][j] - 1, F[i][j] + 1, F[i][rng.randrange(code.n)]])
+            perturbed = dataclasses.replace(profile, F=tuple(map(tuple, F)))
+            monkeypatch.setattr(resistance_module, "resistance_matrix", lambda _: perturbed)
+            expected = _pairwise_degree_check(F, degree_profile(code).degrees)
+            assert verify_orderings(code).degree_characterization == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+
+def _pairwise_degree_check(F, d):
+    """Reference: the degree characterization compared over every triple (i, w, v)."""
+    n = len(d)
+    for i in range(n):
+        for w in range(n):
+            for v in range(n):
+                if len({i, w, v}) < 3:
+                    continue
+                if d[w] <= d[v] and not F[i][w] >= F[i][v]:
+                    return False
+                if d[w] == d[v] and F[i][w] != F[i][v]:
+                    return False
+    return True

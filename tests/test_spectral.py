@@ -199,10 +199,11 @@ class TestPseudoInverse:
                 assert sum(row) == 0
 
     def test_penrose_identity(self):
-        for code in connected_codes_upto(6):
+        for code in connected_codes_upto(7):
             n = code.n
             L = [[Fraction(int(x)) for x in row] for row in laplacian_matrix(code)]
             lp = pseudo_inverse(code)
+            assert all(lp[a][b] == lp[b][a] for a in range(n) for b in range(n))
             prod = _matmul(_matmul(L, lp), L)
             assert prod == L
 
