@@ -46,6 +46,10 @@ class IndexOutOfRange(ThresholdWalkError):
     """A vertex or enumeration index is outside 1..n (or 0..count-1)."""
 
 
+class CheckpointMismatch(ThresholdWalkError, ValueError):
+    """A search checkpoint belongs to another search (order or range size) or holds a malformed record."""
+
+
 class NonIntegralEntry(ThresholdWalkError):
     """An entry that must be an exact integer is not; signals an internal inconsistency."""
 

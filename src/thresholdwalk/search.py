@@ -1,10 +1,21 @@
 """Exhaustive extremal search for Kemeny's constant over all connected codes of one order.
 
-The code space splits into contiguous index ranges (fixed high-order
-interior bits); each worker keeps an exact local maximum and the reduction
-compares rationals exactly, then code order, so the result is bitwise
-reproducible for any worker count.  Progress is checkpointed one line per
-completed range and a restart reproduces the identical report.
+The code space splits into contiguous index ranges whose size depends only
+on n and ``chunk_codes``.  Inside a range a numpy float screen evaluates the
+code-vector recurrence of ``kemeny_from_code`` for a block of codes at once,
+and only the codes within ``SCREEN_WINDOW`` of their block's float maximum
+are evaluated exactly with ``kemeny_from_code``; every comparison that
+decides the result is between exact rationals.  Each range keeps its exact
+maximum with its ties in code order, and the reduction compares rationals
+exactly, then range order, so the result is bitwise reproducible for any
+worker count.
+
+Progress is checkpointed in a text file: a header line
+``thresholdwalk-search <format version> <n> <range size>``, then one line
+per completed range, ``<range> <num> <den> <code> [<code> ...]`` with all
+the range's maximizers.  A restart reproduces the identical report.  A last
+line without its newline was cut by an interrupted write: it is dropped and
+its range recomputed.  Any other mismatch raises ``CheckpointMismatch``.
 """
 
 from __future__ import annotations
@@ -16,13 +27,28 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .codes import ConstructionCode, code_count, code_from_index, pineapple_r
-from .errors import OrderOutOfRange, ParameterOutOfRange
+from .errors import CheckpointMismatch, OrderOutOfRange, ParameterOutOfRange
 from .kemeny import kemeny_from_code
 
 MIN_ORDER = 3
 MAX_ORDER = 26
 CHECKPOINT_INTERVAL = 1 << 16  # codes per checkpointed range
+CHECKPOINT_VERSION = 2  # version 1 was the header-less format with one line per tie
+SCREEN_BLOCK = 4096  # codes per float pass; keeps the screen's arrays small
+# For n <= MAX_ORDER every integer in the recurrence (s, 2m - s, their product,
+# 2m i (i+1), lambda_i) is far below 2^53, so each term
+# x_i = s (2m - s) / (2m i (i+1)), (x_i - c_i) / lambda_i takes three roundings,
+# in error by at most 3u (|x_i| + 1) with u = 2^-53, and the running sum
+# adds n - 2 more: |float - exact| <= (n + 3) u sum(|x_i| + 1).  Since
+# 0 <= 2m - s and s >= -i (i-1), |x_i| <= n/2 when s < 0, and
+# |x_i| <= m / (2 i (i+1)) <= n (n-1) / (4 i (i+1)) otherwise, so the sum is
+# below (n-1)(1 + 3n/4) < n^2: the error is under 29 * 676 * 1.2e-16 < 3e-12
+# at n = 26.  An exact maximizer of a block therefore screens at most twice
+# that below the block's float maximum; the window keeps a margin of 100x.
+SCREEN_WINDOW = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,23 +74,51 @@ class SearchReport:
     predicted_asymptote: float
 
 
+def _screen(n: int, index: np.ndarray) -> np.ndarray:
+    """Float K - (n - 1) of each code index (int64 array), by the recurrence of kemeny_from_code."""
+    bits = [np.zeros_like(index)]
+    bits += [(index >> (n - 2 - i)) & 1 for i in range(1, n - 1)]
+    bits.append(np.ones_like(index))
+    two_m = sum(2 * i * bits[i] for i in range(1, n))
+    theta = sum(bits)  # ones at positions >= i once bits[i - 1] is taken off
+    s = np.zeros_like(index)  # running w_i . c
+    total = np.zeros(len(index))
+    for i in range(1, n):
+        theta -= bits[i - 1]
+        c = bits[i]
+        s += i * (i - 1) * (bits[i - 1] - c)
+        total += (s * (two_m - s) / (two_m * (i * (i + 1))) - c) / (theta + i * c)
+    return total
+
+
 def _chunk_best(task: tuple[int, int, int]) -> tuple[int, int, tuple[str, ...]]:
-    """Exact maximum over the index window [start, stop); ties kept in code order."""
+    """Exact maximum over the index window [start, stop); ties kept in code order.
+
+    The window is screened in blocks of SCREEN_BLOCK codes by ``_screen``.
+    Every code of a block whose float value lies within SCREEN_WINDOW of the
+    block's float maximum is confirmed with exact ``kemeny_from_code``; the
+    derivation at SCREEN_WINDOW shows no exact maximizer of the block lies
+    outside it.  Confirmed values are reduced exactly: a larger value
+    replaces the ties, an equal one joins them.
+    """
     n, start, stop = task
     best: Fraction | None = None
     ties: list[str] = []
-    for index in range(start, stop):
-        code = code_from_index(n, index)
-        value = kemeny_from_code(code).exact
-        if best is None or value > best:
-            best, ties = value, [str(code)]
-        elif value == best:
-            ties.append(str(code))
+    for lo in range(start, stop, SCREEN_BLOCK):
+        approx = _screen(n, np.arange(lo, min(lo + SCREEN_BLOCK, stop), dtype=np.int64))
+        for offset in np.flatnonzero(approx >= approx.max() - SCREEN_WINDOW):
+            code = code_from_index(n, lo + int(offset))
+            value = kemeny_from_code(code).exact
+            if best is None or value > best:
+                best, ties = value, [str(code)]
+            elif value == best:
+                ties.append(str(code))
     return best.numerator, best.denominator, tuple(ties)
 
 
-def _plan_chunks(total: int, threads: int, chunk_codes: int) -> list[tuple[int, int]]:
-    want = max(threads, -(-total // chunk_codes))
+def _plan_chunks(total: int, chunk_codes: int) -> list[tuple[int, int]]:
+    """Index ranges of equal power-of-two size, at most chunk_codes each where possible."""
+    want = -(-total // chunk_codes)
     chunks = 1
     while chunks < want:
         chunks <<= 1
@@ -73,26 +127,53 @@ def _plan_chunks(total: int, threads: int, chunk_codes: int) -> list[tuple[int, 
     return [(c * span, (c + 1) * span) for c in range(chunks)]
 
 
-def _read_checkpoint(path: str, n: int, n_chunks: int):
-    done: dict[int, tuple[int, int, list[str]]] = {}
-    if not path or not os.path.exists(path):
-        return {}
-    with open(path, encoding="ascii") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"corrupt checkpoint line: {line.strip()!r}")
-            chunk_id, code_str = int(parts[0]), parts[1]
-            num, den = int(parts[2]), int(parts[3])
-            if chunk_id >= n_chunks or len(code_str) != n:
-                raise ValueError("checkpoint does not match this search (order or chunking differ)")
-            entry = done.setdefault(chunk_id, (num, den, []))
-            if (entry[0], entry[1]) != (num, den):
-                raise ValueError(f"conflicting checkpoint values for range {chunk_id}")
-            entry[2].append(code_str)
-    return {cid: (num, den, tuple(codes)) for cid, (num, den, codes) in done.items()}
+def _parse_record(line: str, n: int, ranges: list[tuple[int, int]]):
+    """(range id, (num, den, ties)) from one checkpoint record, or None when malformed."""
+    fields = line.split()
+    if len(fields) < 4 or not all(field.isdigit() for field in fields[:3]):
+        return None
+    chunk_id, num, den = (int(field) for field in fields[:3])
+    ties = tuple(fields[3:])
+    if chunk_id >= len(ranges) or den == 0:
+        return None
+    lo, hi = ranges[chunk_id]
+    for code_str in ties:
+        if len(code_str) != n or code_str[0] != "0" or code_str[-1] != "1" or set(code_str) - {"0", "1"}:
+            return None
+        if not lo <= int(code_str[1:-1], 2) < hi:
+            return None
+    return chunk_id, (num, den, ties)
+
+
+def _read_checkpoint(path: str, n: int, ranges: list[tuple[int, int]]):
+    """Completed ranges recorded at path; creates the file or cuts it back to whole records."""
+    header = f"thresholdwalk-search {CHECKPOINT_VERSION} {n} {ranges[0][1] - ranges[0][0]}\n"
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except FileNotFoundError:
+        data = b""
+    whole = data.rfind(b"\n") + 1  # bytes after the last newline are a torn record
+    try:
+        lines = data[:whole].decode("ascii").splitlines(keepends=True)
+    except UnicodeDecodeError:
+        raise CheckpointMismatch(f"checkpoint {path} is not an ASCII text file") from None
+    if lines and lines[0] != header:
+        raise CheckpointMismatch(
+            f"checkpoint {path} starts with {lines[0].strip()!r}, this search needs {header.strip()!r}"
+        )
+    done = {}
+    for number, line in enumerate(lines[1:], start=2):
+        record = _parse_record(line, n, ranges)
+        if record is None or record[0] in done:
+            raise CheckpointMismatch(f"checkpoint {path} line {number} is malformed: {line.strip()!r}")
+        done[record[0]] = record[1]
+    if not lines:
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write(header)
+    elif whole < len(data):
+        os.truncate(path, whole)
+    return done
 
 
 def _append_checkpoint(path: str | None, chunk_id: int, result) -> None:
@@ -100,8 +181,7 @@ def _append_checkpoint(path: str | None, chunk_id: int, result) -> None:
         return
     num, den, ties = result
     with open(path, "a", encoding="ascii") as handle:
-        for code_str in ties:
-            handle.write(f"{chunk_id} {code_str} {num} {den}\n")
+        handle.write(f"{chunk_id} {num} {den} {' '.join(ties)}\n")
         handle.flush()
 
 
@@ -114,22 +194,27 @@ def max_kemeny_search(
     """Exact argmax of Kemeny's constant over every connected code of order n.
 
     Deterministic for any thread count: ranges are fixed by the interior-bit
-    prefix, reduction runs in range order, and ties resolve to the smallest
-    code.  ``checkpoint`` names a line-oriented progress file; completed
-    ranges found there are not recomputed.
+    prefix and ``chunk_codes``, reduction runs in range order, and ties
+    resolve to the smallest code.  ``checkpoint`` names a line-oriented
+    progress file; completed ranges found there are not recomputed, and a
+    file written for another order or range size raises CheckpointMismatch.
+    At most one worker process is started per pending range.
     """
     if not MIN_ORDER <= n <= MAX_ORDER:
         raise OrderOutOfRange(f"exhaustive search supports {MIN_ORDER} <= n <= {MAX_ORDER}, got {n}")
     if threads < 1:
         raise ParameterOutOfRange(f"threads must be >= 1, got {threads}")
+    if chunk_codes < 1:
+        raise ParameterOutOfRange(f"chunk_codes must be >= 1, got {chunk_codes}")
     started = time.perf_counter()
     total = code_count(n)
-    ranges = _plan_chunks(total, threads, chunk_codes)
-    results = _read_checkpoint(checkpoint, n, len(ranges)) if checkpoint else {}
+    ranges = _plan_chunks(total, chunk_codes)
+    results = _read_checkpoint(checkpoint, n, ranges) if checkpoint else {}
     pending = [(cid, (n, lo, hi)) for cid, (lo, hi) in enumerate(ranges) if cid not in results]
 
-    if threads > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(pending))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for (cid, _), outcome in zip(pending, pool.map(_chunk_best, [t for _, t in pending])):
                 results[cid] = outcome
                 _append_checkpoint(checkpoint, cid, outcome)

@@ -184,6 +184,14 @@ class TestSearch:
         assert "usage:" in captured.err and "THREADS" in captured.err
         assert captured.out == ""
 
+    def test_corrupt_checkpoint_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "corrupt.checkpoint"
+        path.write_text("thresholdwalk-search 2 5 8\n0 11 3 0x001\n")
+        code, out, err = run(capsys, "search", "--n", "5", "--threads", "1", "--checkpoint", str(path))
+        assert code == 1
+        assert out == ""
+        assert "CheckpointMismatch" in err and "Traceback" not in err
+
     def test_checkpoint_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CHECKPOINT_DIR", str(tmp_path))
         code, _, _ = run(capsys, "search", "--n", "5", "--threads", "1", "--quiet")

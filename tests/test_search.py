@@ -1,21 +1,89 @@
-"""Exhaustive search: determinism, checkpointing, conjecture flags."""
+"""Exhaustive search: float screen, determinism, checkpointing, conjecture flags."""
 
+import functools
+import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thresholdwalk import (
+    code_from_index,
+    kemeny_from_code,
     max_kemeny_search,
     pineapple_argmax,
     pineapple_code,
     pineapple_kemeny,
+    search,
     verify_conjecture_range,
 )
-from thresholdwalk.errors import OrderOutOfRange, ParameterOutOfRange
+from thresholdwalk.errors import CheckpointMismatch, OrderOutOfRange, ParameterOutOfRange
 
 
 def report_key(report):
     return (report.n, report.argmax_code, report.k_exact, report.ties, report.codes_examined)
+
+
+@functools.cache
+def exact_kemeny(n, index):
+    return kemeny_from_code(code_from_index(n, index)).exact
+
+
+def exact_chunk_best(task):
+    """The exact per-code loop the float screen replaced: the reference for _chunk_best."""
+    n, start, stop = task
+    best = None
+    ties = []
+    for index in range(start, stop):
+        value = exact_kemeny(n, index)
+        if best is None or value > best:
+            best, ties = value, [str(code_from_index(n, index))]
+        elif value == best:
+            ties.append(str(code_from_index(n, index)))
+    return best.numerator, best.denominator, tuple(ties)
+
+
+class TestScreen:
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_chunk_best_equals_exact_reference(self, n):
+        total = 1 << (n - 2)
+        rng = random.Random(n)
+        for size in (1, 2, 8, search.SCREEN_BLOCK, total):
+            size = min(size, total)
+            starts = range(0, total, size)
+            if size <= 2 and n > 12:
+                # each call costs ~0.4 ms of numpy overhead, so tiny ranges are sampled
+                # here; the error bound below covers every code of these orders
+                starts = sorted(rng.sample(starts, 256))
+            for start in starts:
+                task = (n, start, start + size)
+                assert search._chunk_best(task) == exact_chunk_best(task), task
+
+    def test_float_error_far_inside_window(self):
+        rng = random.Random(2026)
+        worst = 0
+        for n in (*range(3, 17), 20, 26):
+            total = 1 << (n - 2)
+            indices = range(total) if n <= 16 else rng.sample(range(total), 1500)
+            approx = search._screen(n, np.array(indices, dtype=np.int64))
+            for index, value in zip(indices, approx):
+                worst = max(worst, abs(Fraction(float(value)) - (exact_kemeny(n, index) - (n - 1))))
+        assert worst <= search.SCREEN_WINDOW / 1e3
+
+    @pytest.mark.parametrize("n", range(19, 23))
+    def test_matches_pineapple_argmax(self, n):
+        report = max_kemeny_search(n)
+        best = pineapple_argmax(n)
+        assert report.is_pineapple
+        assert (report.k_exact, report.r) == (best.k_star, best.r_star)
+        assert report.argmax_code == str(pineapple_code(n, best.r_star))
+        if n == 20:
+            assert report.argmax_code == "01111000000000000001"
+            assert (report.k_exact, report.r) == (Fraction(3469, 174), 4)
 
 
 class TestSearch:
@@ -56,6 +124,33 @@ class TestSearch:
     def test_bad_threads(self):
         with pytest.raises(ParameterOutOfRange):
             max_kemeny_search(5, threads=0)
+        with pytest.raises(ParameterOutOfRange):
+            max_kemeny_search(5, chunk_codes=0)
+
+    def test_pool_capped_at_pending_ranges(self, tmp_path, monkeypatch):
+        created = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+        path = tmp_path / "cap.checkpoint"
+        fresh = max_kemeny_search(9, threads=3, checkpoint=str(path), chunk_codes=16)  # 8 ranges
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:5]))  # header and 4 ranges: 4 pending
+        resumed = max_kemeny_search(9, threads=8, checkpoint=str(path), chunk_codes=16)
+        assert created == [3, 4]
+        assert report_key(resumed) == report_key(fresh)
 
 
 class TestCheckpoint:
@@ -78,10 +173,15 @@ class TestCheckpoint:
     def test_line_format(self, tmp_path):
         path = tmp_path / "fmt.checkpoint"
         max_kemeny_search(7, checkpoint=str(path), chunk_codes=8)
-        for line in path.read_text().splitlines():
-            chunk_id, code_str, num, den = line.split()
+        header, *records = path.read_text().splitlines()
+        assert header == "thresholdwalk-search 2 7 8"
+        assert len(records) == 4  # 32 codes in ranges of 8, one line each
+        for line in records:
+            chunk_id, num, den, *ties = line.split()
             assert chunk_id.isdigit()
-            assert set(code_str) <= {"0", "1"} and len(code_str) == 7
+            assert ties
+            for code_str in ties:
+                assert set(code_str) <= {"0", "1"} and len(code_str) == 7
             Fraction(int(num), int(den))
 
     def test_mismatched_checkpoint_rejected(self, tmp_path):
@@ -89,6 +189,86 @@ class TestCheckpoint:
         path.write_text("0 0101 61 24\n")
         with pytest.raises(ValueError):
             max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
+
+
+    def test_range_plan_change_rejected(self, tmp_path):
+        # cut after 4 of 8 ranges of 128, resumed with ranges of 256: this used to
+        # report 001100000001, K = 1799/160 instead of 011100000001, K = 1923/170
+        path = tmp_path / "plan.checkpoint"
+        max_kemeny_search(12, checkpoint=str(path), chunk_codes=128)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:5]))
+        with pytest.raises(CheckpointMismatch):
+            max_kemeny_search(12, checkpoint=str(path), chunk_codes=256)
+        resumed = max_kemeny_search(12, checkpoint=str(path), chunk_codes=128)
+        assert (resumed.argmax_code, resumed.k_exact) == ("011100000001", Fraction(1923, 170))
+
+    def test_resume_identical_across_thread_counts(self, tmp_path):
+        path = tmp_path / "threads.checkpoint"
+        fresh = max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
+        cut = "".join(path.read_text().splitlines(keepends=True)[:4])  # header and 3 of 8 ranges
+        for threads in (1, 2, 4, 8):
+            path.write_text(cut)
+            resumed = max_kemeny_search(9, threads=threads, checkpoint=str(path), chunk_codes=16)
+            assert report_key(resumed) == report_key(fresh), threads
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "x 177 22 011000001",  # range id not a number
+            "8 177 22 011000001",  # no such range
+            "6 177 22",  # no ties
+            "6 177 0 011000001",  # zero denominator
+            "6 177 22 01100001",  # wrong length
+            "6 177 22 011000001 1",  # malformed tie
+            "6 177 22 111000001",  # leading one
+            "0 177 22 011000001",  # code outside its range
+            "",  # blank line
+            "1 1 1 000100001\n1 1 1 000100001",  # range recorded twice
+        ],
+    )
+    def test_malformed_record_rejected(self, tmp_path, record):
+        path = tmp_path / "bad.checkpoint"
+        path.write_text(f"thresholdwalk-search 2 9 16\n{record}\n")
+        with pytest.raises(CheckpointMismatch):
+            max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
+
+    def test_non_ascii_rejected(self, tmp_path):
+        path = tmp_path / "binary.checkpoint"
+        path.write_bytes(b"thresholdwalk-search 2 9 16\n\xff\n")
+        with pytest.raises(CheckpointMismatch):
+            max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
+
+    def test_torn_record_recomputed(self, tmp_path):
+        path = tmp_path / "torn.checkpoint"
+        fresh = max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
+        written = path.read_bytes()
+        path.write_bytes(written[:-5])  # the last record loses its tail and newline
+        resumed = max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
+        assert report_key(resumed) == report_key(fresh)
+        assert path.read_bytes() == written
+
+
+@functools.cache
+def fresh_checkpoint():
+    """Bytes of a complete n = 9 checkpoint in ranges of 16, with the report's key."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "fresh.checkpoint"
+        report = max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
+        return path.read_bytes(), report_key(report)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_truncated_checkpoint_resumes_identically(data):
+    written, key = fresh_checkpoint()
+    cut = data.draw(st.integers(0, len(written)), label="cut")
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "cut.checkpoint"
+        path.write_bytes(written[:cut])
+        resumed = max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
+        assert report_key(resumed) == key
+        assert path.read_bytes() == written  # one worker appends ranges in order
 
 
 class TestConjectureRange:
