@@ -20,6 +20,7 @@ its range recomputed.  Any other mismatch raises ``CheckpointMismatch``.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -37,15 +38,21 @@ MIN_ORDER = 3
 MAX_ORDER = 26
 CHECKPOINT_INTERVAL = 1 << 16  # codes per checkpointed range
 CHECKPOINT_VERSION = 2  # version 1 was the header-less format with one line per tie
-SCREEN_BLOCK = 4096  # codes per float pass; keeps the screen's arrays small
+LOW_BITS = 12  # index bits that vary inside one screened block
+SCREEN_BLOCK = 1 << LOW_BITS  # codes per float pass; keeps the screen's arrays small
+# Starting the worker processes costs 10-50 ms, about the time the screen
+# takes for 2^18 codes on one core, so each worker must get at least this many.
+POOL_MIN_CODES = 1 << 18
 # For n <= MAX_ORDER every integer in the recurrence (s, 2m - s, their product,
-# 2m i (i+1), lambda_i) is far below 2^53, so each term
-# x_i = s (2m - s) / (2m i (i+1)), (x_i - c_i) / lambda_i takes three roundings,
-# in error by at most 3u (|x_i| + 1) with u = 2^-53, and the running sum
-# adds n - 2 more: |float - exact| <= (n + 3) u sum(|x_i| + 1).  Since
+# i (i+1) lambda_i) is far below 2^53.  The screen sums the terms
+# x_i / lambda_i - c_i / lambda_i with x_i = s (2m - s) / (2m i (i+1)) as
+# 2m x_i / lambda_i over one running sum, divided by 2m at the end, and
+# c_i / lambda_i over another.  Each term takes at most four roundings and
+# each sum n - 1 more, so with u = 2^-53
+# |float - exact| <= (n + 6) u sum(|x_i| + 1), using lambda_i >= 1.  Since
 # 0 <= 2m - s and s >= -i (i-1), |x_i| <= n/2 when s < 0, and
 # |x_i| <= m / (2 i (i+1)) <= n (n-1) / (4 i (i+1)) otherwise, so the sum is
-# below (n-1)(1 + 3n/4) < n^2: the error is under 29 * 676 * 1.2e-16 < 3e-12
+# below (n-1)(1 + 3n/4) < n^2: the error is under 32 * 676 * 1.2e-16 < 3e-12
 # at n = 26.  An exact maximizer of a block therefore screens at most twice
 # that below the block's float maximum; the window keeps a margin of 100x.
 SCREEN_WINDOW = 1e-9
@@ -74,38 +81,88 @@ class SearchReport:
     predicted_asymptote: float
 
 
-def _screen(n: int, index: np.ndarray) -> np.ndarray:
-    """Float K - (n - 1) of each code index (int64 array), by the recurrence of kemeny_from_code."""
-    bits = [np.zeros_like(index)]
-    bits += [(index >> (n - 2 - i)) & 1 for i in range(1, n - 1)]
-    bits.append(np.ones_like(index))
-    two_m = sum(2 * i * bits[i] for i in range(1, n))
-    theta = sum(bits)  # ones at positions >= i once bits[i - 1] is taken off
-    s = np.zeros_like(index)  # running w_i . c
-    total = np.zeros(len(index))
-    for i in range(1, n):
-        theta -= bits[i - 1]
+@functools.lru_cache(maxsize=1)
+def _low_tables(n: int):
+    """Per-code terms of the low positions, which depend only on the low index bits.
+
+    For every low part L of an index (its last k = min(LOW_BITS, n - 2) bits,
+    at positions first .. n - 2, plus the final 1 at n - 1): the ones among
+    them, their share of 2m, per position s_p minus the high part's share and
+    1 / (p (p+1) lambda_p), the sum of c_p / lambda_p, and 1 / (ones + t) for
+    every t the high positions need.
+    """
+    k = min(LOW_BITS, n - 2)
+    first = n - 1 - k
+    low = np.arange(1 << k, dtype=np.int64)
+    bits = [(low >> (n - 2 - p)) & 1 for p in range(first, n - 1)] + [np.ones_like(low)]
+    ones = sum(bits[:-1])
+    two_m = sum(2 * p * b for p, b in zip(range(first, n), bits))
+    theta = sum(bits)  # ones at positions >= p
+    s = np.zeros_like(low)
+    previous = np.zeros_like(low)  # the last high bit enters s per block
+    s_rows, a_rows = [], []
+    c_sum = np.zeros(1 << k)
+    for p, c in zip(range(first, n), bits):
+        s = s + p * (p - 1) * (previous - c)
+        lam = theta + p * c
+        s_rows.append(s.astype(float))
+        a_rows.append(1.0 / (p * (p + 1) * lam))
+        c_sum += c / lam
+        theta, previous = theta - c, c
+    inv_ones = 1.0 / (ones + np.arange(1, 2 * first, dtype=float)[:, None])  # row t - 1: 1 / (ones + t)
+    return k, first, two_m.astype(float), s_rows, a_rows, c_sum, inv_ones
+
+
+def _screen(n: int, start: int, stop: int) -> np.ndarray:
+    """Float K - (n - 1) of the codes with index in [start, stop), all in one block.
+
+    Evaluates the recurrence of kemeny_from_code.  The high positions
+    1 .. first - 1 take the block's common bits as scalars; the low positions
+    come from ``_low_tables``.
+    """
+    k, first, two_m_low, s_rows, a_rows, c_sum, inv_ones = _low_tables(n)
+    high = start >> k
+    lo, hi = start - (high << k), stop - (high << k)
+    bits = [0] + [(high >> (first - 1 - i)) & 1 for i in range(1, first)]
+    two_m = two_m_low[lo:hi] + sum(2 * i * c for i, c in enumerate(bits))
+    scaled = np.zeros(hi - lo)  # sum of 2m x_i / lambda_i
+    minus = c_sum[lo:hi].copy()  # sum of c_i / lambda_i
+    s = 0
+    theta = sum(bits) + 1  # ones at high positions >= i and the final 1; inv_ones adds the low ones
+    for i in range(1, first):
         c = bits[i]
         s += i * (i - 1) * (bits[i - 1] - c)
-        total += (s * (two_m - s) / (two_m * (i * (i + 1))) - c) / (theta + i * c)
-    return total
+        inv_lam = inv_ones[theta + i * c - 1, lo:hi]
+        theta -= c
+        if s:
+            scaled += (two_m - s) * (s / (i * (i + 1))) * inv_lam
+        if c:
+            minus += inv_lam
+    s += first * (first - 1) * bits[first - 1]
+    for s_row, a_row in zip(s_rows, a_rows):
+        s_low = s_row[lo:hi] + s
+        scaled += s_low * (two_m - s_low) * a_row[lo:hi]
+    return scaled / two_m - minus
 
 
 def _chunk_best(task: tuple[int, int, int]) -> tuple[int, int, tuple[str, ...]]:
     """Exact maximum over the index window [start, stop); ties kept in code order.
 
-    The window is screened in blocks of SCREEN_BLOCK codes by ``_screen``.
-    Every code of a block whose float value lies within SCREEN_WINDOW of the
-    block's float maximum is confirmed with exact ``kemeny_from_code``; the
-    derivation at SCREEN_WINDOW shows no exact maximizer of the block lies
-    outside it.  Confirmed values are reduced exactly: a larger value
-    replaces the ties, an equal one joins them.
+    The window is screened by ``_screen`` in blocks, the aligned runs of
+    SCREEN_BLOCK indices that share their high bits.  Every code of a block
+    whose float value lies within SCREEN_WINDOW of the block's float maximum
+    is confirmed with exact ``kemeny_from_code``; the derivation at
+    SCREEN_WINDOW shows no exact maximizer of the block lies outside it.
+    Confirmed values are reduced exactly: a larger value replaces the ties,
+    an equal one joins them.
     """
     n, start, stop = task
     best: Fraction | None = None
     ties: list[str] = []
-    for lo in range(start, stop, SCREEN_BLOCK):
-        approx = _screen(n, np.arange(lo, min(lo + SCREEN_BLOCK, stop), dtype=np.int64))
+    lo = start
+    while lo < stop:
+        hi = min((lo // SCREEN_BLOCK + 1) * SCREEN_BLOCK, stop)
+        approx = _screen(n, lo, hi)
         for offset in np.flatnonzero(approx >= approx.max() - SCREEN_WINDOW):
             code = code_from_index(n, lo + int(offset))
             value = kemeny_from_code(code).exact
@@ -113,6 +170,7 @@ def _chunk_best(task: tuple[int, int, int]) -> tuple[int, int, tuple[str, ...]]:
                 best, ties = value, [str(code)]
             elif value == best:
                 ties.append(str(code))
+        lo = hi
     return best.numerator, best.denominator, tuple(ties)
 
 
@@ -198,7 +256,8 @@ def max_kemeny_search(
     resolve to the smallest code.  ``checkpoint`` names a line-oriented
     progress file; completed ranges found there are not recomputed, and a
     file written for another order or range size raises CheckpointMismatch.
-    At most one worker process is started per pending range.
+    Worker processes are started only when each gets a pending range and
+    at least POOL_MIN_CODES codes; smaller searches run in this process.
     """
     if not MIN_ORDER <= n <= MAX_ORDER:
         raise OrderOutOfRange(f"exhaustive search supports {MIN_ORDER} <= n <= {MAX_ORDER}, got {n}")
@@ -212,7 +271,7 @@ def max_kemeny_search(
     results = _read_checkpoint(checkpoint, n, ranges) if checkpoint else {}
     pending = [(cid, (n, lo, hi)) for cid, (lo, hi) in enumerate(ranges) if cid not in results]
 
-    workers = min(threads, len(pending))
+    workers = min(threads, len(pending), sum(hi - lo for _, (_, lo, hi) in pending) // POOL_MIN_CODES)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for (cid, _), outcome in zip(pending, pool.map(_chunk_best, [t for _, t in pending])):

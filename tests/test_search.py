@@ -6,7 +6,6 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,10 +67,14 @@ class TestScreen:
         worst = 0
         for n in (*range(3, 17), 20, 26):
             total = 1 << (n - 2)
-            indices = range(total) if n <= 16 else rng.sample(range(total), 1500)
-            approx = search._screen(n, np.array(indices, dtype=np.int64))
-            for index, value in zip(indices, approx):
-                worst = max(worst, abs(Fraction(float(value)) - (exact_kemeny(n, index) - (n - 1))))
+            if n <= 16:
+                starts = range(0, total, search.SCREEN_BLOCK)
+                blocks = [(lo, min(lo + search.SCREEN_BLOCK, total)) for lo in starts]
+            else:
+                blocks = [(index, index + 1) for index in rng.sample(range(total), 1500)]
+            for lo, hi in blocks:
+                for index, value in zip(range(lo, hi), search._screen(n, lo, hi)):
+                    worst = max(worst, abs(Fraction(float(value)) - (exact_kemeny(n, index) - (n - 1))))
         assert worst <= search.SCREEN_WINDOW / 1e3
 
     @pytest.mark.parametrize("n", range(19, 23))
@@ -102,7 +105,8 @@ class TestSearch:
         assert report.r == pineapple_argmax(10).r_star == 2
         assert report.argmax_code == str(pineapple_code(10, 2))
 
-    def test_deterministic_across_thread_counts(self):
+    def test_deterministic_across_thread_counts(self, monkeypatch):
+        monkeypatch.setattr(search, "POOL_MIN_CODES", 1)  # real pools, even for 128 codes
         reports = [
             max_kemeny_search(9, threads=t, chunk_codes=16) for t in (1, 4, 8)
         ]
@@ -127,7 +131,9 @@ class TestSearch:
         with pytest.raises(ParameterOutOfRange):
             max_kemeny_search(5, chunk_codes=0)
 
-    def test_pool_capped_at_pending_ranges(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """max_workers of every pool the search starts; the tasks run in this process."""
         created = []
 
         class RecordingPool:
@@ -144,13 +150,25 @@ class TestSearch:
                 return map(fn, tasks)
 
         monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+        return created
+
+    def test_pool_capped_at_pending_ranges(self, tmp_path, monkeypatch, pools):
+        monkeypatch.setattr(search, "POOL_MIN_CODES", 1)
         path = tmp_path / "cap.checkpoint"
         fresh = max_kemeny_search(9, threads=3, checkpoint=str(path), chunk_codes=16)  # 8 ranges
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:5]))  # header and 4 ranges: 4 pending
         resumed = max_kemeny_search(9, threads=8, checkpoint=str(path), chunk_codes=16)
-        assert created == [3, 4]
+        assert pools == [3, 4]
         assert report_key(resumed) == report_key(fresh)
+
+    def test_pool_needs_enough_codes_per_worker(self, monkeypatch, pools):
+        small = max_kemeny_search(9, threads=8, chunk_codes=16)  # 128 codes in 8 ranges
+        assert pools == []
+        monkeypatch.setattr(search, "POOL_MIN_CODES", 32)
+        pooled = max_kemeny_search(9, threads=8, chunk_codes=16)
+        assert pools == [4]
+        assert report_key(pooled) == report_key(small)
 
 
 class TestCheckpoint:
@@ -203,7 +221,8 @@ class TestCheckpoint:
         resumed = max_kemeny_search(12, checkpoint=str(path), chunk_codes=128)
         assert (resumed.argmax_code, resumed.k_exact) == ("011100000001", Fraction(1923, 170))
 
-    def test_resume_identical_across_thread_counts(self, tmp_path):
+    def test_resume_identical_across_thread_counts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(search, "POOL_MIN_CODES", 1)  # real pools, even for 128 codes
         path = tmp_path / "threads.checkpoint"
         fresh = max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
         cut = "".join(path.read_text().splitlines(keepends=True)[:4])  # header and 3 of 8 ranges
