@@ -26,12 +26,12 @@ from . import __version__
 from .codes import build_graph, code_count, degree_profile, enumerate_codes, parse_code
 from .errors import ThresholdWalkError
 from .kemeny import (
+    _bounds_for,
     kemeny_degree_form,
     kemeny_from_code,
     kemeny_spectral_form,
     pineapple_argmax,
     pineapple_kemeny,
-    upper_bounds,
 )
 from .oracle import (
     FOREST_ORDER_CAP,
@@ -58,16 +58,20 @@ class CommandOutput:
 
 
 def _frac_obj(value: Fraction) -> dict:
-    return {"num": str(value.numerator), "den": str(value.denominator), "float": float(value)}
+    return {"num": _int_str(value.numerator), "den": _int_str(value.denominator), "float": float(value)}
 
 
 def _frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
 def _int_str(value: int) -> str:
-    """Decimal digits of any int; str() refuses ints over 4300 digits on newer Pythons."""
-    return str(Decimal(value))
+    """Decimal digits of any int; str() refuses ints over 4300 digits on newer Pythons,
+    so those go through Decimal."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +104,7 @@ def _cmd_compute(args) -> CommandOutput:
         }
         text.append(f"routes agree: exact={exact.exact == degree.exact}")
     if code.n >= 3:
-        bounds = upper_bounds(code)
+        bounds = _bounds_for(code.n, exact)
         payload["bounds"] = {
             "linear": bounds.linear_bound,
             "sparse": bounds.sparse_bound,

@@ -71,12 +71,26 @@ def _require_walk(code: ConstructionCode, min_n: int = 2) -> None:
         raise Disconnected("Kemeny's constant is undefined for a disconnected code")
 
 
+def _exact_sum(terms: list[tuple[int, int]], scale: int) -> Fraction:
+    """Exact sum of p / (q scale) over pairs (p, q), q, scale > 0: runs of 32 terms over one
+    running denominator, then the run sums pairwise in a balanced tree of reduced Fractions."""
+    parts = []
+    for start in range(0, len(terms), 32):
+        num, den = 0, 1
+        for p, q in terms[start : start + 32]:
+            num, den = num * q + den * p, den * q
+        parts.append(Fraction(num, den * scale))
+    while len(parts) > 1:  # an odd last part moves up a level unchanged
+        parts = [a + b for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) & ~1 :]
+    return parts[0]
+
+
 def kemeny_from_code(code: ConstructionCode) -> KemenyResult:
     """Kemeny's constant straight from the code, in exact integer arithmetic.
 
     The dot products w_i . c and z_i . c follow first-order recurrences, so
-    one pass over the code suffices; the rational sum is accumulated over a
-    running denominator and normalized once at the end.
+    one pass over the code gives one integer term per position (scaled by
+    2m); the terms are summed exactly by block folding and a balanced tree.
     """
     _require_walk(code)
     bits = code.bits
@@ -87,59 +101,55 @@ def kemeny_from_code(code: ConstructionCode) -> KemenyResult:
     theta = [0] * n
     for i in range(n - 2, -1, -1):
         theta[i] = theta[i + 1] + bits[i + 1]
-    num, den = 0, 1
+    terms = [((n - 1) * two_m, 1)]
     s = 0  # running w_i . c
     for i in range(1, n):
         c_next = bits[i]
         lam = theta[i - 1] + i * c_next  # z_i . c
         s += i * (i - 1) * (bits[i - 1] - c_next)
-        if c_next:
-            num, den = num * lam - den, den * lam
-        if s:
-            d = two_m * i * (i + 1) * lam
-            num, den = num * d + den * s * (two_m - s), den * d
-    exact = Fraction(num, den) + (n - 1)
+        # term i times 2m, so 2m divides the sum once: (s (2m - s) / (i (i+1)) - 2m c_{i+1}) / lam
+        t = i * (i + 1)
+        p = s * (two_m - s) - two_m * t * c_next
+        if p:
+            terms.append((p, t * lam))
+    exact = _exact_sum(terms, two_m)
     return KemenyResult(n, m, CODE_VECTOR, exact, float(exact))
 
 
 def kemeny_degree_form(code: ConstructionCode) -> KemenyResult:
-    """Kemeny's constant from the degree sequence; equals the code-vector route exactly."""
+    """Kemeny's constant from the degree sequence, one bracket per position scaled by 2m
+    and summed like the code-vector route; equals that route exactly."""
     _require_walk(code)
     n = code.n
     prof = degree_profile(code)
     d = prof.degrees
     two_m = 2 * prof.m
     prefix = 0  # d_1 + ... + d_{j-1}
-    total = Fraction(0)
+    terms = []
     for j in range(2, n + 1):
         dj = d[j - 1]
-        cj = code.bits[j - 1]
         prefix += d[j - 2]
-        bracket = Fraction(prefix + (j - 1) ** 2 * dj) - Fraction((prefix - (j - 1) * dj) ** 2, two_m)
-        total += bracket / ((dj + cj) * j * (j - 1))
+        bracket = (prefix + (j - 1) ** 2 * dj) * two_m - (prefix - (j - 1) * dj) ** 2
+        terms.append((bracket, (dj + code.bits[j - 1]) * j * (j - 1)))
+    total = _exact_sum(terms, two_m)
     return KemenyResult(n, prof.m, DEGREE_FORM, total, float(total))
 
 
 def kemeny_spectral_form(code: ConstructionCode) -> KemenyResult:
     """Floating Kemeny's constant from the shared eigenbasis.
 
-    Sums degree-weighted squared differences of basis-column entries over
-    all vertex pairs, one column per nonzero eigenvalue.  Agrees with the
-    exact routes to ~1e-12 at desk scale.
+    Per basis column u of a nonzero eigenvalue, sum_{a<b} d_a d_b (u_a - u_b)^2
+    = (sum d)(d . u^2) - (d . u)^2, so all columns together cost O(n^2).
+    Agrees with the exact routes to ~1e-12 at desk scale.
     """
     _require_walk(code)
     n = code.n
     prof = degree_profile(code)
     d = np.array(prof.degrees, dtype=float)
-    lam = laplacian_spectrum(code).eigenvalues
-    U = hessenberg_basis(n).to_array()
-    acc = 0.0
-    for i in range(n - 1):
-        col = U[:, i]
-        diff = col[:, None] - col[None, :]
-        pair_sum = float((d[:, None] * d[None, :] * diff * diff).sum()) / 2.0
-        acc += pair_sum / lam[i]
-    return KemenyResult(n, prof.m, SPECTRAL_FORM, None, acc / (2.0 * prof.m))
+    lam = np.array(laplacian_spectrum(code).eigenvalues[: n - 1], dtype=float)
+    U = hessenberg_basis(n).to_array()[:, : n - 1]
+    pair_sums = d.sum() * (d @ (U * U)) - (d @ U) ** 2
+    return KemenyResult(n, prof.m, SPECTRAL_FORM, None, float((pair_sums / lam).sum()) / (2.0 * prof.m))
 
 
 @dataclass(frozen=True)
@@ -160,13 +170,17 @@ def upper_bounds(code: ConstructionCode) -> UpperBounds:
     """
     if code.n < 3:
         raise OrderTooSmall(f"the bounds assume order >= 3, got {code.n}")
-    result = kemeny_from_code(code)
+    return _bounds_for(code.n, kemeny_from_code(code))
+
+
+def _bounds_for(n: int, result: KemenyResult) -> UpperBounds:
+    """upper_bounds at order n >= 3 from an exact Kemeny result already computed."""
     k_exact = result.exact
-    linear_bound = 2 * code.n - 3
-    sparse_bound = code.n - 1 + 1.5 * math.sqrt(result.m)
+    linear_bound = 2 * n - 3
+    sparse_bound = n - 1 + 1.5 * math.sqrt(result.m)
     holds_linear = k_exact < linear_bound
     if abs(result.value - sparse_bound) < 1e-6:
-        shifted = k_exact - (code.n - 1)
+        shifted = k_exact - (n - 1)
         holds_sparse = shifted <= 0 or shifted * shifted < Fraction(9 * result.m, 4)
     else:
         holds_sparse = result.value < sparse_bound

@@ -2,9 +2,12 @@
 
 import json
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
+from conftest import connected_codes_upto
+from thresholdwalk import cli, kemeny, kemeny_degree_form, parse_code, upper_bounds
 from thresholdwalk.cli import main
 
 
@@ -66,6 +69,45 @@ class TestCompute:
         _, envelope, _ = run_json(capsys, "compute", "0101", "--method", "degree")
         assert envelope["payload"]["kemeny"]["num"] == "61"
         assert "routes" not in envelope["payload"]
+
+    def test_kemeny_beyond_int_str_digit_limit(self, capsys):
+        # n = 10000: K's numerator and denominator each pass 4300 digits
+        text = "01" * 5000
+        code, envelope, _ = run_json(capsys, "compute", text, "--method", "degree")
+        assert code == 0
+        kemeny_obj = envelope["payload"]["kemeny"]
+        assert len(kemeny_obj["num"]) > 4300
+        value = Fraction(int(Decimal(kemeny_obj["num"])), int(Decimal(kemeny_obj["den"])))
+        assert value == kemeny_degree_form(parse_code(text)).exact
+
+    @pytest.mark.parametrize(
+        "method,codevec_calls,degree_calls",
+        [("codevec", 1, 0), ("all", 1, 1), ("spectral", 1, 0), ("degree", 0, 1)],
+    )
+    def test_one_exact_evaluation_per_request(self, capsys, monkeypatch, method, codevec_calls, degree_calls):
+        calls = {"codevec": 0, "degree": 0}
+
+        def counted(name, route):
+            def wrapper(code):
+                calls[name] += 1
+                return route(code)
+
+            return wrapper
+
+        for module in (cli, kemeny):
+            monkeypatch.setattr(module, "kemeny_from_code", counted("codevec", kemeny.kemeny_from_code))
+            monkeypatch.setattr(module, "kemeny_degree_form", counted("degree", kemeny.kemeny_degree_form))
+        code, _, _ = run_json(capsys, "compute", "01100011", "--method", method)
+        assert code == 0
+        assert calls == {"codevec": codevec_calls, "degree": degree_calls}
+
+    @pytest.mark.parametrize("method", ["all", "codevec", "degree", "spectral"])
+    def test_bounds_payload_matches_upper_bounds(self, capsys, method):
+        for text in map(str, connected_codes_upto(8, n_min=3)):
+            _, envelope, _ = run_json(capsys, "compute", text, "--method", method)
+            bounds = upper_bounds(parse_code(text))
+            expected = {"linear": bounds.linear_bound, "sparse": bounds.sparse_bound, "hold": bounds.both_hold}
+            assert envelope["payload"]["bounds"] == expected, text
 
 
 class TestSpectrum:

@@ -1,7 +1,9 @@
 """The three Kemeny routes, their bounds, and the pineapple family."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from conftest import connected_codes_upto
 from thresholdwalk import (
     ConstructionCode,
     code_vectors,
+    degree_profile,
+    hessenberg_basis,
     kemeny_degree_form,
     kemeny_from_code,
     kemeny_spectral_form,
@@ -44,6 +48,47 @@ def naive_kemeny(code):
         total -= Fraction(c[i], z_dot)
         total += Fraction(w_dot * (two_m - w_dot), two_m * i * (i + 1) * z_dot)
     return total
+
+
+def running_sum_kemeny(code):
+    """The code-vector recurrence over one running num/den, normalized once at the end."""
+    bits, n = code.bits, code.n
+    two_m = 2 * sum(j for j in range(n) if bits[j])
+    theta = [0] * n
+    for i in range(n - 2, -1, -1):
+        theta[i] = theta[i + 1] + bits[i + 1]
+    num, den = 0, 1
+    s = 0
+    for i in range(1, n):
+        c_next = bits[i]
+        lam = theta[i - 1] + i * c_next
+        s += i * (i - 1) * (bits[i - 1] - c_next)
+        if c_next:
+            num, den = num * lam - den, den * lam
+        if s:
+            d = two_m * i * (i + 1) * lam
+            num, den = num * d + den * s * (two_m - s), den * d
+    return Fraction(num, den) + (n - 1)
+
+
+def pairwise_spectral_kemeny(code):
+    """The spectral route summed over all vertex pairs, one n x n outer product per column."""
+    n = code.n
+    prof = degree_profile(code)
+    d = np.array(prof.degrees, dtype=float)
+    lam = laplacian_spectrum(code).eigenvalues
+    U = hessenberg_basis(n).to_array()
+    acc = 0.0
+    for i in range(n - 1):
+        col = U[:, i]
+        diff = col[:, None] - col[None, :]
+        acc += float((d[:, None] * d[None, :] * diff * diff).sum()) / 2.0 / lam[i]
+    return acc / (2.0 * prof.m)
+
+
+def seeded_codes(orders, seed):
+    rng = random.Random(seed)
+    return [ConstructionCode((0, *(rng.randint(0, 1) for _ in range(n - 2)), 1)) for n in orders]
 
 
 class TestKnownValues:
@@ -114,6 +159,30 @@ class TestRouteAgreement:
     def test_positive(self):
         for code in connected_codes_upto(8):
             assert kemeny_from_code(code).exact > 0
+
+
+class TestAgainstReferenceLoops:
+    """The tree-summed exact routes and the O(n^2) spectral route against the loops they replaced."""
+
+    def test_exact_routes_small(self):
+        for code in connected_codes_upto(12):
+            exact = kemeny_from_code(code).exact
+            assert exact == running_sum_kemeny(code) == kemeny_degree_form(code).exact, str(code)
+
+    def test_exact_routes_large(self):
+        for code in seeded_codes((1000, 2500, 4000), seed=4):
+            exact = kemeny_from_code(code).exact
+            assert exact == running_sum_kemeny(code) == kemeny_degree_form(code).exact, code.n
+
+    def test_spectral_small(self):
+        for code in connected_codes_upto(10):
+            k = kemeny_from_code(code).value
+            assert abs(kemeny_spectral_form(code).value - pairwise_spectral_kemeny(code)) <= 1e-12 * max(1.0, k)
+
+    def test_spectral_large(self):
+        for code in seeded_codes((100, 300, 500), seed=5):
+            k = kemeny_from_code(code).value
+            assert abs(kemeny_spectral_form(code).value - pairwise_spectral_kemeny(code)) <= 1e-12 * max(1.0, k)
 
 
 class TestCodeVectors:
