@@ -13,12 +13,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .oracle import (
     spanning_tree_oracle,
     two_forest_matrix,
 )
-from .resistance import resistance_closed_form, resistance_matrix, verify_orderings
+from .resistance import _verify_orderings, resistance_closed_form, resistance_matrix
 from .search import max_kemeny_search
 from .spectral import laplacian_spectrum, pseudo_inverse, spanning_tree_count
 
@@ -155,17 +157,18 @@ def _cmd_resistance(args) -> CommandOutput:
 def _cmd_forest(args) -> CommandOutput:
     code = parse_code(args.code)
     profile = resistance_matrix(code)
-    rows = [[str(x) for x in row] for row in profile.F]
-    payload = {"n": code.n, "tau": str(profile.tau), "f": rows}
-    text = [",".join(row) for row in rows] + [f"tau,{profile.tau}"]
+    rows = [[_int_str(x) for x in row] for row in profile.F]
+    tau = _int_str(profile.tau)
+    payload = {"n": code.n, "tau": tau, "f": rows}
+    text = [",".join(row) for row in rows] + [f"tau,{tau}"]
     header = [f"v{p}" for p in range(1, code.n + 1)]
-    return CommandOutput(payload, text, csv_header=header, csv_rows=rows + [["tau", str(profile.tau)]])
+    return CommandOutput(payload, text, csv_header=header, csv_rows=rows + [["tau", tau]])
 
 
 def _cmd_access(args) -> CommandOutput:
     code = parse_code(args.code)
     profile = resistance_matrix(code)
-    report = verify_orderings(code)
+    report = _verify_orderings(code, profile)
     payload = {
         "mu": [_frac_str(x) for x in profile.mu],
         "alpha": [_frac_str(x) for x in profile.alpha],
@@ -267,7 +270,8 @@ def _cmd_enumerate(args) -> CommandOutput:
 
 
 # ---------------------------------------------------------------------------
-# verification suites (compare exact routes against the oracles for one code)
+# verification suites (compare exact routes against the oracles for one code);
+# all but the Kemeny suite share one resistance profile of the code
 
 
 def _suite_kemeny(code) -> dict:
@@ -299,25 +303,33 @@ def _suite_kemeny(code) -> dict:
     }
 
 
-def _suite_resistance(code) -> dict:
-    profile = resistance_matrix(code)
+def _suite_resistance(code, profile) -> dict:
     pinv = pseudo_inverse(code)
     n = code.n
-    exact_equal = all(
-        profile.R[i][j] == pinv[i][i] + pinv[j][j] - 2 * pinv[i][j]
-        for i in range(n)
-        for j in range(n)
+    # R = diag(L+) 1^T + 1 diag(L+)^T - 2 L+, decided in integers over one
+    # common denominator: R has a zero diagonal, R and L+ are symmetric, and
+    # the identity holds above the diagonal
+    dens = {x.denominator for row in (*profile.R, *pinv) for x in row}
+    common = math.lcm(*dens)
+    scale = {den: common // den for den in dens}
+    R = [tuple(x.numerator * scale[x.denominator] for x in row) for row in profile.R]
+    P = [tuple(x.numerator * scale[x.denominator] for x in row) for row in pinv]
+    exact_equal = (
+        not any(R[i][i] for i in range(n))
+        and R == list(zip(*R))
+        and P == list(zip(*P))
+        and all(
+            R[i][j] + 2 * P[i][j] == P[i][i] + P[j][j] for i in range(n) for j in range(i + 1, n)
+        )
     )
-    numeric = resistance_oracle(build_graph(code))
-    deviation = max(
-        abs(float(profile.R[i][j]) - float(numeric[i][j])) for i in range(n) for j in range(n)
-    )
+    numeric = resistance_oracle(build_graph(code)).tolist()
+    # int / int rounds correctly, so x / common is float(R[i][j]) exactly
+    deviation = max(abs(x / common - y) for row, nrow in zip(R, numeric) for x, y in zip(row, nrow))
     ok = exact_equal and deviation < 1e-8
     return {"pass": bool(ok), "pseudoinverse_equal": exact_equal, "max_deviation": deviation}
 
 
-def _suite_forest(code) -> dict:
-    profile = resistance_matrix(code)  # raises NonIntegralEntry if F is not integral
+def _suite_forest(code, profile) -> dict:
     graph = build_graph(code)
     tau_equal = profile.tau == spanning_tree_oracle(graph)
     result = {"pass": bool(tau_equal), "tau_equal": tau_equal, "max_deviation": None}
@@ -333,9 +345,8 @@ def _suite_forest(code) -> dict:
     return result
 
 
-def _suite_ordering(code) -> dict:
-    report = verify_orderings(code)
-    profile = resistance_matrix(code)
+def _suite_ordering(code, profile) -> dict:
+    report = _verify_orderings(code, profile)
     prof = degree_profile(code)
     weighted = sum(
         (Fraction(prof.degrees[v], 2 * prof.m) * profile.alpha[v] for v in range(code.n)),
@@ -356,8 +367,7 @@ def _suite_ordering(code) -> dict:
     }
 
 
-_SUITES = {
-    "kemeny": _suite_kemeny,
+_PROFILE_SUITES = {
     "resistance": _suite_resistance,
     "forest": _suite_forest,
     "ordering": _suite_ordering,
@@ -366,8 +376,11 @@ _SUITES = {
 
 def _cmd_verify(args) -> CommandOutput:
     code = parse_code(args.code)
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    suites = {name: _SUITES[name](code) for name in names}
+    suites = {"kemeny": _suite_kemeny(code)} if args.suite in ("kemeny", "all") else {}
+    if args.suite != "kemeny":
+        profile = resistance_matrix(code)  # raises NonIntegralEntry if F is not integral
+        names = list(_PROFILE_SUITES) if args.suite == "all" else [args.suite]
+        suites.update((name, _PROFILE_SUITES[name](code, profile)) for name in names)
     ok = all(entry["pass"] for entry in suites.values())
     payload = {"code": str(code), "n": code.n, "suites": suites, "pass": ok}
     text = [f"{name}: {'PASS' if entry['pass'] else 'FAIL'}" for name, entry in suites.items()]
@@ -379,7 +392,9 @@ def _cmd_verify(args) -> CommandOutput:
 # parser and dispatch
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parse_args fills a fresh namespace per call."""
     common = argparse.ArgumentParser(add_help=False)
     style = common.add_mutually_exclusive_group()
     style.add_argument("--json", action="store_true", help="emit one JSON envelope")

@@ -2,14 +2,13 @@
 
 Everything here works from the explicit graph structure, never from the
 construction code: numeric eigensolves, fundamental-matrix first-passage
-times, exact integer determinants, and exhaustive spanning-forest
-enumeration.  Slower than the closed forms by design; that independence is
-the point.
+times, exact integer determinants, and an exact count of the spanning
+2-forests, made by merging vertex partitions edge by edge.  Slower than the
+closed forms by design; that independence is the point.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -232,41 +231,43 @@ def _forest_guard(graph: AdjacencyStructure) -> None:
 
 
 @lru_cache(maxsize=16)
-def _forest_bipartitions(graph: AdjacencyStructure) -> np.ndarray:
-    """Bitmask of vertex 1's component for every spanning 2-forest.
+def _forest_bipartitions(graph: AdjacencyStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex 1's component over all spanning 2-forests, as distinct bitmasks
+    and the number of forests giving each.
 
-    A subset of n-2 edges is a spanning 2-forest exactly when it is acyclic,
-    so enumeration walks all (n-2)-subsets with a union-find cycle prune.
+    A subset of n-2 edges is a spanning 2-forest exactly when it is acyclic.
+    The edges are taken in order, keeping for every vertex partition (a
+    sorted tuple of component bitmasks) the number of acyclic subsets of the
+    edges so far that produce it.  Each edge is skipped, or merges the two
+    components it joins while more than two remain; a partition is dropped
+    once the edges left are too few to bring it down to two components.
+    Every acyclic (n-2)-subset is counted once, from the edge list alone.
     """
-    n = graph.n
     edges = graph.edges
-    masks = []
-    for subset in itertools.combinations(range(len(edges)), n - 2):
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for e in subset:
-            a, b = edges[e]
-            ra, rb = find(a - 1), find(b - 1)
-            if ra == rb:
-                acyclic = False
-                break
-            parent[ra] = rb
-        if not acyclic:
-            continue
-        root = find(0)
-        mask = 0
-        for v in range(n):
-            if find(v) == root:
-                mask |= 1 << v
-        masks.append(mask)
-    return np.array(masks, dtype=np.uint32)
+    states = {tuple(1 << v for v in range(graph.n)): 1}
+    for k, (a, b) in enumerate(edges):
+        left = len(edges) - 1 - k  # edges after this one
+        bit_a, bit_b = 1 << (a - 1), 1 << (b - 1)
+        nxt: dict[tuple[int, ...], int] = {}
+        for parts, count in states.items():
+            if len(parts) - 2 <= left:
+                nxt[parts] = nxt.get(parts, 0) + count
+            if len(parts) == 2:
+                continue
+            part_a = next(p for p in parts if p & bit_a)
+            if part_a & bit_b:
+                continue
+            part_b = next(p for p in parts if p & bit_b)
+            rest = [p for p in parts if p != part_a and p != part_b]
+            merged = tuple(sorted([*rest, part_a | part_b]))
+            nxt[merged] = nxt.get(merged, 0) + count
+        states = nxt
+    counts: dict[int, int] = {}
+    for parts, count in states.items():
+        if len(parts) == 2:
+            mask = parts[0] if parts[0] & 1 else parts[1]
+            counts[mask] = counts.get(mask, 0) + count
+    return np.array(list(counts), dtype=np.uint32), np.array(list(counts.values()), dtype=np.int64)
 
 
 def _vertex_bits(graph: AdjacencyStructure, masks: np.ndarray, v: int) -> np.ndarray:
@@ -280,8 +281,8 @@ def two_forest_enumeration(graph: AdjacencyStructure, i: int, j: int) -> int:
     _forest_guard(graph)
     if i == j:
         raise SameVertex(f"vertices must differ, both are {i}")
-    masks = _forest_bipartitions(graph)
-    return int((_vertex_bits(graph, masks, i) != _vertex_bits(graph, masks, j)).sum())
+    masks, weights = _forest_bipartitions(graph)
+    return int(weights[_vertex_bits(graph, masks, i) != _vertex_bits(graph, masks, j)].sum())
 
 
 def two_forest_refinement(graph: AdjacencyStructure, z: int, x: int, y: int) -> int:
@@ -289,22 +290,22 @@ def two_forest_refinement(graph: AdjacencyStructure, z: int, x: int, y: int) -> 
     _forest_guard(graph)
     if len({z, x, y}) != 3:
         raise SameVertex(f"vertices must be pairwise distinct, got {z}, {x}, {y}")
-    masks = _forest_bipartitions(graph)
+    masks, weights = _forest_bipartitions(graph)
     bz = _vertex_bits(graph, masks, z)
     bx = _vertex_bits(graph, masks, x)
     by = _vertex_bits(graph, masks, y)
-    return int(((bz == bx) & (bx != by)).sum())
+    return int(weights[(bz == bx) & (bx != by)].sum())
 
 
 def two_forest_matrix(graph: AdjacencyStructure) -> list[list[int]]:
-    """All pairwise separating-forest counts from a single enumeration pass."""
+    """All pairwise separating-forest counts from one partition-merging pass."""
     _forest_guard(graph)
-    masks = _forest_bipartitions(graph)
+    masks, weights = _forest_bipartitions(graph)
     n = graph.n
     bits = [_vertex_bits(graph, masks, v) for v in range(1, n + 1)]
     out = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            count = int((bits[a] != bits[b]).sum())
+            count = int(weights[bits[a] != bits[b]].sum())
             out[a][b] = out[b][a] = count
     return out

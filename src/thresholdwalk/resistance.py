@@ -201,7 +201,11 @@ def verify_orderings(code: ConstructionCode) -> OrderingReport:
     block-level moment/accessibility ordering with its leading-run equality
     condition.
     """
-    profile = resistance_matrix(code)
+    return _verify_orderings(code, resistance_matrix(code))
+
+
+def _verify_orderings(code: ConstructionCode, profile: ResistanceProfile) -> OrderingReport:
+    """verify_orderings on an already built profile of the same code."""
     F = profile.F
     bits = code.bits
     n = code.n
@@ -335,9 +339,13 @@ def verify_orderings(code: ConstructionCode) -> OrderingReport:
     ok_blocks = all(mu_zero[b] > mu_zero[b - 1] for b in range(1, k))
     ok_blocks = ok_blocks and mu_zero[0] >= mu_one[0]
     ok_blocks = ok_blocks and all(mu_one[b - 1] > mu_one[b] for b in range(1, k))
+    # alpha orders the vertices exactly as mu does, ties included; both are
+    # total orders, so neighbours in mu order decide every pair
     alpha = profile.alpha
+    by_mu = sorted(range(n), key=mu.__getitem__)
     ok_blocks = ok_blocks and all(
-        (alpha[p] > alpha[q]) == (mu[p] > mu[q]) for p in range(n) for q in range(n)
+        (alpha[p] < alpha[q]) == (mu[p] < mu[q]) and (alpha[p] == alpha[q]) == (mu[p] == mu[q])
+        for p, q in zip(by_mu, by_mu[1:])
     )
     if not ok_blocks:
         witnesses.append("block moment ordering fails")

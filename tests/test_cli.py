@@ -1,13 +1,23 @@
 """CLI contract: envelopes, exit codes, CSV shapes, error surfaces."""
 
+import dataclasses
 import json
+import random
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from conftest import connected_codes_upto
-from thresholdwalk import cli, kemeny, kemeny_degree_form, parse_code, upper_bounds
+from thresholdwalk import (
+    cli,
+    kemeny,
+    kemeny_degree_form,
+    parse_code,
+    pseudo_inverse,
+    resistance_matrix,
+    upper_bounds,
+)
 from thresholdwalk.cli import main
 
 
@@ -154,6 +164,22 @@ class TestResistanceAndForest:
         assert lines[-1] == "tau,3"
         assert lines[3] == "5,5,0,3"
 
+    def test_forest_beyond_int_str_digit_limit(self, capsys, monkeypatch):
+        # 1400^1398 has 4399 digits, past the 4300-digit limit of str(int)
+        tau = 1400**1398
+        profile = dataclasses.replace(resistance_matrix(parse_code("01")), F=((0, tau), (tau, 0)), tau=tau)
+        monkeypatch.setattr(cli, "resistance_matrix", lambda _: profile)
+        digits = str(Decimal(tau))
+        assert len(digits) == 4399
+        code, envelope, _ = run_json(capsys, "forest", "01")
+        assert code == 0
+        assert envelope["payload"]["tau"] == digits
+        assert envelope["payload"]["f"] == [["0", digits], [digits, "0"]]
+        for style in ([], ["--csv"]):
+            code, out, _ = run(capsys, "forest", "01", *style)
+            assert code == 0
+            assert out.strip().splitlines()[-1] == f"tau,{digits}"
+
 
 class TestAccess:
     def test_star(self, capsys):
@@ -259,6 +285,50 @@ class TestVerify:
         assert code == 0
         assert "all: PASS" in out
 
+    @pytest.mark.parametrize("target", ["pinv_below_diagonal", "pinv_diagonal", "r_entry", "r_pair"])
+    def test_resistance_suite_catches_one_changed_entry(self, capsys, monkeypatch, target):
+        # a change far below float resolution: only the exact check can see it
+        rng = random.Random(target)
+        codes = list(connected_codes_upto(9, n_min=3)) + [parse_code("0" + "011" * 10 + "1")]
+        for code in rng.sample(codes, 25):
+            n = code.n
+            profile = resistance_matrix(code)
+            pinv = pseudo_inverse(code)
+            R = [list(row) for row in profile.R]
+            delta = Fraction(rng.choice([-1, 1]), 10**30)
+            i, j = sorted(rng.sample(range(n), 2), reverse=True)  # i > j
+            if target == "pinv_below_diagonal":
+                pinv[i][j] += delta
+            elif target == "pinv_diagonal":
+                pinv[i][i] += delta
+            elif target == "r_entry":
+                i, j = rng.choice([(i, j), (j, i), (i, i)])
+                R[i][j] += delta
+            else:
+                R[i][j] += delta
+                R[j][i] += delta
+            assert not _all_pairs_pseudoinverse_check(R, pinv)
+            perturbed = dataclasses.replace(profile, R=tuple(map(tuple, R)))
+            monkeypatch.setattr(cli, "pseudo_inverse", lambda _: pinv)
+            monkeypatch.setattr(cli, "resistance_matrix", lambda _: perturbed)
+            status, envelope, _ = run_json(capsys, "verify", str(code), "--suite", "resistance")
+            suite = envelope["payload"]["suites"]["resistance"]
+            assert status == 1
+            assert suite["pseudoinverse_equal"] is False
+            assert suite["max_deviation"] < 1e-8
+
+    def test_resistance_suite_unperturbed_matches_all_pairs(self, capsys):
+        for code in list(connected_codes_upto(7, n_min=3)) + [parse_code("0" + "011" * 10 + "1")]:
+            assert _all_pairs_pseudoinverse_check(resistance_matrix(code).R, pseudo_inverse(code))
+            _, envelope, _ = run_json(capsys, "verify", str(code), "--suite", "resistance")
+            assert envelope["payload"]["suites"]["resistance"]["pseudoinverse_equal"] is True
+
+
+def _all_pairs_pseudoinverse_check(R, pinv):
+    """Reference: R = diag(L+) 1^T + 1 diag(L+)^T - 2 L+ compared entry by entry in Fractions."""
+    n = len(R)
+    return all(R[i][j] == pinv[i][i] + pinv[j][j] - 2 * pinv[i][j] for i in range(n) for j in range(n))
+
 
 class TestEnumerate:
     def test_text_lines(self, capsys):
@@ -273,6 +343,28 @@ class TestEnumerate:
 
 
 class TestDispatch:
+    def test_parser_reused_without_leaks(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        _, first, _ = run_json(capsys, "compute", "0101", "--method", "degree")
+        _, second, _ = run_json(capsys, "compute", "0101")
+        assert first["input"] == {"code": "0101", "method": "degree"}
+        assert second["input"] == {"code": "0101", "method": "all"}
+        assert "routes" in second["payload"] and "routes" not in first["payload"]
+        _, pair, _ = run_json(capsys, "resistance", "--pair", "1", "3", "0101")
+        _, matrix, _ = run_json(capsys, "resistance", "0101")
+        assert pair["input"] == {"code": "0101", "matrix": False, "pair": [1, 3]}
+        assert matrix["input"] == {"code": "0101", "matrix": False}
+        assert len(matrix["payload"]["r"]) == 4
+        code, out, _ = run(capsys, "verify", "0101", "--suite", "kemeny", "--quiet")
+        assert (code, out) == (0, "")
+        code, out, _ = run(capsys, "verify", "0101")
+        assert code == 0
+        assert out.splitlines() == ["kemeny: PASS", "resistance: PASS", "forest: PASS", "ordering: PASS", "all: PASS"]
+        _, out, _ = run(capsys, "search", "--n", "5", "--threads", "1", "--csv")
+        _, envelope, _ = run_json(capsys, "search", "--n", "5")
+        assert out.startswith("n,argmax_code,")
+        assert "threads" not in envelope["input"]
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["bogus"])

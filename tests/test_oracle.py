@@ -1,5 +1,10 @@
 """Oracle sanity: the reference computations must stand on their own."""
 
+import itertools
+import math
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,7 +22,12 @@ from thresholdwalk import (
     two_forest_refinement,
 )
 from thresholdwalk.errors import Disconnected, SameVertex, TooLarge
-from thresholdwalk.oracle import is_connected, stationary_distribution, transition_matrix
+from thresholdwalk.oracle import (
+    _forest_bipartitions,
+    is_connected,
+    stationary_distribution,
+    transition_matrix,
+)
 
 STAR = build_graph(parse_code("0001"))
 PAW = build_graph(parse_code("0101"))
@@ -193,3 +203,65 @@ class TestForestEnumeration:
                         assert two_forest_enumeration(graph, i, v) <= two_forest_enumeration(
                             graph, i, w
                         )
+
+
+def enumerated_bipartitions(text):
+    """The subset walk the partition merge replaced, the reference for _forest_bipartitions:
+    every (n-2)-subset of the edges, kept when union-find meets no cycle, counted by
+    vertex 1's component (each root holds its component's bitmask)."""
+    graph = build_graph(parse_code(text))
+    n = graph.n
+    edges = [(a - 1, b - 1) for a, b in graph.edges]
+    masks = Counter()
+    for subset in itertools.combinations(edges, n - 2):
+        parent = list(range(n))
+        component = [1 << v for v in range(n)]
+        for a, b in subset:
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a == b:
+                break
+            parent[a] = b
+            component[b] |= component[a]
+        else:
+            root = 0
+            while parent[root] != root:
+                root = parent[root]
+            masks[component[root]] += 1
+    return masks
+
+
+def _bit(mask, v):
+    return mask >> (v - 1) & 1
+
+
+# every connected code of orders 3..8, and seeded order-9 codes with at most 10^5 subsets
+_ORDER9 = [str(c) for c in connected_codes(9) if math.comb(build_graph(c).m, 7) <= 100_000]
+REFERENCE_CODES = [str(c) for c in connected_codes_upto(8, n_min=3)] + random.Random(9).sample(_ORDER9, 4)
+
+
+class TestForestReference:
+    @pytest.mark.parametrize("text", REFERENCE_CODES)
+    def test_equals_subset_enumeration(self, text):
+        graph = build_graph(parse_code(text))
+        n = graph.n
+        reference = enumerated_bipartitions(text)
+        masks, weights = _forest_bipartitions(graph)
+        assert dict(zip(masks.tolist(), weights.tolist())) == reference
+        counts = two_forest_matrix(graph)
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            expected = sum(c for mask, c in reference.items() if _bit(mask, i) != _bit(mask, j))
+            assert counts[i - 1][j - 1] == counts[j - 1][i - 1] == expected
+            assert two_forest_enumeration(graph, i, j) == expected
+        for z, x, y in itertools.permutations(range(1, n + 1), 3):
+            expected = sum(
+                c for mask, c in reference.items() if _bit(mask, z) == _bit(mask, x) != _bit(mask, y)
+            )
+            assert two_forest_refinement(graph, z, x, y) == expected
+
+    def test_complete_graph_order_nine(self):
+        # F = tau R on K_n: tau = n^(n-2) and r = 2/n, so every entry is 2 n^(n-3)
+        counts = two_forest_matrix(build_graph(parse_code("0" + "1" * 8)))
+        assert all(counts[i][j] == 2 * 9**6 for i in range(9) for j in range(9) if i != j)

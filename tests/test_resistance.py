@@ -268,6 +268,30 @@ class TestOrderings:
             verdicts.add(expected)
         assert verdicts == {True, False}
 
+    def test_block_moment_check_matches_all_pairs_reference(self, monkeypatch):
+        rng = random.Random(20261018)
+        codes = list(connected_codes_upto(9, n_min=3))
+        verdicts = set()
+        for _ in range(300):
+            code = rng.choice(codes)
+            profile = resistance_matrix(code)
+            alpha = list(profile.alpha)
+            p, q = rng.sample(range(code.n), 2)
+            change = rng.randrange(3)
+            if change == 0:
+                alpha[p], alpha[q] = alpha[q], alpha[p]
+            elif change == 1:
+                alpha[p] = alpha[q]
+            else:
+                alpha[p] += Fraction(rng.choice([-1, 1]), 10**12)
+            perturbed = dataclasses.replace(profile, alpha=tuple(alpha))
+            monkeypatch.setattr(resistance_module, "resistance_matrix", lambda _: perturbed)
+            # mu is untouched, so its block chain holds and the alpha/mu pairs decide
+            expected = _all_pairs_order_check(profile.mu, alpha)
+            assert verify_orderings(code).block_moment_ordering == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
 
 def _pairwise_degree_check(F, d):
     """Reference: the degree characterization compared over every triple (i, w, v)."""
@@ -282,3 +306,9 @@ def _pairwise_degree_check(F, d):
                 if d[w] == d[v] and F[i][w] != F[i][v]:
                     return False
     return True
+
+
+def _all_pairs_order_check(mu, alpha):
+    """Reference: alpha ranks every ordered pair of vertices as mu does."""
+    n = len(mu)
+    return all((alpha[p] > alpha[q]) == (mu[p] > mu[q]) for p in range(n) for q in range(n))
