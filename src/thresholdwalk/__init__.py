@@ -53,9 +53,6 @@ from .oracle import (
 from .resistance import (
     OrderingReport,
     ResistanceProfile,
-    accessibility_profile,
-    forest_matrix,
-    moment_profile,
     resistance_closed_form,
     resistance_matrix,
     verify_orderings,
@@ -73,3 +70,4 @@ from .spectral import (
     pseudo_inverse,
     spanning_tree_count,
 )
+from .verify import verify_code

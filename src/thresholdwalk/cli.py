@@ -1,5 +1,7 @@
 """Command-line interface: every operation behind one executable.
 
+The CLI only parses arguments, dispatches to the library and renders the
+result as text, CSV or JSON; the verification suites live in ``verify``.
 Success with --json prints exactly one envelope object {schema_version,
 command, input, payload, timing}; timing stays outside the payload so
 payloads are byte-identical across runs.  Exit codes: 0 success, 1 domain
@@ -13,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -22,10 +23,8 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
-
 from . import __version__
-from .codes import build_graph, code_count, degree_profile, enumerate_codes, parse_code
+from .codes import code_count, degree_profile, enumerate_codes, parse_code
 from .errors import ThresholdWalkError
 from .kemeny import (
     _bounds_for,
@@ -35,17 +34,10 @@ from .kemeny import (
     pineapple_argmax,
     pineapple_kemeny,
 )
-from .oracle import (
-    FOREST_ORDER_CAP,
-    accessibility_oracle,
-    kemeny_eigen_oracle,
-    resistance_oracle,
-    spanning_tree_oracle,
-    two_forest_matrix,
-)
 from .resistance import _verify_orderings, resistance_closed_form, resistance_matrix
 from .search import max_kemeny_search
-from .spectral import laplacian_spectrum, pseudo_inverse, spanning_tree_count
+from .spectral import laplacian_spectrum, spanning_tree_count
+from .verify import SUITES, verify_code
 
 SCHEMA_VERSION = "1"
 
@@ -269,118 +261,9 @@ def _cmd_enumerate(args) -> CommandOutput:
     return CommandOutput(payload, codes, csv_header=["code"], csv_rows=[[c] for c in codes])
 
 
-# ---------------------------------------------------------------------------
-# verification suites (compare exact routes against the oracles for one code);
-# all but the Kemeny suite share one resistance profile of the code
-
-
-def _suite_kemeny(code) -> dict:
-    cv = kemeny_from_code(code)
-    dg = kemeny_degree_form(code)
-    sp = kemeny_spectral_form(code)
-    graph = build_graph(code)
-    eig = kemeny_eigen_oracle(graph)
-    degrees = np.array(degree_profile(code).degrees, dtype=float)
-    numeric_r = resistance_oracle(graph)
-    drd = float(degrees @ numeric_r @ degrees / (4.0 * cv.m))
-    deviations = {
-        "spectral_route": abs(sp.value - cv.value),
-        "eigen_oracle": abs(eig - cv.value),
-        "resistance_route": abs(drd - cv.value),
-    }
-    exact_equal = cv.exact == dg.exact
-    ok = (
-        exact_equal
-        and deviations["spectral_route"] < 1e-9
-        and deviations["eigen_oracle"] < 1e-8
-        and deviations["resistance_route"] < 1e-8
-    )
-    return {
-        "pass": bool(ok),
-        "exact_routes_equal": exact_equal,
-        "max_deviation": max(deviations.values()),
-        "deviations": deviations,
-    }
-
-
-def _suite_resistance(code, profile) -> dict:
-    pinv = pseudo_inverse(code)
-    n = code.n
-    # R = diag(L+) 1^T + 1 diag(L+)^T - 2 L+, decided in integers over one
-    # common denominator: R has a zero diagonal, R and L+ are symmetric, and
-    # the identity holds above the diagonal
-    dens = {x.denominator for row in (*profile.R, *pinv) for x in row}
-    common = math.lcm(*dens)
-    scale = {den: common // den for den in dens}
-    R = [tuple(x.numerator * scale[x.denominator] for x in row) for row in profile.R]
-    P = [tuple(x.numerator * scale[x.denominator] for x in row) for row in pinv]
-    exact_equal = (
-        not any(R[i][i] for i in range(n))
-        and R == list(zip(*R))
-        and P == list(zip(*P))
-        and all(
-            R[i][j] + 2 * P[i][j] == P[i][i] + P[j][j] for i in range(n) for j in range(i + 1, n)
-        )
-    )
-    numeric = resistance_oracle(build_graph(code)).tolist()
-    # int / int rounds correctly, so x / common is float(R[i][j]) exactly
-    deviation = max(abs(x / common - y) for row, nrow in zip(R, numeric) for x, y in zip(row, nrow))
-    ok = exact_equal and deviation < 1e-8
-    return {"pass": bool(ok), "pseudoinverse_equal": exact_equal, "max_deviation": deviation}
-
-
-def _suite_forest(code, profile) -> dict:
-    graph = build_graph(code)
-    tau_equal = profile.tau == spanning_tree_oracle(graph)
-    result = {"pass": bool(tau_equal), "tau_equal": tau_equal, "max_deviation": None}
-    if code.n <= FOREST_ORDER_CAP:
-        counts = two_forest_matrix(graph)
-        forest_equal = all(
-            profile.F[i][j] == counts[i][j] for i in range(code.n) for j in range(code.n)
-        )
-        result["enumeration_equal"] = forest_equal
-        result["pass"] = bool(tau_equal and forest_equal)
-    else:
-        result["enumeration_skipped"] = True
-    return result
-
-
-def _suite_ordering(code, profile) -> dict:
-    report = _verify_orderings(code, profile)
-    prof = degree_profile(code)
-    weighted = sum(
-        (Fraction(prof.degrees[v], 2 * prof.m) * profile.alpha[v] for v in range(code.n)),
-        Fraction(0),
-    )
-    identity = weighted == profile.kemeny
-    alpha_numeric = accessibility_oracle(build_graph(code))
-    deviation = max(
-        abs(float(profile.alpha[v]) - float(alpha_numeric[v])) for v in range(code.n)
-    )
-    ok = report.all_pass and identity and deviation < 1e-8
-    return {
-        "pass": bool(ok),
-        "orderings_pass": report.all_pass,
-        "weighted_alpha_equals_kemeny": identity,
-        "max_deviation": deviation,
-        "witnesses": list(report.witnesses),
-    }
-
-
-_PROFILE_SUITES = {
-    "resistance": _suite_resistance,
-    "forest": _suite_forest,
-    "ordering": _suite_ordering,
-}
-
-
 def _cmd_verify(args) -> CommandOutput:
     code = parse_code(args.code)
-    suites = {"kemeny": _suite_kemeny(code)} if args.suite in ("kemeny", "all") else {}
-    if args.suite != "kemeny":
-        profile = resistance_matrix(code)  # raises NonIntegralEntry if F is not integral
-        names = list(_PROFILE_SUITES) if args.suite == "all" else [args.suite]
-        suites.update((name, _PROFILE_SUITES[name](code, profile)) for name in names)
+    suites = verify_code(code, SUITES if args.suite == "all" else (args.suite,))
     ok = all(entry["pass"] for entry in suites.values())
     payload = {"code": str(code), "n": code.n, "suites": suites, "pass": ok}
     text = [f"{name}: {'PASS' if entry['pass'] else 'FAIL'}" for name, entry in suites.items()]
@@ -447,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="cross-check closed forms against oracles")
     p.add_argument("code")
-    p.add_argument("--suite", choices=["kemeny", "resistance", "forest", "ordering", "all"], default="all")
+    p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("enumerate", parents=[common], help="list all connected codes of order n")

@@ -106,9 +106,6 @@ class WalkStatistics:
     ----------
     transition : ndarray, shape (n, n)
         Row-stochastic walk matrix.
-    eigenvalues : ndarray, shape (n,)
-        Transition-matrix spectrum, descending; leading entry is 1 up to
-        rounding.
     stationary : ndarray, shape (n,)
         Degree-proportional stationary vector.
     mfpt : ndarray, shape (n, n)
@@ -120,7 +117,6 @@ class WalkStatistics:
 
     n: int
     transition: np.ndarray
-    eigenvalues: np.ndarray
     stationary: np.ndarray
     mfpt: np.ndarray
     kemeny: float
@@ -149,7 +145,7 @@ def mfpt_matrix(graph: AdjacencyStructure) -> WalkStatistics:
     M = (np.diag(Z)[None, :] - Z) / w[None, :]
     np.fill_diagonal(M, 0.0)
     kemeny = float((w * M[0]).sum())
-    return WalkStatistics(n, T, _walk_eigenvalues(graph), w, M, kemeny)
+    return WalkStatistics(n, T, w, M, kemeny)
 
 
 def accessibility_oracle(graph: AdjacencyStructure) -> np.ndarray:

@@ -121,21 +121,6 @@ def resistance_matrix(code: ConstructionCode) -> ResistanceProfile:
     )
 
 
-def forest_matrix(code: ConstructionCode) -> tuple[tuple[int, ...], ...]:
-    """Spanning-2-forest counts F = tau * R, every entry verified integral."""
-    return resistance_matrix(code).F
-
-
-def moment_profile(code: ConstructionCode) -> tuple[Fraction, ...]:
-    """Moments mu(v) = sum_{j != v} d_j r_{j,v}, exactly."""
-    return resistance_matrix(code).mu
-
-
-def accessibility_profile(code: ConstructionCode) -> tuple[Fraction, ...]:
-    """Accessibility indices alpha(v) = mu(v) - K, exactly."""
-    return resistance_matrix(code).alpha
-
-
 @dataclass(frozen=True)
 class OrderingReport:
     """Pass/fail of every exact ordering check, with witnesses for failures.

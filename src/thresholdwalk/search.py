@@ -25,13 +25,14 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .codes import ConstructionCode, code_count, code_from_index, pineapple_r
-from .errors import CheckpointMismatch, OrderOutOfRange, ParameterOutOfRange
+from .errors import CheckpointMismatch, OrderOutOfRange, ParameterOutOfRange, WorkerFailure
 from .kemeny import kemeny_from_code
 
 MIN_ORDER = 3
@@ -258,6 +259,8 @@ def max_kemeny_search(
     file written for another order or range size raises CheckpointMismatch.
     Worker processes are started only when each gets a pending range and
     at least POOL_MIN_CODES codes; smaller searches run in this process.
+    A worker that dies raises WorkerFailure; the ranges recorded before it
+    stay in the checkpoint, and a re-run resumes from them.
     """
     if not MIN_ORDER <= n <= MAX_ORDER:
         raise OrderOutOfRange(f"exhaustive search supports {MIN_ORDER} <= n <= {MAX_ORDER}, got {n}")
@@ -274,9 +277,18 @@ def max_kemeny_search(
     workers = min(threads, len(pending), sum(hi - lo for _, (_, lo, hi) in pending) // POOL_MIN_CODES)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (cid, _), outcome in zip(pending, pool.map(_chunk_best, [t for _, t in pending])):
-                results[cid] = outcome
-                _append_checkpoint(checkpoint, cid, outcome)
+            try:
+                for (cid, _), outcome in zip(pending, pool.map(_chunk_best, [t for _, t in pending])):
+                    results[cid] = outcome
+                    _append_checkpoint(checkpoint, cid, outcome)
+            except BrokenProcessPool as exc:
+                kept = (
+                    f"{len(results)} of {len(ranges)} ranges are checkpointed in {checkpoint}; "
+                    "a re-run resumes"
+                    if checkpoint
+                    else "no checkpoint was given; a re-run starts over"
+                )
+                raise WorkerFailure(f"a worker process died; {kept}") from exc
     else:
         for cid, task in pending:
             outcome = _chunk_best(task)

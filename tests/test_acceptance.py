@@ -13,13 +13,11 @@ import numpy as np
 from conftest import connected_codes_upto
 from thresholdwalk import (
     ConstructionCode,
-    build_graph,
     commuting_check,
     degree_profile,
     diagonalization_residual,
     enumerate_codes,
     kemeny_degree_form,
-    kemeny_eigen_oracle,
     kemeny_from_code,
     kemeny_spectral_form,
     laplacian_matrix,
@@ -28,13 +26,10 @@ from thresholdwalk import (
     parse_code,
     pineapple_argmax,
     pineapple_kemeny,
-    pseudo_inverse,
     resistance_matrix,
-    resistance_oracle,
-    accessibility_oracle,
-    two_forest_matrix,
     upper_bounds,
     verify_conjecture_range,
+    verify_code,
     verify_orderings,
 )
 
@@ -56,13 +51,7 @@ def test_criterion_01_route_agreement():
 def test_criterion_02_oracle_agreement():
     started = time.perf_counter()
     for code in connected_codes_upto(10):
-        exact = float(kemeny_from_code(code).exact)
-        graph = build_graph(code)
-        assert abs(kemeny_eigen_oracle(graph) - exact) < 1e-8, str(code)
-        prof = degree_profile(code)
-        d = np.array(prof.degrees, dtype=float)
-        numeric = float(d @ resistance_oracle(graph) @ d) / (4.0 * prof.m)
-        assert abs(numeric - exact) < 1e-8, str(code)
+        assert verify_code(code, ("kemeny",))["kemeny"]["pass"], str(code)
     elapsed = time.perf_counter() - started
     assert elapsed < 60, f"oracle agreement took {elapsed:.1f}s"
     print(f"criterion 2: done in {elapsed:.1f}s")
@@ -95,19 +84,13 @@ def test_criterion_04_universal_diagonalization():
 def test_criterion_05_resistance_forest_exactness():
     started = time.perf_counter()
     for code in connected_codes_upto(9):
-        profile = resistance_matrix(code)
-        lp = pseudo_inverse(code)
-        n = code.n
-        for i in range(n):
-            for j in range(n):
-                assert profile.R[i][j] == lp[i][i] + lp[j][j] - 2 * lp[i][j], str(code)
+        assert verify_code(code, ("resistance",))["resistance"]["pass"], str(code)
     for code in connected_codes_upto(7):
         profile = resistance_matrix(code)
-        counts = two_forest_matrix(build_graph(code))
         for i in range(code.n):
             for j in range(code.n):
                 assert profile.F[i][j] == profile.tau * profile.R[i][j], str(code)
-                assert profile.F[i][j] == counts[i][j], str(code)
+        assert verify_code(code, ("forest",))["forest"]["pass"], str(code)
     elapsed = time.perf_counter() - started
     assert elapsed < 300, f"resistance/forest exactness took {elapsed:.1f}s"
     print(f"criterion 5: done in {elapsed:.1f}s")
@@ -142,16 +125,7 @@ def test_criterion_08_ordering_theorems():
 
 def test_criterion_09_accessibility_identities():
     for code in connected_codes_upto(9):
-        profile = resistance_matrix(code)
-        prof = degree_profile(code)
-        weighted = sum(
-            (Fraction(prof.degrees[v], 2 * prof.m) * profile.alpha[v] for v in range(code.n)),
-            Fraction(0),
-        )
-        assert weighted == profile.kemeny, str(code)
-        numeric = accessibility_oracle(build_graph(code))
-        worst = max(abs(float(profile.alpha[v]) - numeric[v]) for v in range(code.n))
-        assert worst < 1e-8, str(code)
+        assert verify_code(code, ("ordering",))["ordering"]["pass"], str(code)
     print("criterion 9: weighted-alpha identity exact; oracle within 1e-8, n <= 9")
 
 

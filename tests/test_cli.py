@@ -13,10 +13,12 @@ from thresholdwalk import (
     cli,
     kemeny,
     kemeny_degree_form,
+    oracle,
     parse_code,
     pseudo_inverse,
     resistance_matrix,
     upper_bounds,
+    verify,
 )
 from thresholdwalk.cli import main
 
@@ -96,17 +98,9 @@ class TestCompute:
     )
     def test_one_exact_evaluation_per_request(self, capsys, monkeypatch, method, codevec_calls, degree_calls):
         calls = {"codevec": 0, "degree": 0}
-
-        def counted(name, route):
-            def wrapper(code):
-                calls[name] += 1
-                return route(code)
-
-            return wrapper
-
         for module in (cli, kemeny):
-            monkeypatch.setattr(module, "kemeny_from_code", counted("codevec", kemeny.kemeny_from_code))
-            monkeypatch.setattr(module, "kemeny_degree_form", counted("degree", kemeny.kemeny_degree_form))
+            for name, route in (("codevec", "kemeny_from_code"), ("degree", "kemeny_degree_form")):
+                monkeypatch.setattr(module, route, _counted(calls, name, getattr(kemeny, route)))
         code, _, _ = run_json(capsys, "compute", "01100011", "--method", method)
         assert code == 0
         assert calls == {"codevec": codevec_calls, "degree": degree_calls}
@@ -285,6 +279,18 @@ class TestVerify:
         assert code == 0
         assert "all: PASS" in out
 
+    @pytest.mark.parametrize("suite,profiles", [("all", 1), ("kemeny", 0)])
+    def test_one_request_shares_its_work(self, capsys, monkeypatch, suite, profiles):
+        calls = dict.fromkeys(("build_graph", "resistance_oracle", "resistance_matrix", "_walk_eigenvalues"), 0)
+        for name in calls:
+            module = oracle if name == "_walk_eigenvalues" else verify
+            monkeypatch.setattr(module, name, _counted(calls, name, getattr(module, name)))
+        code, _, _ = run_json(capsys, "verify", "0110100111", "--suite", suite)
+        assert code == 0
+        # one graph, one dense eigh, one profile (none for the Kemeny suite alone),
+        # one walk spectrum (kemeny_eigen_oracle's; accessibility_oracle needs none)
+        assert calls == dict(build_graph=1, resistance_oracle=1, resistance_matrix=profiles, _walk_eigenvalues=1)
+
     @pytest.mark.parametrize("target", ["pinv_below_diagonal", "pinv_diagonal", "r_entry", "r_pair"])
     def test_resistance_suite_catches_one_changed_entry(self, capsys, monkeypatch, target):
         # a change far below float resolution: only the exact check can see it
@@ -309,8 +315,8 @@ class TestVerify:
                 R[j][i] += delta
             assert not _all_pairs_pseudoinverse_check(R, pinv)
             perturbed = dataclasses.replace(profile, R=tuple(map(tuple, R)))
-            monkeypatch.setattr(cli, "pseudo_inverse", lambda _: pinv)
-            monkeypatch.setattr(cli, "resistance_matrix", lambda _: perturbed)
+            monkeypatch.setattr(verify, "pseudo_inverse", lambda _: pinv)
+            monkeypatch.setattr(verify, "resistance_matrix", lambda _: perturbed)
             status, envelope, _ = run_json(capsys, "verify", str(code), "--suite", "resistance")
             suite = envelope["payload"]["suites"]["resistance"]
             assert status == 1
@@ -322,6 +328,16 @@ class TestVerify:
             assert _all_pairs_pseudoinverse_check(resistance_matrix(code).R, pseudo_inverse(code))
             _, envelope, _ = run_json(capsys, "verify", str(code), "--suite", "resistance")
             assert envelope["payload"]["suites"]["resistance"]["pseudoinverse_equal"] is True
+
+
+def _counted(calls, name, original):
+    """original, counting its calls in calls[name]."""
+
+    def wrapper(*args):
+        calls[name] += 1
+        return original(*args)
+
+    return wrapper
 
 
 def _all_pairs_pseudoinverse_check(R, pinv):

@@ -10,11 +10,8 @@ import thresholdwalk.resistance as resistance_module
 
 from conftest import connected_codes_upto
 from thresholdwalk import (
-    accessibility_profile,
     build_graph,
     degree_profile,
-    forest_matrix,
-    moment_profile,
     parse_code,
     pseudo_inverse,
     resistance_closed_form,
@@ -102,16 +99,16 @@ class TestResistanceMatrix:
 
 class TestForestMatrix:
     def test_star(self):
-        F = forest_matrix(STAR)
+        F = resistance_matrix(STAR).F
         assert F[0][3] == 1 and F[0][1] == 2
         assert resistance_matrix(STAR).tau == 1
 
     def test_paw(self):
-        F = forest_matrix(PAW)
+        F = resistance_matrix(PAW).F
         assert F[2][3] == 3 and F[0][1] == 2
 
     def test_complete(self):
-        F = forest_matrix(K4)
+        F = resistance_matrix(K4).F
         assert all(F[i][j] == 8 for i in range(4) for j in range(4) if i != j)
 
     def test_nonnegative_integers(self):
@@ -140,19 +137,19 @@ class TestForestMatrix:
     def test_matches_enumeration(self):
         for code in connected_codes_upto(5):
             counts = two_forest_matrix(build_graph(code))
-            assert [list(row) for row in forest_matrix(code)] == counts
+            assert [list(row) for row in resistance_matrix(code).F] == counts
 
 
 class TestMomentsAndAccessibility:
     def test_star_moments(self):
-        mu = moment_profile(STAR)
+        mu = resistance_matrix(STAR).mu
         assert mu[3] == 3 and mu[0] == mu[1] == mu[2] == 7
 
     def test_complete_moments(self):
-        assert set(moment_profile(K4)) == {Fraction(9, 2)}
+        assert set(resistance_matrix(K4).mu) == {Fraction(9, 2)}
 
     def test_paw_moment_order_tracks_degree(self):
-        mu = moment_profile(PAW)
+        mu = resistance_matrix(PAW).mu
         degrees = degree_profile(PAW).degrees
         for a in range(4):
             for b in range(4):
@@ -170,11 +167,11 @@ class TestMomentsAndAccessibility:
                 assert profile.mu[v] == expected
 
     def test_star_accessibility(self):
-        alpha = accessibility_profile(STAR)
+        alpha = resistance_matrix(STAR).alpha
         assert alpha[3] == Fraction(1, 2) and alpha[0] == Fraction(9, 2)
 
     def test_complete_accessibility(self):
-        assert set(accessibility_profile(K4)) == {Fraction(9, 4)}
+        assert set(resistance_matrix(K4).alpha) == {Fraction(9, 4)}
 
     def test_block_constant_and_positive(self):
         code = parse_code("01100011")
@@ -196,7 +193,7 @@ class TestMomentsAndAccessibility:
 
     def test_same_block_rows_match(self):
         code = parse_code("01100011")
-        F = forest_matrix(code)
+        F = resistance_matrix(code).F
         # vertices 4, 5, 6 share a zero block: identical rows outside the block
         for i in range(8):
             if i in (3, 4, 5):
@@ -231,14 +228,14 @@ class TestOrderings:
         report = verify_orderings(PAW)
         assert report.all_pass
         assert report.s1_equality
-        mu = moment_profile(PAW)
+        mu = resistance_matrix(PAW).mu
         assert mu[0] == mu[1]
 
     def test_longer_leading_zero_run_is_strict(self):
         code = parse_code("00101")
         report = verify_orderings(code)
         assert report.all_pass
-        mu = moment_profile(code)
+        mu = resistance_matrix(code).mu
         # first zero-block representative strictly above first one-block
         assert mu[0] > mu[2]
 

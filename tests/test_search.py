@@ -3,6 +3,7 @@
 import functools
 import random
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,8 @@ from thresholdwalk import (
     search,
     verify_conjecture_range,
 )
-from thresholdwalk.errors import CheckpointMismatch, OrderOutOfRange, ParameterOutOfRange
+from thresholdwalk.cli import main
+from thresholdwalk.errors import CheckpointMismatch, OrderOutOfRange, ParameterOutOfRange, WorkerFailure
 
 
 def report_key(report):
@@ -169,6 +171,30 @@ class TestSearch:
         pooled = max_kemeny_search(9, threads=8, chunk_codes=16)
         assert pools == [4]
         assert report_key(pooled) == report_key(small)
+
+    def test_broken_pool_keeps_finished_ranges(self, tmp_path, monkeypatch, capsys, pools):
+        chunk_best, calls = search._chunk_best, []
+
+        def dies_on_third_call(task):  # the future of the third range raises, as a dead worker's does
+            calls.append(task)
+            if len(calls) == 3:
+                raise BrokenProcessPool("a child process terminated abruptly")
+            return chunk_best(task)
+
+        monkeypatch.setattr(search, "_chunk_best", dies_on_third_call)
+        monkeypatch.setattr(search, "POOL_MIN_CODES", 1)
+        path = tmp_path / "broken.checkpoint"
+        with pytest.raises(WorkerFailure, match="2 of 8 ranges are checkpointed .*; a re-run resumes"):
+            max_kemeny_search(9, threads=2, checkpoint=str(path), chunk_codes=16)
+        records = path.read_text().splitlines()[1:]
+        assert [line.split()[0] for line in records] == ["0", "1"]
+        resumed = max_kemeny_search(9, threads=2, checkpoint=str(path), chunk_codes=16)
+        assert report_key(resumed) == report_key(max_kemeny_search(9, chunk_codes=16))
+        assert len(calls) == 3 + 6 + 8  # the re-run computed only the 6 missing ranges
+
+        calls.clear()
+        assert main(["search", "--n", "20", "--threads", "2", "--quiet"]) == 1  # 4 ranges
+        assert capsys.readouterr().err.startswith("error: WorkerFailure: ")
 
 
 class TestCheckpoint:

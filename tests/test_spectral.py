@@ -16,7 +16,6 @@ from thresholdwalk import (
     laplacian_matrix,
     laplacian_spectrum,
     parse_code,
-    pineapple_code,
     pseudo_inverse,
     spanning_tree_count,
     spanning_tree_oracle,
