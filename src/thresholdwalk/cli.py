@@ -59,6 +59,12 @@ def _frac_str(value: Fraction) -> str:
     return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
+def _symmetric_strs(matrix, fmt) -> list[list[str]]:
+    """fmt of every entry of a symmetric matrix, each mirrored pair formatted once."""
+    upper = [[fmt(x) for x in row[j:]] for j, row in enumerate(matrix)]
+    return [[upper[v][j - v] for v in range(j)] + upper[j] for j in range(len(matrix))]
+
+
 def _int_str(value: int) -> str:
     """Decimal digits of any int; str() refuses ints over 4300 digits on newer Pythons,
     so those go through Decimal."""
@@ -139,7 +145,7 @@ def _cmd_resistance(args) -> CommandOutput:
         payload = {"n": code.n, "pair": [j, v], "r": _frac_str(value)}
         return CommandOutput(payload, [_frac_str(value)])
     profile = resistance_matrix(code)
-    rows = [[_frac_str(x) for x in row] for row in profile.R]
+    rows = _symmetric_strs(profile.R, _frac_str)
     payload = {"n": code.n, "r": rows}
     text = [" ".join(row) for row in rows]
     header = [f"v{p}" for p in range(1, code.n + 1)]
@@ -149,7 +155,7 @@ def _cmd_resistance(args) -> CommandOutput:
 def _cmd_forest(args) -> CommandOutput:
     code = parse_code(args.code)
     profile = resistance_matrix(code)
-    rows = [[_int_str(x) for x in row] for row in profile.F]
+    rows = _symmetric_strs(profile.F, _int_str)
     tau = _int_str(profile.tau)
     payload = {"n": code.n, "tau": tau, "f": rows}
     text = [",".join(row) for row in rows] + [f"tau,{tau}"]

@@ -2,17 +2,31 @@
 
 The resistance between two code positions has a closed form in the degrees
 and code bits that splits into a row term plus a column term, r_{j,v} =
-a_j + b_v for j < v.  Forest counts F = tau * R are assembled in integers
-from tau * a and tau * b and must come out integral; moments, the
-degree-weighted sums of R, cost O(n) through prefix sums; accessibility is
-moment minus Kemeny's constant.  All of it is exact, so the ordering checks
-below are decided without tolerances.
+a_j + b_v for j < v.  Everything here is decided from those two length-n
+vectors, in O(n log n) exact operations when every check passes:
+
+- the forest counts F = tau * R split the same way, F[j][v] = A_j + B_v
+  with A = tau * a and B = tau * b.  The first row term a_1 is 0, so F is
+  integral exactly when every A_j and B_v that is ever paired is an
+  integer, and that is checked;
+- the moments mu, the degree-weighted sums of R, come from prefix sums of
+  the row and column terms; accessibility is moment minus Kemeny's constant;
+- every ordering check compares F entries, and F[i][p] against F[i][q]
+  depends on i only through which of p and q it precedes, so a few probes
+  decide all i (see ``_verify_orderings``); only a failing check walks every
+  row to name its witnesses.
+
+The n x n matrices R and F are built only when a caller reads them.  All
+of it is exact, so the ordering checks are decided without tolerances.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .codes import ConstructionCode, blocks, degree_profile
 from .errors import Disconnected, IndexOutOfRange, NonIntegralEntry, OrderTooSmall
@@ -22,20 +36,49 @@ from .spectral import spanning_tree_count
 
 @dataclass(frozen=True)
 class ResistanceProfile:
-    """Exact rational bundle for one connected code.
+    """Exact O(n) core for one connected code, with R and F built on first read.
 
-    R is symmetric with zero diagonal; F = tau * R entrywise and integral;
-    mu[v-1] = sum_j d_j r_{j,v}; alpha = mu - K with the stationary-weighted
-    average of alpha equal to K.
+    With 0-based positions, r_{j,v} = a[j] + b[v] for j < v, and
+    F[j][v] = tau * r_{j,v} = A[j] + B[v] in integers.  Only a[0 .. n-2]
+    and b[1 .. n-1] are ever paired: b[0] = B[0] = 0, and A[n-1] = 0 stands
+    in for the unpaired last row term.  mu[v] = sum_j d_j r_{j,v};
+    alpha = mu - K, whose stationary-weighted average is K.
+
+    R (Fractions, symmetric, zero diagonal) and F = tau * R (ints) are
+    tuples of row tuples, built from the core when first read and kept.
     """
 
     n: int
-    R: tuple[tuple[Fraction, ...], ...]
-    F: tuple[tuple[int, ...], ...]
+    a: tuple[Fraction, ...]
+    b: tuple[Fraction, ...]
     tau: int
+    A: tuple[int, ...]
+    B: tuple[int, ...]
     mu: tuple[Fraction, ...]
     alpha: tuple[Fraction, ...]
     kemeny: Fraction
+
+    @cached_property
+    def R(self) -> tuple[tuple[Fraction, ...], ...]:
+        # over one common denominator an entry costs one gcd, a Fraction sum two
+        den = math.lcm(*(x.denominator for x in (*self.a, *self.b)))
+        row = [x.numerator * (den // x.denominator) for x in self.a]
+        col = [x.numerator * (den // x.denominator) for x in self.b]
+        n = self.n
+        upper = [[Fraction(row[j] + col[v], den) for v in range(j + 1, n)] for j in range(n)]
+        return _symmetric(upper, Fraction(0))
+
+    @cached_property
+    def F(self) -> tuple[tuple[int, ...], ...]:
+        A, B, n = self.A, self.B, self.n
+        return _symmetric([[A[j] + B[v] for v in range(j + 1, n)] for j in range(n)], 0)
+
+
+def _symmetric(upper: list[list], zero) -> tuple[tuple, ...]:
+    """The symmetric matrix with diagonal zero and strict upper triangle rows upper."""
+    return tuple(
+        tuple([upper[v][j - v - 1] for v in range(j)] + [zero] + upper[j]) for j in range(len(upper))
+    )
 
 
 def _require_connected(code: ConstructionCode) -> None:
@@ -70,55 +113,63 @@ def resistance_closed_form(code: ConstructionCode, j: int, v: int) -> Fraction:
 
 
 def resistance_matrix(code: ConstructionCode) -> ResistanceProfile:
-    """Full exact profile: R, F, tau, moments, accessibility and Kemeny's constant.
+    """Exact profile: tau, moments, accessibility and Kemeny's constant, R and F on demand.
 
-    Only the O(n) row and column terms a and b are built, so R costs one
-    rational addition per pair and mu O(n) rational operations.  Two reduced
-    fractions tau * a_j, tau * b_v sum to an integer exactly when their
-    denominators agree and divide the numerator sum; every F entry is that
-    integer, checked.
+    Builds the O(n) row and column terms a and b, and their integer forest
+    counterparts A = tau * a and B = tau * b.  Raises NonIntegralEntry,
+    naming the first entry in row order, when some tau * r is not an
+    integer.
     """
     _require_connected(code)
     n = code.n
     prof = degree_profile(code)
     d = prof.degrees
     dc = [d[p] + code.bits[p] for p in range(n)]
-    prefix = [Fraction(0)] * n
-    for i in range(1, n):
-        prefix[i] = prefix[i - 1] + Fraction(1, dc[i] * i * (i + 1))
-    # 0-based: R[j][v] = a[j] + b[v] for j < v; b[0] is never paired and is 0
-    a = [Fraction(p, dc[p] * (p + 1)) - prefix[p] for p in range(n)]
-    b = [Fraction(0)] + [Fraction(v + 1, dc[v] * v) + prefix[v - 1] for v in range(1, n)]
+    # 0-based, R[j][v] = a[j] + b[v] for j < v, with a[0] = b[0] = 0, and
+    #   a[p] = p / (dc_p (p+1)) - prefix_p,  b[v] = (v+1) / (dc_v v) + prefix_{v-1},
+    #   prefix_i = sum_{t=1..i} 1 / (dc_t t (t+1)).
+    # Every term is a whole multiple of 1 / den, so a and b are worked out as
+    # the integer numerators ra, rb over den.
+    den = math.lcm(*(dc[t] * t * (t + 1) for t in range(1, n)))
+    prefix = [0] * n
+    for t in range(1, n):
+        prefix[t] = prefix[t - 1] + den // (dc[t] * t * (t + 1))
+    ra = [p * den // (dc[p] * (p + 1)) - prefix[p] for p in range(n)]
+    rb = [0] + [(v + 1) * den // (dc[v] * v) + prefix[v - 1] for v in range(1, n)]
 
     tau = spanning_tree_count(code)
-    ta = [tau * x for x in a]
-    tb = [tau * x for x in b]
-    R = [[Fraction(0)] * n for _ in range(n)]
-    F = [[0] * n for _ in range(n)]
-    for j in range(n):
-        num, den = ta[j].numerator, ta[j].denominator
-        for v in range(j + 1, n):
-            R[j][v] = R[v][j] = a[j] + b[v]
-            entry, remainder = divmod(num + tb[v].numerator, den)
-            if remainder or tb[v].denominator != den:
-                raise NonIntegralEntry(f"tau * r = {ta[j] + tb[v]} is not an integer")
-            F[j][v] = F[v][j] = entry
+    # F[0][v] = tau b[v] since a[0] = 0, and F[j][v] = tau a[j] + tau b[v]:
+    # F is integral exactly when every paired tau a[j] and tau b[v] is, that
+    # is when den' = den / gcd(tau, den) divides its numerator.  The first
+    # fractional entry in row order is in row 0 if some tau b[v] is
+    # fractional, else it is F[j][j+1] for the first fractional tau a[j].
+    common = math.gcd(tau, den)
+    scale, divisor = tau // common, den // common
+    fractional = [(0, v) for v in range(1, n) if rb[v] % divisor] or [
+        (j, j + 1) for j in range(n - 1) if ra[j] % divisor
+    ]
+    if fractional:
+        j, v = fractional[0]
+        raise NonIntegralEntry(f"tau * r = {Fraction(tau * (ra[j] + rb[v]), den)} is not an integer")
+    A = [scale * (x // divisor) for x in ra[:-1]] + [0]
+    B = [scale * (x // divisor) for x in rb]
 
     kemeny = kemeny_from_code(code).exact
-    # mu[v] = sum_{j<v} d_j (a_j + b_v) + sum_{j>v} d_j (a_v + b_j)
-    mu = []
-    d_before, da_before = 0, Fraction(0)
-    d_after, db_after = 2 * prof.m, sum((dj * bj for dj, bj in zip(d, b)), Fraction(0))
+    # den * mu[v] = sum_{j<v} d_j (ra_j + rb_v) + sum_{j>v} d_j (ra_v + rb_j)
+    scaled = []
+    d_before, da_before = 0, 0
+    d_after, db_after = 2 * prof.m, sum(dj * x for dj, x in zip(d, rb))
     for v in range(n):
         d_after -= d[v]
-        db_after -= d[v] * b[v]
-        mu.append(da_before + d_before * b[v] + d_after * a[v] + db_after)
+        db_after -= d[v] * rb[v]
+        scaled.append(da_before + d_before * rb[v] + d_after * ra[v] + db_after)
         d_before += d[v]
-        da_before += d[v] * a[v]
+        da_before += d[v] * ra[v]
+    mu = tuple(Fraction(x, den) for x in scaled)
     alpha = tuple(value - kemeny for value in mu)
-    return ResistanceProfile(
-        n, tuple(map(tuple, R)), tuple(map(tuple, F)), tau, tuple(mu), alpha, kemeny
-    )
+    a = tuple(Fraction(x, den) for x in ra)
+    b = tuple(Fraction(x, den) for x in rb)
+    return ResistanceProfile(n, a, b, tau, tuple(A), tuple(B), mu, alpha, kemeny)
 
 
 @dataclass(frozen=True)
@@ -190,24 +241,53 @@ def verify_orderings(code: ConstructionCode) -> OrderingReport:
 
 
 def _verify_orderings(code: ConstructionCode, profile: ResistanceProfile) -> OrderingReport:
-    """verify_orderings on an already built profile of the same code."""
-    F = profile.F
+    """verify_orderings on an already built profile of the same code.
+
+    Every F entry it compares is F[i][p] = A[min(i, p)] + B[max(i, p)];
+    F itself is never built.
+    """
+    A, B = profile.A, profile.B
     bits = code.bits
     n = code.n
     d = degree_profile(code).degrees
+    E = [x - y for x, y in zip(A, B)]
     witnesses: list[str] = []
 
-    def others(*excluded: int):
-        return (i for i in range(n) if i not in excluded)
+    def f(i: int, p: int) -> int:
+        return A[i] + B[p] if i < p else A[p] + B[i]
+
+    def failing(x: int, y: int, before, after=None) -> list[int]:
+        """Every i other than x and y, ascending, where before(F[i][x], F[i][y]) fails.
+
+        ``after`` (default ``before``) replaces ``before`` for i > min(x, y).
+        F[i][x] - F[i][y] is B[x] - B[y] for every i before both positions,
+        A[x] - A[y] for every i after both, and +-(A[lo] - B[hi] - E[i]) for
+        lo < i < hi.  Each relation used here (==, <, <=, >=) holds on an
+        interval of that difference, so one probe before, one after and the
+        least and greatest E[i] between decide every i; only a failure walks
+        all of them.
+        """
+        after = after or before
+        lo, hi = min(x, y), max(x, y)
+
+        def holds(i: int) -> bool:
+            return (before if i < lo else after)(f(i, x), f(i, y))
+
+        probes = [i for i in (0, n - 1) if i != x and i != y]
+        if hi - lo > 1:
+            between = range(lo + 1, hi)
+            probes += (min(between, key=E.__getitem__), max(between, key=E.__getitem__))
+        if all(map(holds, probes)):
+            return []
+        return [i for i in range(n) if i != x and i != y and not holds(i)]
 
     # (i) equal adjacent bits: the two positions are twins
     ok_i = True
     for p in range(n - 1):
         if bits[p] == bits[p + 1]:
-            for i in others(p, p + 1):
-                if F[i][p] != F[i][p + 1]:
-                    ok_i = False
-                    witnesses.append(f"case i: f[{i + 1},{p + 1}] != f[{i + 1},{p + 2}]")
+            for i in failing(p, p + 1, operator.eq):
+                ok_i = False
+                witnesses.append(f"case i: f[{i + 1},{p + 1}] != f[{i + 1},{p + 2}]")
 
     # (ii) mixed adjacent bits: the 1-position never beats the 0-position,
     # with equality exactly for the leading 01 pair
@@ -215,12 +295,9 @@ def _verify_orderings(code: ConstructionCode, profile: ResistanceProfile) -> Ord
     for p in range(n - 1):
         if bits[p] != bits[p + 1]:
             v, w = (p, p + 1) if bits[p] == 1 else (p + 1, p)
-            equality = p == 0
-            for i in others(p, p + 1):
-                good = F[i][v] == F[i][w] if equality else F[i][v] < F[i][w]
-                if not good:
-                    ok_ii = False
-                    witnesses.append(f"case ii: pair ({v + 1},{w + 1}) fails at i={i + 1}")
+            for i in failing(v, w, operator.eq if p == 0 else operator.lt):
+                ok_ii = False
+                witnesses.append(f"case ii: pair ({v + 1},{w + 1}) fails at i={i + 1}")
 
     # (iii) zero, ones, zero: the earlier zero is strictly smaller
     ok_iii = True
@@ -230,10 +307,9 @@ def _verify_orderings(code: ConstructionCode, profile: ResistanceProfile) -> Ord
         q = next((t for t in range(p + 1, n) if bits[t] == 0), None)
         if q is None or q == p + 1:
             continue
-        for i in others(p, q):
-            if not F[i][p] < F[i][q]:
-                ok_iii = False
-                witnesses.append(f"case iii: pair ({p + 1},{q + 1}) fails at i={i + 1}")
+        for i in failing(p, q, operator.lt):
+            ok_iii = False
+            witnesses.append(f"case iii: pair ({p + 1},{q + 1}) fails at i={i + 1}")
 
     # (iv) one, zeros, one: the later one is at most the earlier one; equal
     # exactly when the later one ends the code and i precedes the earlier one
@@ -244,14 +320,9 @@ def _verify_orderings(code: ConstructionCode, profile: ResistanceProfile) -> Ord
         q = next((t for t in range(p + 1, n) if bits[t] == 1), None)
         if q is None or q == p + 1:
             continue
-        for i in others(p, q):
-            if q == n - 1 and i < p:
-                good = F[i][q] == F[i][p]
-            else:
-                good = F[i][q] < F[i][p]
-            if not good:
-                ok_iv = False
-                witnesses.append(f"case iv: pair ({p + 1},{q + 1}) fails at i={i + 1}")
+        for i in failing(q, p, operator.eq if q == n - 1 else operator.lt, operator.lt):
+            ok_iv = False
+            witnesses.append(f"case iv: pair ({p + 1},{q + 1}) fails at i={i + 1}")
 
     # block representatives: start position of each run, in code order
     form = blocks(code)
@@ -264,58 +335,72 @@ def _verify_orderings(code: ConstructionCode, profile: ResistanceProfile) -> Ord
         one_starts.append(pos)
         pos += t
 
-    def in_block(i: int, starts: list[int], runs: tuple[int, ...]) -> int | None:
-        for idx, start in enumerate(starts):
-            if start <= i < start + runs[idx]:
-                return idx
-        return None
+    # the global chains over the block starts w_b (ones) and v_b (zeros),
+    # for every row i:
+    #   0 < F[i][w_k] <= F[i][w_{k-1}] < ... < F[i][w_1] <= F[i][v_1] < ... < F[i][v_k]
+    # where i's own block is represented by another of its positions, or is
+    # left out (its two links merge) when it has none
+    skeleton = [*reversed(one_starts), *zero_starts]
+    runs = [*reversed(form.one_runs), *form.zero_runs]
+    rels = ["<=" if ordinal in (0, k - 1) else "<" for ordinal in range(k)] + ["<"] * k
+    own = [0] * n  # skeleton index of each position's block
+    for t, (start, run) in enumerate(zip(skeleton, runs)):
+        own[start : start + run] = [t] * run
 
-    def chain_entries(i: int, own_kind: int, own_idx: int):
-        # shared skeleton: 0 < F[i][w_k] <= F[i][w_{k-1}] < ... < F[i][w_1]
-        #                    <= F[i][v_1] < F[i][v_2] < ... < F[i][v_k]
-        entries: list[tuple[object, str]] = [(0, "<")]
-        for ordinal, bk in enumerate(range(k - 1, -1, -1)):
-            if own_kind == 1 and bk == own_idx:
-                rep = _alternate_rep(one_starts[bk], form.one_runs[bk], i)
-            else:
-                rep = one_starts[bk]
-            rel = "<=" if ordinal == 0 or bk == 0 else "<"
-            entries.append((None if rep is None else F[i][rep], rel))
-        for bk in range(k):
-            if own_kind == 0 and bk == own_idx:
-                rep = _alternate_rep(zero_starts[bk], form.zero_runs[bk], i)
-            else:
-                rep = zero_starts[bk]
-            entries.append((None if rep is None else F[i][rep], "<"))
+    def chain(i: int, span: range) -> list[tuple[object, str]]:
+        """Row i's chain entries at the skeleton indices in span; index -1 is the leading 0."""
+        entries: list[tuple[object, str]] = []
+        for u in span:
+            if u < 0:
+                entries.append((0, "<"))
+                continue
+            rep = _alternate_rep(skeleton[u], runs[u], i) if u == own[i] else skeleton[u]
+            entries.append((None if rep is None else f(i, rep), rels[u]))
         return entries
 
-    ok_chain_zero = True
-    ok_chain_one = True
-    for i in range(n):
-        zero_idx = in_block(i, zero_starts, form.zero_runs)
-        if zero_idx is not None:
-            if not _chain_ok(chain_entries(i, 0, zero_idx)):
-                ok_chain_zero = False
-                witnesses.append(f"zero-block chain fails at i={i + 1}")
-        else:
-            one_idx = in_block(i, one_starts, form.one_runs)
-            if not _chain_ok(chain_entries(i, 1, one_idx)):
-                ok_chain_one = False
-                witnesses.append(f"one-block chain fails at i={i + 1}")
+    # Every row but a block start reads the skeleton itself, so each link is
+    # one failing() call; a block start differs only next to its own entry.
+    relation = {"<": operator.lt, "<=": operator.le}
+    chains_hold = (
+        all(f(i, skeleton[0]) > 0 for i in range(n) if i != skeleton[0])
+        and not any(
+            failing(x, y, relation[rel]) for x, y, rel in zip(skeleton, skeleton[1:], rels)
+        )
+        and all(_chain_ok(chain(s, range(t - 1, min(t + 2, 2 * k)))) for t, s in enumerate(skeleton))
+    )
+    ok_chain_zero = ok_chain_one = True
+    if not chains_hold:
+        for i in range(n):
+            if not _chain_ok(chain(i, range(-1, 2 * k))):
+                if own[i] >= k:
+                    ok_chain_zero = False
+                    witnesses.append(f"zero-block chain fails at i={i + 1}")
+                else:
+                    ok_chain_one = False
+                    witnesses.append(f"one-block chain fails at i={i + 1}")
 
     # degree characterization: F entries are monotone against the reversed
     # degree order, and equal degrees force equal entries (twin blocks).
     # The full converse is not asserted: the equality branch of case (iv)
     # can tie entries across strictly different degrees.  Both relations are
     # transitive, so comparing neighbours in degree order decides every pair.
-    ok_degree = True
+    # Row i's neighbours are the global neighbour pairs without i, plus the
+    # pair (w, v) around i, which symmetry settles through the pairs (i, v)
+    # and (w, i): F[i][w] = F[w][i] >= F[w][v] = F[v][w] >= F[v][i] = F[i][v],
+    # with equality throughout when d[w] = d[v].
+    def degree_rel(w: int, v: int):
+        return operator.eq if d[w] == d[v] else operator.ge
+
     by_degree = sorted(range(n), key=d.__getitem__)
-    for i in range(n):
-        order = [w for w in by_degree if w != i]
-        for w, v in zip(order, order[1:]):
-            if F[i][w] < F[i][v] or (d[w] == d[v] and F[i][w] != F[i][v]):
-                ok_degree = False
-                witnesses.append(f"degree characterization fails at i={i + 1}, w={w + 1}, v={v + 1}")
+    ok_degree = not any(failing(w, v, degree_rel(w, v)) for w, v in zip(by_degree, by_degree[1:]))
+    if not ok_degree:
+        for i in range(n):
+            order = [w for w in by_degree if w != i]
+            for w, v in zip(order, order[1:]):
+                if not degree_rel(w, v)(f(i, w), f(i, v)):
+                    witnesses.append(
+                        f"degree characterization fails at i={i + 1}, w={w + 1}, v={v + 1}"
+                    )
 
     # block-level moment and accessibility ordering
     mu = profile.mu

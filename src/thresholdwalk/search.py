@@ -12,10 +12,11 @@ worker count.
 
 Progress is checkpointed in a text file: a header line
 ``thresholdwalk-search <format version> <n> <range size>``, then one line
-per completed range, ``<range> <num> <den> <code> [<code> ...]`` with all
-the range's maximizers.  A restart reproduces the identical report.  A last
-line without its newline was cut by an interrupted write: it is dropped and
-its range recomputed.  Any other mismatch raises ``CheckpointMismatch``.
+per completed range, in the order the ranges finish,
+``<range> <num> <den> <code> [<code> ...]`` with all the range's
+maximizers.  A restart reproduces the identical report.  A last line
+without its newline was cut by an interrupted write: it is dropped and its
+range recomputed.  Any other mismatch raises ``CheckpointMismatch``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import functools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
@@ -259,8 +260,8 @@ def max_kemeny_search(
     file written for another order or range size raises CheckpointMismatch.
     Worker processes are started only when each gets a pending range and
     at least POOL_MIN_CODES codes; smaller searches run in this process.
-    A worker that dies raises WorkerFailure; the ranges recorded before it
-    stay in the checkpoint, and a re-run resumes from them.
+    A worker that dies raises WorkerFailure; every range that finished
+    before it stays in the checkpoint, and a re-run resumes from them.
     """
     if not MIN_ORDER <= n <= MAX_ORDER:
         raise OrderOutOfRange(f"exhaustive search supports {MIN_ORDER} <= n <= {MAX_ORDER}, got {n}")
@@ -276,19 +277,27 @@ def max_kemeny_search(
 
     workers = min(threads, len(pending), sum(hi - lo for _, (_, lo, hi) in pending) // POOL_MIN_CODES)
     if workers > 1:
+        broken = None
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                for (cid, _), outcome in zip(pending, pool.map(_chunk_best, [t for _, t in pending])):
-                    results[cid] = outcome
-                    _append_checkpoint(checkpoint, cid, outcome)
-            except BrokenProcessPool as exc:
-                kept = (
-                    f"{len(results)} of {len(ranges)} ranges are checkpointed in {checkpoint}; "
-                    "a re-run resumes"
-                    if checkpoint
-                    else "no checkpoint was given; a re-run starts over"
-                )
-                raise WorkerFailure(f"a worker process died; {kept}") from exc
+            futures = {pool.submit(_chunk_best, task): cid for cid, task in pending}
+            # record each range as it finishes: when a worker dies, every range
+            # finished before it, in any order, stays in the checkpoint
+            for future in as_completed(futures):
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool as exc:
+                    broken = exc
+                    continue
+                results[futures[future]] = outcome
+                _append_checkpoint(checkpoint, futures[future], outcome)
+        if broken is not None:
+            kept = (
+                f"{len(results)} of {len(ranges)} ranges are checkpointed in {checkpoint}; "
+                "a re-run resumes"
+                if checkpoint
+                else "no checkpoint was given; a re-run starts over"
+            )
+            raise WorkerFailure(f"a worker process died; {kept}") from broken
     else:
         for cid, task in pending:
             outcome = _chunk_best(task)

@@ -5,6 +5,7 @@ import json
 import random
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -161,7 +162,7 @@ class TestResistanceAndForest:
     def test_forest_beyond_int_str_digit_limit(self, capsys, monkeypatch):
         # 1400^1398 has 4399 digits, past the 4300-digit limit of str(int)
         tau = 1400**1398
-        profile = dataclasses.replace(resistance_matrix(parse_code("01")), F=((0, tau), (tau, 0)), tau=tau)
+        profile = dataclasses.replace(resistance_matrix(parse_code("01")), A=(0, 0), B=(0, tau), tau=tau)
         monkeypatch.setattr(cli, "resistance_matrix", lambda _: profile)
         digits = str(Decimal(tau))
         assert len(digits) == 4399
@@ -176,6 +177,14 @@ class TestResistanceAndForest:
 
 
 class TestAccess:
+    @pytest.mark.parametrize("command,built", [("access", set()), ("forest", {"F"}), ("resistance", {"R"})])
+    def test_matrices_built_only_when_read(self, capsys, monkeypatch, command, built):
+        profiles = []
+        monkeypatch.setattr(cli, "resistance_matrix", _recording(profiles))
+        code, _, _ = run_json(capsys, command, "0110100111")
+        assert code == 0
+        assert [_materialised(profile) for profile in profiles] == [built]
+
     def test_star(self, capsys):
         _, envelope, _ = run_json(capsys, "access", "0001")
         payload = envelope["payload"]
@@ -291,6 +300,24 @@ class TestVerify:
         # one walk spectrum (kemeny_eigen_oracle's; accessibility_oracle needs none)
         assert calls == dict(build_graph=1, resistance_oracle=1, resistance_matrix=profiles, _walk_eigenvalues=1)
 
+    @pytest.mark.parametrize(
+        "suite,built",
+        [
+            ("all", {"R", "F"}),
+            ("resistance", {"R"}),
+            ("forest", {"F"}),
+            ("ordering", set()),
+            ("kemeny", None),
+        ],
+    )
+    def test_suites_build_only_the_matrices_they_read(self, capsys, monkeypatch, suite, built):
+        profiles = []
+        monkeypatch.setattr(verify, "resistance_matrix", _recording(profiles))
+        # n = 8: within FOREST_ORDER_CAP, so the forest suite reads F
+        code, _, _ = run_json(capsys, "verify", "01101011", "--suite", suite)
+        assert code == 0
+        assert [_materialised(profile) for profile in profiles] == ([] if built is None else [built])
+
     @pytest.mark.parametrize("target", ["pinv_below_diagonal", "pinv_diagonal", "r_entry", "r_pair"])
     def test_resistance_suite_catches_one_changed_entry(self, capsys, monkeypatch, target):
         # a change far below float resolution: only the exact check can see it
@@ -314,7 +341,7 @@ class TestVerify:
                 R[i][j] += delta
                 R[j][i] += delta
             assert not _all_pairs_pseudoinverse_check(R, pinv)
-            perturbed = dataclasses.replace(profile, R=tuple(map(tuple, R)))
+            perturbed = SimpleNamespace(R=tuple(map(tuple, R)))  # the suite reads only R
             monkeypatch.setattr(verify, "pseudo_inverse", lambda _: pinv)
             monkeypatch.setattr(verify, "resistance_matrix", lambda _: perturbed)
             status, envelope, _ = run_json(capsys, "verify", str(code), "--suite", "resistance")
@@ -338,6 +365,21 @@ def _counted(calls, name, original):
         return original(*args)
 
     return wrapper
+
+
+def _recording(profiles):
+    """resistance_matrix, keeping every profile it returns in profiles."""
+
+    def wrapper(code):
+        profiles.append(resistance_matrix(code))
+        return profiles[-1]
+
+    return wrapper
+
+
+def _materialised(profile):
+    """Which of the matrices R and F the profile has built (cached_property keeps them in vars)."""
+    return {name for name in ("R", "F") if name in vars(profile)}
 
 
 def _all_pairs_pseudoinverse_check(R, pinv):

@@ -9,7 +9,9 @@ import pytest
 import thresholdwalk.resistance as resistance_module
 
 from conftest import connected_codes_upto
+from orderings_reference import reference_orderings
 from thresholdwalk import (
+    OrderingReport,
     build_graph,
     degree_profile,
     parse_code,
@@ -20,6 +22,7 @@ from thresholdwalk import (
     verify_orderings,
 )
 from thresholdwalk.errors import Disconnected, IndexOutOfRange, NonIntegralEntry
+from thresholdwalk.resistance import _verify_orderings
 
 PAW = parse_code("0101")
 STAR = parse_code("0001")
@@ -132,6 +135,24 @@ class TestForestMatrix:
                     )
                 else:
                     with pytest.raises(NonIntegralEntry):
+                        resistance_matrix(code)
+
+    def test_non_integral_entry_names_the_first_fractional_entry(self, monkeypatch):
+        # a_1 = 0, so row 1 of F is the column terms tau * b_v; at 001111 with
+        # tau = 8 all of them are integers and only a row term tau * a_j is
+        # fractional, so neither half of the check can go
+        profile = resistance_matrix(parse_code("001111"))
+        assert profile.a[0] == 0 and all((8 * x).denominator == 1 for x in profile.b)
+        assert any((8 * x).denominator != 1 for x in profile.a[:-1])
+        cases = [(code, resistance_matrix(code).R) for code in connected_codes_upto(7)]
+        for code, R in cases:
+            for tau in range(1, 13):
+                monkeypatch.setattr(resistance_module, "spanning_tree_count", lambda _: tau)
+                first = next((tau * x for row in R for x in row if (tau * x).denominator != 1), None)
+                if first is None:
+                    resistance_matrix(code)
+                else:
+                    with pytest.raises(NonIntegralEntry, match=f"^tau \\* r = {first} is not an integer$"):
                         resistance_matrix(code)
 
     def test_matches_enumeration(self):
@@ -254,16 +275,33 @@ class TestOrderings:
         verdicts = set()
         for _ in range(300):
             code = rng.choice(codes)
-            profile = resistance_matrix(code)
-            F = [list(row) for row in profile.F]
-            i, j = rng.sample(range(code.n), 2)
-            F[i][j] = rng.choice([F[i][j] - 1, F[i][j] + 1, F[i][rng.randrange(code.n)]])
-            perturbed = dataclasses.replace(profile, F=tuple(map(tuple, F)))
+            perturbed = _perturbed(resistance_matrix(code), rng, ("A", "B"))
             monkeypatch.setattr(resistance_module, "resistance_matrix", lambda _: perturbed)
-            expected = _pairwise_degree_check(F, degree_profile(code).degrees)
+            expected = _pairwise_degree_check(perturbed.F, degree_profile(code).degrees)
             assert verify_orderings(code).degree_characterization == expected
             verdicts.add(expected)
         assert verdicts == {True, False}
+
+    def test_matches_f_based_reference_on_every_code(self):
+        for code in connected_codes_upto(10):
+            profile = resistance_matrix(code)
+            report = _verify_orderings(code, profile)
+            assert not {"R", "F"} & set(vars(profile))  # decided from the row and column terms
+            assert report == reference_orderings(code, profile), str(code)
+
+    def test_matches_f_based_reference_on_perturbed_terms(self):
+        # real codes pass every check, so perturbed terms drive every witness branch
+        rng = random.Random(20261018)
+        codes = list(connected_codes_upto(9, n_min=3))
+        failed = set()
+        for _ in range(400):
+            code = rng.choice(codes)
+            perturbed = _perturbed(resistance_matrix(code), rng, ("A", "B", "A", "B", "mu"))
+            report = _verify_orderings(code, perturbed)
+            assert report == reference_orderings(code, perturbed), str(code)
+            flags = (field.name for field in dataclasses.fields(report) if field.name != "witnesses")
+            failed |= {name for name in flags if not getattr(report, name)}
+        assert failed == {field.name for field in dataclasses.fields(OrderingReport)} - {"witnesses"}
 
     def test_block_moment_check_matches_all_pairs_reference(self, monkeypatch):
         rng = random.Random(20261018)
@@ -288,6 +326,21 @@ class TestOrderings:
             assert verify_orderings(code).block_moment_ordering == expected
             verdicts.add(expected)
         assert verdicts == {True, False}
+
+
+def _perturbed(profile, rng, fields):
+    """profile with one entry of one of the fields changed: copied, nudged by 1 or swapped."""
+    name = rng.choice(fields)
+    values = list(getattr(profile, name))
+    x, y = rng.sample(range(profile.n), 2)
+    change = rng.randrange(3)
+    if change == 0:
+        values[x] = values[y]
+    elif change == 1:
+        values[x] += rng.choice([-1, 1])
+    else:
+        values[x], values[y] = values[y], values[x]
+    return dataclasses.replace(profile, **{name: tuple(values)})
 
 
 def _pairwise_degree_check(F, d):

@@ -3,6 +3,8 @@
 import functools
 import random
 import tempfile
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
@@ -141,6 +143,7 @@ class TestSearch:
         class RecordingPool:
             def __init__(self, max_workers):
                 created.append(max_workers)
+                self.futures = []
 
             def __enter__(self):
                 return self
@@ -148,8 +151,18 @@ class TestSearch:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def submit(self, fn, task):
+                """A finished future; once a task raised BrokenProcessPool, later ones fail with it."""
+                future = Future()
+                failure = next((f.exception() for f in self.futures if f.exception()), None)
+                try:
+                    if failure:
+                        raise failure
+                    future.set_result(fn(task))
+                except BrokenProcessPool as exc:
+                    future.set_exception(exc)
+                self.futures.append(future)
+                return future
 
         monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
         return created
@@ -187,7 +200,7 @@ class TestSearch:
         with pytest.raises(WorkerFailure, match="2 of 8 ranges are checkpointed .*; a re-run resumes"):
             max_kemeny_search(9, threads=2, checkpoint=str(path), chunk_codes=16)
         records = path.read_text().splitlines()[1:]
-        assert [line.split()[0] for line in records] == ["0", "1"]
+        assert sorted(line.split()[0] for line in records) == ["0", "1"]  # records follow completion order
         resumed = max_kemeny_search(9, threads=2, checkpoint=str(path), chunk_codes=16)
         assert report_key(resumed) == report_key(max_kemeny_search(9, chunk_codes=16))
         assert len(calls) == 3 + 6 + 8  # the re-run computed only the 6 missing ranges
@@ -195,6 +208,33 @@ class TestSearch:
         calls.clear()
         assert main(["search", "--n", "20", "--threads", "2", "--quiet"]) == 1  # 4 ranges
         assert capsys.readouterr().err.startswith("error: WorkerFailure: ")
+
+
+    def test_worker_death_keeps_ranges_finished_before_it(self, tmp_path, monkeypatch):
+        # range 1 finishes while range 0 is still running, then range 0's worker
+        # dies; reading results in submission order lost range 1
+        chunk_best, range_1_done = search._chunk_best, threading.Event()
+
+        def range_0_dies_after_range_1(task):
+            if task[1] == 0:
+                assert range_1_done.wait(timeout=60)
+                raise BrokenProcessPool("a child process terminated abruptly")
+            result = chunk_best(task)
+            if task[1] == 16:
+                range_1_done.set()
+            return result
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(search, "_chunk_best", range_0_dies_after_range_1)
+        monkeypatch.setattr(search, "POOL_MIN_CODES", 1)
+        path = tmp_path / "order.checkpoint"
+        with pytest.raises(WorkerFailure, match="7 of 8 ranges are checkpointed"):
+            max_kemeny_search(9, threads=2, checkpoint=str(path), chunk_codes=16)
+        records = [line.split()[0] for line in path.read_text().splitlines()[1:]]
+        assert sorted(records) == [str(cid) for cid in range(1, 8)]
+        monkeypatch.setattr(search, "_chunk_best", chunk_best)
+        resumed = max_kemeny_search(9, threads=2, checkpoint=str(path), chunk_codes=16)
+        assert report_key(resumed) == report_key(max_kemeny_search(9, chunk_codes=16))
 
 
 class TestCheckpoint:
