@@ -5,7 +5,7 @@ result as text, CSV or JSON; the verification suites live in ``verify``.
 Success with --json prints exactly one envelope object {schema_version,
 command, input, payload, timing}; timing stays outside the payload so
 payloads are byte-identical across runs.  Exit codes: 0 success, 1 domain
-error (the error class name goes to stderr), 2 usage error.  Rationals are
+error or OSError (the class name goes to stderr), 2 usage error.  Rationals are
 serialized as decimal strings so arbitrary precision survives JSON.
 """
 
@@ -363,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         output = args.handler(args)
-    except ThresholdWalkError as exc:
+    except (ThresholdWalkError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except argparse.ArgumentTypeError as exc:

@@ -61,12 +61,16 @@ class ResistanceProfile:
     @cached_property
     def R(self) -> tuple[tuple[Fraction, ...], ...]:
         # over one common denominator an entry costs one gcd, a Fraction sum two
+        row, col, den = self._terms_over_one_denominator()
+        upper = [[Fraction(row[j] + col[v], den) for v in range(j + 1, self.n)] for j in range(self.n)]
+        return _symmetric(upper, Fraction(0))
+
+    def _terms_over_one_denominator(self) -> tuple[list[int], list[int], int]:
+        """(row, col, den): a and b as integer numerators over their least common denominator."""
         den = math.lcm(*(x.denominator for x in (*self.a, *self.b)))
         row = [x.numerator * (den // x.denominator) for x in self.a]
         col = [x.numerator * (den // x.denominator) for x in self.b]
-        n = self.n
-        upper = [[Fraction(row[j] + col[v], den) for v in range(j + 1, n)] for j in range(n)]
-        return _symmetric(upper, Fraction(0))
+        return row, col, den
 
     @cached_property
     def F(self) -> tuple[tuple[int, ...], ...]:

@@ -10,7 +10,6 @@ the graph, never the code formulas.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,7 +25,7 @@ from .oracle import (
     spanning_tree_oracle,
     two_forest_matrix,
 )
-from .resistance import ResistanceProfile, _verify_orderings, resistance_matrix
+from .resistance import ResistanceProfile, _symmetric, _verify_orderings, resistance_matrix
 from .spectral import pseudo_inverse
 
 
@@ -80,25 +79,21 @@ def _suite_resistance(code: ConstructionCode, shared: _Shared) -> dict:
     profile = shared.profile
     pinv = pseudo_inverse(code)
     n = code.n
-    # R = diag(L+) 1^T + 1 diag(L+)^T - 2 L+, decided in integers over one
-    # common denominator: R has a zero diagonal, R and L+ are symmetric, and
-    # the identity holds above the diagonal
-    dens = {x.denominator for row in (*profile.R, *pinv) for x in row}
-    common = math.lcm(*dens)
-    scale = {den: common // den for den in dens}
-    R = [tuple(x.numerator * scale[x.denominator] for x in row) for row in profile.R]
-    P = [tuple(x.numerator * scale[x.denominator] for x in row) for row in pinv]
-    exact_equal = (
-        not any(R[i][i] for i in range(n))
-        and R == list(zip(*R))
-        and P == list(zip(*P))
-        and all(
-            R[i][j] + 2 * P[i][j] == P[i][i] + P[j][j] for i in range(n) for j in range(i + 1, n)
-        )
-    )
+    a, b, top = profile.a, profile.b, pinv[0]
+    # R = diag(L+) 1^T + 1 diag(L+)^T - 2 L+; R is symmetric with a zero
+    # diagonal by construction.  Once L+[i][j] = L+[0][max(i, j)] off the
+    # diagonal, the identity at i < j reads x_i = y_j, x_i = a_i - L+[i][i] and
+    # y_j = L+[j][j] - b_j - 2 L+[0][j]; it holds for all i < j exactly when
+    # every x_i (i <= n-2) and every y_j (j >= 1) is one value
+    shaped = all(pinv[i] == [top[i]] * i + [pinv[i][i]] + top[i + 1 :] for i in range(n))
+    values = {a[i] - pinv[i][i] for i in range(n - 1)}
+    values.update(pinv[j][j] - b[j] - 2 * top[j] for j in range(1, n))
+    exact_equal = shaped and len(values) == 1
+    row, col, den = profile._terms_over_one_denominator()
+    # int / int rounds correctly, so each value is float(R[i][j]) exactly
+    upper = [[(row[i] + col[j]) / den for j in range(i + 1, n)] for i in range(n)]
     numeric = shared.numeric_r.tolist()
-    # int / int rounds correctly, so x / common is float(R[i][j]) exactly
-    deviation = max(abs(x / common - y) for row, nrow in zip(R, numeric) for x, y in zip(row, nrow))
+    deviation = max(abs(x - y) for r, nr in zip(_symmetric(upper, 0.0), numeric) for x, y in zip(r, nr))
     ok = exact_equal and deviation < 1e-8
     return {"pass": bool(ok), "pseudoinverse_equal": exact_equal, "max_deviation": deviation}
 

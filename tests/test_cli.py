@@ -5,7 +5,6 @@ import json
 import random
 from decimal import Decimal
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -269,6 +268,27 @@ class TestSearch:
         assert code == 0
         assert (tmp_path / "search_n5.checkpoint").exists()
 
+    @pytest.mark.parametrize(
+        "where,error",
+        [
+            ("missing_dir", "FileNotFoundError"),
+            ("directory", "IsADirectoryError"),
+            ("missing_checkpoint_dir", "FileNotFoundError"),
+        ],
+    )
+    def test_unusable_checkpoint_path_exits_one(self, capsys, tmp_path, monkeypatch, where, error):
+        argv = ["search", "--n", "5", "--threads", "1"]
+        if where == "missing_dir":
+            argv += ["--checkpoint", str(tmp_path / "missing" / "x")]
+        elif where == "directory":
+            argv += ["--checkpoint", str(tmp_path)]
+        else:
+            monkeypatch.setenv("CHECKPOINT_DIR", str(tmp_path / "missing"))
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {error}: ") and "Traceback" not in err
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):
@@ -303,8 +323,8 @@ class TestVerify:
     @pytest.mark.parametrize(
         "suite,built",
         [
-            ("all", {"R", "F"}),
-            ("resistance", {"R"}),
+            ("all", {"F"}),
+            ("resistance", set()),
             ("forest", {"F"}),
             ("ordering", set()),
             ("kemeny", None),
@@ -318,32 +338,45 @@ class TestVerify:
         assert code == 0
         assert [_materialised(profile) for profile in profiles] == ([] if built is None else [built])
 
-    @pytest.mark.parametrize("target", ["pinv_below_diagonal", "pinv_diagonal", "r_entry", "r_pair"])
+    def test_verify_all_beyond_forest_cap_builds_no_matrix(self, capsys, monkeypatch):
+        profiles = []
+        monkeypatch.setattr(verify, "resistance_matrix", _recording(profiles))
+        code, _, _ = run_json(capsys, "verify", "0" + "01" * 31 + "1", "--suite", "all")
+        assert code == 0
+        assert [_materialised(profile) for profile in profiles] == [set()]
+
+    @pytest.mark.parametrize(
+        "target", ["pinv_below_diagonal", "pinv_diagonal", "pinv_above_diagonal", "a_entry", "b_entry"]
+    )
     def test_resistance_suite_catches_one_changed_entry(self, capsys, monkeypatch, target):
-        # a change far below float resolution: only the exact check can see it
+        # a change far below float resolution: only the exact check can see it.
+        # R is derived from the row and column terms, so R changes through one
+        # paired entry of a (i <= n-2) or b (j >= 1)
         rng = random.Random(target)
         codes = list(connected_codes_upto(9, n_min=3)) + [parse_code("0" + "011" * 10 + "1")]
         for code in rng.sample(codes, 25):
             n = code.n
             profile = resistance_matrix(code)
             pinv = pseudo_inverse(code)
-            R = [list(row) for row in profile.R]
             delta = Fraction(rng.choice([-1, 1]), 10**30)
             i, j = sorted(rng.sample(range(n), 2), reverse=True)  # i > j
             if target == "pinv_below_diagonal":
                 pinv[i][j] += delta
             elif target == "pinv_diagonal":
                 pinv[i][i] += delta
-            elif target == "r_entry":
-                i, j = rng.choice([(i, j), (j, i), (i, i)])
-                R[i][j] += delta
+            elif target == "pinv_above_diagonal":
+                pinv[j][i] += delta
+            elif target == "a_entry":
+                a = list(profile.a)
+                a[rng.randrange(n - 1)] += delta
+                profile = dataclasses.replace(profile, a=tuple(a))
             else:
-                R[i][j] += delta
-                R[j][i] += delta
-            assert not _all_pairs_pseudoinverse_check(R, pinv)
-            perturbed = SimpleNamespace(R=tuple(map(tuple, R)))  # the suite reads only R
+                b = list(profile.b)
+                b[rng.randrange(1, n)] += delta
+                profile = dataclasses.replace(profile, b=tuple(b))
+            assert not _all_pairs_pseudoinverse_check(profile.R, pinv)
             monkeypatch.setattr(verify, "pseudo_inverse", lambda _: pinv)
-            monkeypatch.setattr(verify, "resistance_matrix", lambda _: perturbed)
+            monkeypatch.setattr(verify, "resistance_matrix", lambda _: profile)
             status, envelope, _ = run_json(capsys, "verify", str(code), "--suite", "resistance")
             suite = envelope["payload"]["suites"]["resistance"]
             assert status == 1
@@ -351,7 +384,12 @@ class TestVerify:
             assert suite["max_deviation"] < 1e-8
 
     def test_resistance_suite_unperturbed_matches_all_pairs(self, capsys):
-        for code in list(connected_codes_upto(7, n_min=3)) + [parse_code("0" + "011" * 10 + "1")]:
+        rng = random.Random(8)
+        seeded = [
+            parse_code("0" + "".join(rng.choice("01") for _ in range(rng.randint(30, 126))) + "1")
+            for _ in range(5)
+        ]
+        for code in list(connected_codes_upto(7, n_min=3)) + [parse_code("0" + "011" * 10 + "1"), *seeded]:
             assert _all_pairs_pseudoinverse_check(resistance_matrix(code).R, pseudo_inverse(code))
             _, envelope, _ = run_json(capsys, "verify", str(code), "--suite", "resistance")
             assert envelope["payload"]["suites"]["resistance"]["pseudoinverse_equal"] is True
