@@ -35,7 +35,7 @@ from .kemeny import (
     pineapple_kemeny,
 )
 from .resistance import _verify_orderings, resistance_closed_form, resistance_matrix
-from .search import max_kemeny_search
+from .search import _checkpoint_in, max_kemeny_search
 from .spectral import laplacian_spectrum, spanning_tree_count
 from .verify import SUITES, verify_code
 
@@ -229,7 +229,7 @@ def _cmd_search(args) -> CommandOutput:
     if checkpoint is None:
         checkpoint_dir = os.environ.get("CHECKPOINT_DIR")
         if checkpoint_dir:
-            checkpoint = os.path.join(checkpoint_dir, f"search_n{args.n}.checkpoint")
+            checkpoint = _checkpoint_in(checkpoint_dir, args.n)
     report = max_kemeny_search(args.n, threads=threads, checkpoint=checkpoint)
     payload = {
         "n": report.n,

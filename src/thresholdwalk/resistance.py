@@ -13,8 +13,9 @@ vectors, in O(n log n) exact operations when every check passes:
   the row and column terms; accessibility is moment minus Kemeny's constant;
 - every ordering check compares F entries, and F[i][p] against F[i][q]
   depends on i only through which of p and q it precedes, so a few probes
-  decide all i (see ``_verify_orderings``); only a failing check walks every
-  row to name its witnesses.
+  decide all i (see ``_verify_orderings``).  A failing comparison walks the
+  rows once to name them, and those rows are the witnesses: every check is
+  decided and witnessed by the same link comparisons, with no second walk.
 
 The n x n matrices R and F are built only when a caller reads them.  All
 of it is exact, so the ordering checks are decided without tolerances.
@@ -23,10 +24,10 @@ of it is exact, so the ordering checks are decided without tolerances.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import eq, ge, le, lt
 
 from .codes import ConstructionCode, blocks, degree_profile
 from .errors import Disconnected, IndexOutOfRange, NonIntegralEntry, OrderTooSmall
@@ -210,29 +211,6 @@ class OrderingReport:
         )
 
 
-def _chain_ok(entries: list[tuple[object, str]]) -> bool:
-    """Check a chain of exact values against '<' / '<=' links.
-
-    ``entries`` holds (value, relation-to-next) pairs; value None marks an
-    absent element, whose incoming and outgoing links merge ('<' wins).
-    """
-    prev = None
-    rel = None
-    for value, next_rel in entries:
-        if value is None:
-            if rel != "<":
-                rel = "<" if next_rel == "<" else rel or next_rel
-            continue
-        if prev is not None:
-            if rel == "<" and not prev < value:
-                return False
-            if rel == "<=" and not prev <= value:
-                return False
-        prev = value
-        rel = next_rel
-    return True
-
-
 def verify_orderings(code: ConstructionCode) -> OrderingReport:
     """Run every exact ordering check for one connected code.
 
@@ -285,48 +263,40 @@ def _verify_orderings(code: ConstructionCode, profile: ResistanceProfile) -> Ord
             return []
         return [i for i in range(n) if i != x and i != y and not holds(i)]
 
-    # (i) equal adjacent bits: the two positions are twins
-    ok_i = True
-    for p in range(n - 1):
-        if bits[p] == bits[p + 1]:
-            for i in failing(p, p + 1, operator.eq):
-                ok_i = False
-                witnesses.append(f"case i: f[{i + 1},{p + 1}] != f[{i + 1},{p + 2}]")
-
+    # the four local cases, each a list of (x, y, relation before both,
+    # relation after the first, witness template), in one pass over the bits:
+    # (i) equal adjacent bits: the two positions are twins;
     # (ii) mixed adjacent bits: the 1-position never beats the 0-position,
-    # with equality exactly for the leading 01 pair
-    ok_ii = True
-    for p in range(n - 1):
-        if bits[p] != bits[p + 1]:
-            v, w = (p, p + 1) if bits[p] == 1 else (p + 1, p)
-            for i in failing(v, w, operator.eq if p == 0 else operator.lt):
-                ok_ii = False
-                witnesses.append(f"case ii: pair ({v + 1},{w + 1}) fails at i={i + 1}")
-
-    # (iii) zero, ones, zero: the earlier zero is strictly smaller
-    ok_iii = True
-    for p in range(n):
-        if bits[p]:
-            continue
-        q = next((t for t in range(p + 1, n) if bits[t] == 0), None)
-        if q is None or q == p + 1:
-            continue
-        for i in failing(p, q, operator.lt):
-            ok_iii = False
-            witnesses.append(f"case iii: pair ({p + 1},{q + 1}) fails at i={i + 1}")
-
+    # with equality exactly for the leading 01 pair;
+    # (iii) zero, ones, zero: the earlier zero is strictly smaller;
     # (iv) one, zeros, one: the later one is at most the earlier one; equal
     # exactly when the later one ends the code and i precedes the earlier one
-    ok_iv = True
-    for p in range(n):
-        if not bits[p]:
-            continue
-        q = next((t for t in range(p + 1, n) if bits[t] == 1), None)
-        if q is None or q == p + 1:
-            continue
-        for i in failing(q, p, operator.eq if q == n - 1 else operator.lt, operator.lt):
-            ok_iv = False
-            witnesses.append(f"case iv: pair ({p + 1},{q + 1}) fails at i={i + 1}")
+    cases: dict[str, list] = {"i": [], "ii": [], "iii": [], "iv": []}
+    latest = [None, None]  # the last position seen of each bit
+    for p, bit in enumerate(bits):
+        if p and bits[p - 1] == bit:
+            cases["i"].append((p - 1, p, eq, eq, f"f[{{0}},{p}] != f[{{0}},{p + 1}]"))
+        elif p:
+            v, w = (p, p - 1) if bit else (p - 1, p)
+            rel = eq if p == 1 else lt
+            cases["ii"].append((v, w, rel, rel, f"pair ({v + 1},{w + 1}) fails at i={{0}}"))
+        q = latest[bit]
+        if q is not None and p - q > 1:
+            pair = f"pair ({q + 1},{p + 1}) fails at i={{0}}"
+            if bit:
+                cases["iv"].append((p, q, eq if p == n - 1 else lt, lt, pair))
+            else:
+                cases["iii"].append((q, p, lt, lt, pair))
+        latest[bit] = p
+    ok_cases = []
+    for case, checks in cases.items():
+        found = [
+            f"case {case}: " + template.format(i + 1)
+            for x, y, before, after, template in checks
+            for i in failing(x, y, before, after)
+        ]
+        ok_cases.append(not found)
+        witnesses += found
 
     # block representatives: start position of each run, in code order
     form = blocks(code)
@@ -343,45 +313,37 @@ def _verify_orderings(code: ConstructionCode, profile: ResistanceProfile) -> Ord
     # for every row i:
     #   0 < F[i][w_k] <= F[i][w_{k-1}] < ... < F[i][w_1] <= F[i][v_1] < ... < F[i][v_k]
     # where i's own block is represented by another of its positions, or is
-    # left out (its two links merge) when it has none
+    # left out (its two links merge, '<' winning) when it has none.  Every
+    # row but a block start reads the skeleton itself, so the rows that fail
+    # a link are what failing() returns for it; a block start s reads s + 1
+    # in its own place, and only its own two links differ.
     skeleton = [*reversed(one_starts), *zero_starts]
     runs = [*reversed(form.one_runs), *form.zero_runs]
-    rels = ["<=" if ordinal in (0, k - 1) else "<" for ordinal in range(k)] + ["<"] * k
-    own = [0] * n  # skeleton index of each position's block
-    for t, (start, run) in enumerate(zip(skeleton, runs)):
-        own[start : start + run] = [t] * run
-
-    def chain(i: int, span: range) -> list[tuple[object, str]]:
-        """Row i's chain entries at the skeleton indices in span; index -1 is the leading 0."""
-        entries: list[tuple[object, str]] = []
-        for u in span:
-            if u < 0:
-                entries.append((0, "<"))
-                continue
-            rep = _alternate_rep(skeleton[u], runs[u], i) if u == own[i] else skeleton[u]
-            entries.append((None if rep is None else f(i, rep), rels[u]))
-        return entries
-
-    # Every row but a block start reads the skeleton itself, so each link is
-    # one failing() call; a block start differs only next to its own entry.
-    relation = {"<": operator.lt, "<=": operator.le}
-    chains_hold = (
-        all(f(i, skeleton[0]) > 0 for i in range(n) if i != skeleton[0])
-        and not any(
-            failing(x, y, relation[rel]) for x, y, rel in zip(skeleton, skeleton[1:], rels)
-        )
-        and all(_chain_ok(chain(s, range(t - 1, min(t + 2, 2 * k)))) for t, s in enumerate(skeleton))
-    )
+    links = [le if ordinal in (0, k - 1) else lt for ordinal in range(k)]
+    links += [lt] * k
+    failed = {i for i in range(n) if i != skeleton[0] and f(i, skeleton[0]) <= 0}
+    for x, y, rel in zip(skeleton, skeleton[1:], links):
+        failed.update(failing(x, y, rel))
+    for t, s in enumerate(skeleton):
+        values = [0 if t == 0 else f(s, skeleton[t - 1])]
+        rels = [lt if t == 0 else links[t - 1]]
+        if runs[t] > 1:
+            values.append(f(s, s + 1))
+            rels.append(links[t])
+        elif links[t] is lt:
+            rels[-1] = lt
+        if t + 1 < 2 * k:
+            values.append(f(s, skeleton[t + 1]))
+        if not all(rel(x, y) for rel, x, y in zip(rels, values, values[1:])):
+            failed.add(s)
     ok_chain_zero = ok_chain_one = True
-    if not chains_hold:
-        for i in range(n):
-            if not _chain_ok(chain(i, range(-1, 2 * k))):
-                if own[i] >= k:
-                    ok_chain_zero = False
-                    witnesses.append(f"zero-block chain fails at i={i + 1}")
-                else:
-                    ok_chain_one = False
-                    witnesses.append(f"one-block chain fails at i={i + 1}")
+    for i in sorted(failed):
+        if bits[i]:
+            ok_chain_one = False
+            witnesses.append(f"one-block chain fails at i={i + 1}")
+        else:
+            ok_chain_zero = False
+            witnesses.append(f"zero-block chain fails at i={i + 1}")
 
     # degree characterization: F entries are monotone against the reversed
     # degree order, and equal degrees force equal entries (twin blocks).
@@ -389,22 +351,25 @@ def _verify_orderings(code: ConstructionCode, profile: ResistanceProfile) -> Ord
     # can tie entries across strictly different degrees.  Both relations are
     # transitive, so comparing neighbours in degree order decides every pair.
     # Row i's neighbours are the global neighbour pairs without i, plus the
-    # pair (w, v) around i, which symmetry settles through the pairs (i, v)
-    # and (w, i): F[i][w] = F[w][i] >= F[w][v] = F[v][w] >= F[v][i] = F[i][v],
-    # with equality throughout when d[w] = d[v].
+    # pair around i, checked at row i alone.
     def degree_rel(w: int, v: int):
-        return operator.eq if d[w] == d[v] else operator.ge
+        return eq if d[w] == d[v] else ge
 
     by_degree = sorted(range(n), key=d.__getitem__)
-    ok_degree = not any(failing(w, v, degree_rel(w, v)) for w, v in zip(by_degree, by_degree[1:]))
-    if not ok_degree:
-        for i in range(n):
-            order = [w for w in by_degree if w != i]
-            for w, v in zip(order, order[1:]):
-                if not degree_rel(w, v)(f(i, w), f(i, v)):
-                    witnesses.append(
-                        f"degree characterization fails at i={i + 1}, w={w + 1}, v={v + 1}"
-                    )
+    bad = [
+        (i, r, w, v)
+        for r, (w, v) in enumerate(zip(by_degree, by_degree[1:]))
+        for i in failing(w, v, degree_rel(w, v))
+    ]
+    bad += [
+        (i, r, w, v)
+        for r, (w, i, v) in enumerate(zip(by_degree, by_degree[1:], by_degree[2:]))
+        if not degree_rel(w, v)(f(i, w), f(i, v))
+    ]
+    ok_degree = not bad
+    witnesses += [
+        f"degree characterization fails at i={i + 1}, w={w + 1}, v={v + 1}" for i, _, w, v in sorted(bad)
+    ]
 
     # block-level moment and accessibility ordering
     mu = profile.mu
@@ -428,10 +393,7 @@ def _verify_orderings(code: ConstructionCode, profile: ResistanceProfile) -> Ord
         witnesses.append("leading-run equality condition fails")
 
     return OrderingReport(
-        ok_i,
-        ok_ii,
-        ok_iii,
-        ok_iv,
+        *ok_cases,
         ok_chain_zero,
         ok_chain_one,
         ok_degree,
@@ -440,9 +402,3 @@ def _verify_orderings(code: ConstructionCode, profile: ResistanceProfile) -> Ord
         tuple(witnesses),
     )
 
-
-def _alternate_rep(start: int, run: int, i: int) -> int | None:
-    """Representative of vertex i's own block that differs from i, if the block has one."""
-    if run < 2:
-        return None
-    return start if i != start else start + 1

@@ -334,6 +334,11 @@ def max_kemeny_search(
     )
 
 
+def _checkpoint_in(directory: str, n: int) -> str:
+    """The checkpoint file of the order-n search inside directory."""
+    return os.path.join(directory, f"search_n{n}.checkpoint")
+
+
 def verify_conjecture_range(
     n_min: int,
     n_max: int,
@@ -352,6 +357,6 @@ def verify_conjecture_range(
         )
     reports = []
     for n in range(n_min, n_max + 1):
-        path = os.path.join(checkpoint_dir, f"search_n{n}.checkpoint") if checkpoint_dir else None
+        path = _checkpoint_in(checkpoint_dir, n) if checkpoint_dir else None
         reports.append(max_kemeny_search(n, threads=threads, checkpoint=path))
     return reports

@@ -25,7 +25,7 @@ from .oracle import (
     spanning_tree_oracle,
     two_forest_matrix,
 )
-from .resistance import ResistanceProfile, _symmetric, _verify_orderings, resistance_matrix
+from .resistance import ResistanceProfile, _verify_orderings, resistance_matrix
 from .spectral import pseudo_inverse
 
 
@@ -91,9 +91,10 @@ def _suite_resistance(code: ConstructionCode, shared: _Shared) -> dict:
     exact_equal = shaped and len(values) == 1
     row, col, den = profile._terms_over_one_denominator()
     # int / int rounds correctly, so each value is float(R[i][j]) exactly
-    upper = [[(row[i] + col[j]) / den for j in range(i + 1, n)] for i in range(n)]
-    numeric = shared.numeric_r.tolist()
-    deviation = max(abs(x - y) for r, nr in zip(_symmetric(upper, 0.0), numeric) for x, y in zip(r, nr))
+    upper = np.zeros((n, n))
+    for i in range(n - 1):
+        upper[i, i + 1 :] = [(row[i] + col[j]) / den for j in range(i + 1, n)]
+    deviation = float(np.abs(upper + upper.T - shared.numeric_r).max())
     ok = exact_equal and deviation < 1e-8
     return {"pass": bool(ok), "pseudoinverse_equal": exact_equal, "max_deviation": deviation}
 

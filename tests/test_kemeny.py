@@ -25,6 +25,7 @@ from thresholdwalk import (
     upper_bounds,
 )
 from thresholdwalk.errors import Disconnected, OrderTooSmall, ParameterOutOfRange
+from thresholdwalk.kemeny import CODE_VECTOR, KemenyResult, _bounds_for
 
 connected_code_strategy = st.integers(min_value=2, max_value=11).flatmap(
     lambda n: st.tuples(
@@ -230,6 +231,17 @@ class TestUpperBounds:
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmall):
             upper_bounds(parse_code("01"))
+
+    def test_sparse_bound_decided_exactly_near_the_bound(self):
+        # n = 10, m = 16: the sparse bound 9 + 1.5 * sqrt(16) is 15.0 exactly
+        def holds(k):
+            return _bounds_for(10, KemenyResult(10, 16, CODE_VECTOR, k, float(k))).both_hold
+
+        below = 15 - Fraction(1, 10**20)
+        assert float(below) == 15.0
+        assert holds(below)
+        assert not holds(Fraction(15))
+        assert not holds(15 + Fraction(1, 10**20))
 
 
 class TestPineappleFamily:

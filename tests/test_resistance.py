@@ -292,11 +292,16 @@ class TestOrderings:
     def test_matches_f_based_reference_on_perturbed_terms(self):
         # real codes pass every check, so perturbed terms drive every witness branch
         rng = random.Random(20261018)
-        codes = list(connected_codes_upto(9, n_min=3))
+        small = list(connected_codes_upto(9, n_min=3))
+        large = [
+            parse_code("0" + "".join(rng.choice("01") for _ in range(n - 2)) + "1")
+            for n in (rng.randint(12, 40) for _ in range(20))
+        ]
+        draws = [rng.choice(small) for _ in range(800)] + [rng.choice(large) for _ in range(300)]
+        fields = ("A", "B", "A", "B", "mu", "alpha")
         failed = set()
-        for _ in range(400):
-            code = rng.choice(codes)
-            perturbed = _perturbed(resistance_matrix(code), rng, ("A", "B", "A", "B", "mu"))
+        for code in draws:
+            perturbed = _perturbed(resistance_matrix(code), rng, fields, rng.randint(1, 3))
             report = _verify_orderings(code, perturbed)
             assert report == reference_orderings(code, perturbed), str(code)
             flags = (field.name for field in dataclasses.fields(report) if field.name != "witnesses")
@@ -328,19 +333,24 @@ class TestOrderings:
         assert verdicts == {True, False}
 
 
-def _perturbed(profile, rng, fields):
-    """profile with one entry of one of the fields changed: copied, nudged by 1 or swapped."""
-    name = rng.choice(fields)
-    values = list(getattr(profile, name))
-    x, y = rng.sample(range(profile.n), 2)
-    change = rng.randrange(3)
-    if change == 0:
-        values[x] = values[y]
-    elif change == 1:
-        values[x] += rng.choice([-1, 1])
-    else:
-        values[x], values[y] = values[y], values[x]
-    return dataclasses.replace(profile, **{name: tuple(values)})
+def _perturbed(profile, rng, fields, changes=1):
+    """profile with entries of the fields changed, each copied, nudged by 1, swapped or negated."""
+    changed = {}
+    for _ in range(changes):
+        name = rng.choice(fields)
+        values = list(changed.get(name, getattr(profile, name)))
+        x, y = rng.sample(range(profile.n), 2)
+        change = rng.randrange(4)
+        if change == 0:
+            values[x] = values[y]
+        elif change == 1:
+            values[x] += rng.choice([-1, 1])
+        elif change == 2:
+            values[x], values[y] = values[y], values[x]
+        else:
+            values[x] = -values[x]
+        changed[name] = tuple(values)
+    return dataclasses.replace(profile, **changed)
 
 
 def _pairwise_degree_check(F, d):

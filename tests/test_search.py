@@ -1,5 +1,6 @@
 """Exhaustive search: float screen, determinism, checkpointing, conjecture flags."""
 
+import dataclasses
 import functools
 import random
 import tempfile
@@ -115,6 +116,16 @@ class TestSearch:
             max_kemeny_search(9, threads=t, chunk_codes=16) for t in (1, 4, 8)
         ]
         assert len({report_key(r) for r in reports}) == 1
+
+    def test_ties_in_different_ranges_join_in_range_order(self):
+        # the two order-21 maximizers share a range of the default size; in
+        # ranges of 2^14 codes they fall in ranges 30 and 31
+        split = max_kemeny_search(21, threads=1, chunk_codes=1 << 14)
+        assert split.ties == ("011110000000000000001", "011111000000000000001")
+        assert [int(code[1:-1], 2) >> 14 for code in split.ties] == [30, 31]
+        assert split.ties == tuple(str(pineapple_code(21, r)) for r in pineapple_argmax(21).tied_rs)
+        whole = max_kemeny_search(21, threads=1)
+        assert dataclasses.replace(split, seconds=0) == dataclasses.replace(whole, seconds=0)
 
     def test_dominates_pineapple_family(self):
         for n in range(3, 11):
