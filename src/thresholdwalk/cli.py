@@ -25,7 +25,7 @@ from functools import cache
 
 from . import __version__
 from .codes import code_count, degree_profile, enumerate_codes, parse_code
-from .errors import ThresholdWalkError
+from .errors import OrderOutOfRange, ThresholdWalkError
 from .kemeny import (
     _bounds_for,
     kemeny_degree_form,
@@ -34,8 +34,8 @@ from .kemeny import (
     pineapple_argmax,
     pineapple_kemeny,
 )
-from .resistance import _verify_orderings, resistance_closed_form, resistance_matrix
-from .search import _checkpoint_in, max_kemeny_search
+from .resistance import _symmetric, _verify_orderings, resistance_closed_form, resistance_matrix
+from .search import MAX_ORDER, _checkpoint_in, max_kemeny_search
 from .spectral import laplacian_spectrum, spanning_tree_count
 from .verify import SUITES, verify_code
 
@@ -57,12 +57,6 @@ def _frac_obj(value: Fraction) -> dict:
 
 def _frac_str(value: Fraction) -> str:
     return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
-
-
-def _symmetric_strs(matrix, fmt) -> list[list[str]]:
-    """fmt of every entry of a symmetric matrix, each mirrored pair formatted once."""
-    upper = [[fmt(x) for x in row[j:]] for j, row in enumerate(matrix)]
-    return [[upper[v][j - v] for v in range(j)] + upper[j] for j in range(len(matrix))]
 
 
 def _int_str(value: int) -> str:
@@ -144,8 +138,8 @@ def _cmd_resistance(args) -> CommandOutput:
         value = resistance_closed_form(code, j, v)
         payload = {"n": code.n, "pair": [j, v], "r": _frac_str(value)}
         return CommandOutput(payload, [_frac_str(value)])
-    profile = resistance_matrix(code)
-    rows = _symmetric_strs(profile.R, _frac_str)
+    R = resistance_matrix(code).R
+    rows = _symmetric([[_frac_str(x) for x in row[j + 1 :]] for j, row in enumerate(R)], "0/1")
     payload = {"n": code.n, "r": rows}
     text = [" ".join(row) for row in rows]
     header = [f"v{p}" for p in range(1, code.n + 1)]
@@ -155,12 +149,12 @@ def _cmd_resistance(args) -> CommandOutput:
 def _cmd_forest(args) -> CommandOutput:
     code = parse_code(args.code)
     profile = resistance_matrix(code)
-    rows = _symmetric_strs(profile.F, _int_str)
+    rows = _symmetric([[_int_str(x) for x in row[j + 1 :]] for j, row in enumerate(profile.F)], "0")
     tau = _int_str(profile.tau)
     payload = {"n": code.n, "tau": tau, "f": rows}
     text = [",".join(row) for row in rows] + [f"tau,{tau}"]
     header = [f"v{p}" for p in range(1, code.n + 1)]
-    return CommandOutput(payload, text, csv_header=header, csv_rows=rows + [["tau", tau]])
+    return CommandOutput(payload, text, csv_header=header, csv_rows=[*rows, ["tau", tau]])
 
 
 def _cmd_access(args) -> CommandOutput:
@@ -262,6 +256,9 @@ def _cmd_search(args) -> CommandOutput:
 
 
 def _cmd_enumerate(args) -> CommandOutput:
+    if args.n > MAX_ORDER:
+        # the listing holds all 2^(n-2) codes at once
+        raise OrderOutOfRange(f"enumerate supports n <= {MAX_ORDER}, got {args.n}")
     codes = [str(c) for c in enumerate_codes(args.n)]
     payload = {"n": args.n, "count": code_count(args.n), "codes": codes}
     return CommandOutput(payload, codes, csv_header=["code"], csv_rows=[[c] for c in codes])

@@ -2,20 +2,21 @@
 
 The resistance between two code positions has a closed form in the degrees
 and code bits that splits into a row term plus a column term, r_{j,v} =
-a_j + b_v for j < v.  Everything here is decided from those two length-n
-vectors, in O(n log n) exact operations when every check passes:
+(row_j + col_v) / den for j < v, in integers over one common denominator.
+Everything here is decided from those two length-n vectors, in
+O(n log n) exact operations when every check passes:
 
-- the forest counts F = tau * R split the same way, F[j][v] = A_j + B_v
-  with A = tau * a and B = tau * b.  The first row term a_1 is 0, so F is
-  integral exactly when every A_j and B_v that is ever paired is an
-  integer, and that is checked;
+- the forest counts F = tau * R split the same way.  The first row term is
+  0, so F is integral exactly when every paired tau * row_j / den and
+  tau * col_v / den is an integer, and that is checked;
 - the moments mu, the degree-weighted sums of R, come from prefix sums of
   the row and column terms; accessibility is moment minus Kemeny's constant;
-- every ordering check compares F entries, and F[i][p] against F[i][q]
-  depends on i only through which of p and q it precedes, so a few probes
-  decide all i (see ``_verify_orderings``).  A failing comparison walks the
-  rows once to name them, and those rows are the witnesses: every check is
-  decided and witnessed by the same link comparisons, with no second walk.
+- every ordering check compares den * R[i][p] = row[min] + col[max], a
+  positive multiple of F[i][p], and F[i][p] against F[i][q] depends on i
+  only through which of p and q it precedes, so a few probes decide all i
+  (see ``_verify_orderings``).  A failing comparison walks the rows once to
+  name them, and those rows are the witnesses: every check is decided and
+  witnessed by the same link comparisons, with no second walk.
 
 The n x n matrices R and F are built only when a caller reads them.  All
 of it is exact, so the ordering checks are decided without tolerances.
@@ -39,44 +40,36 @@ from .spectral import spanning_tree_count
 class ResistanceProfile:
     """Exact O(n) core for one connected code, with R and F built on first read.
 
-    With 0-based positions, r_{j,v} = a[j] + b[v] for j < v, and
-    F[j][v] = tau * r_{j,v} = A[j] + B[v] in integers.  Only a[0 .. n-2]
-    and b[1 .. n-1] are ever paired: b[0] = B[0] = 0, and A[n-1] = 0 stands
-    in for the unpaired last row term.  mu[v] = sum_j d_j r_{j,v};
-    alpha = mu - K, whose stationary-weighted average is K.
+    With 0-based positions, r_{j,v} = (row[j] + col[v]) / den for j < v, in
+    integers row, col and den.  Only row[0 .. n-2] and col[1 .. n-1] are
+    ever paired; row[0] = col[0] = 0.  F[j][v] = tau * r_{j,v} is an integer
+    for every pair.  mu[v] = sum_j d_j r_{j,v}; alpha = mu - K, whose
+    stationary-weighted average is K.
 
     R (Fractions, symmetric, zero diagonal) and F = tau * R (ints) are
     tuples of row tuples, built from the core when first read and kept.
     """
 
     n: int
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
+    den: int
+    row: tuple[int, ...]
+    col: tuple[int, ...]
     tau: int
-    A: tuple[int, ...]
-    B: tuple[int, ...]
     mu: tuple[Fraction, ...]
     alpha: tuple[Fraction, ...]
     kemeny: Fraction
 
     @cached_property
     def R(self) -> tuple[tuple[Fraction, ...], ...]:
-        # over one common denominator an entry costs one gcd, a Fraction sum two
-        row, col, den = self._terms_over_one_denominator()
-        upper = [[Fraction(row[j] + col[v], den) for v in range(j + 1, self.n)] for j in range(self.n)]
+        row, col, den, n = self.row, self.col, self.den, self.n
+        upper = [[Fraction(row[j] + col[v], den) for v in range(j + 1, n)] for j in range(n)]
         return _symmetric(upper, Fraction(0))
-
-    def _terms_over_one_denominator(self) -> tuple[list[int], list[int], int]:
-        """(row, col, den): a and b as integer numerators over their least common denominator."""
-        den = math.lcm(*(x.denominator for x in (*self.a, *self.b)))
-        row = [x.numerator * (den // x.denominator) for x in self.a]
-        col = [x.numerator * (den // x.denominator) for x in self.b]
-        return row, col, den
 
     @cached_property
     def F(self) -> tuple[tuple[int, ...], ...]:
-        A, B, n = self.A, self.B, self.n
-        return _symmetric([[A[j] + B[v] for v in range(j + 1, n)] for j in range(n)], 0)
+        # tau * x // den is exact for every paired term: resistance_matrix checked it
+        A, B = ([self.tau * x // self.den for x in terms] for terms in (self.row, self.col))
+        return _symmetric([[A[j] + B[v] for v in range(j + 1, self.n)] for j in range(self.n)], 0)
 
 
 def _symmetric(upper: list[list], zero) -> tuple[tuple, ...]:
@@ -120,10 +113,9 @@ def resistance_closed_form(code: ConstructionCode, j: int, v: int) -> Fraction:
 def resistance_matrix(code: ConstructionCode) -> ResistanceProfile:
     """Exact profile: tau, moments, accessibility and Kemeny's constant, R and F on demand.
 
-    Builds the O(n) row and column terms a and b, and their integer forest
-    counterparts A = tau * a and B = tau * b.  Raises NonIntegralEntry,
-    naming the first entry in row order, when some tau * r is not an
-    integer.
+    Builds the O(n) row and column terms as integers over one denominator.
+    Raises NonIntegralEntry, naming the first entry in row order, when some
+    tau * r is not an integer.
     """
     _require_connected(code)
     n = code.n
@@ -134,47 +126,42 @@ def resistance_matrix(code: ConstructionCode) -> ResistanceProfile:
     #   a[p] = p / (dc_p (p+1)) - prefix_p,  b[v] = (v+1) / (dc_v v) + prefix_{v-1},
     #   prefix_i = sum_{t=1..i} 1 / (dc_t t (t+1)).
     # Every term is a whole multiple of 1 / den, so a and b are worked out as
-    # the integer numerators ra, rb over den.
+    # the integer numerators row, col over den.
     den = math.lcm(*(dc[t] * t * (t + 1) for t in range(1, n)))
     prefix = [0] * n
     for t in range(1, n):
         prefix[t] = prefix[t - 1] + den // (dc[t] * t * (t + 1))
-    ra = [p * den // (dc[p] * (p + 1)) - prefix[p] for p in range(n)]
-    rb = [0] + [(v + 1) * den // (dc[v] * v) + prefix[v - 1] for v in range(1, n)]
+    row = [p * den // (dc[p] * (p + 1)) - prefix[p] for p in range(n)]
+    col = [0] + [(v + 1) * den // (dc[v] * v) + prefix[v - 1] for v in range(1, n)]
 
     tau = spanning_tree_count(code)
-    # F[0][v] = tau b[v] since a[0] = 0, and F[j][v] = tau a[j] + tau b[v]:
-    # F is integral exactly when every paired tau a[j] and tau b[v] is, that
+    # F[0][v] = tau col[v] / den since row[0] = 0, and F[j][v] = (tau row[j] +
+    # tau col[v]) / den: F is integral exactly when every paired term is, that
     # is when den' = den / gcd(tau, den) divides its numerator.  The first
-    # fractional entry in row order is in row 0 if some tau b[v] is
-    # fractional, else it is F[j][j+1] for the first fractional tau a[j].
-    common = math.gcd(tau, den)
-    scale, divisor = tau // common, den // common
-    fractional = [(0, v) for v in range(1, n) if rb[v] % divisor] or [
-        (j, j + 1) for j in range(n - 1) if ra[j] % divisor
+    # fractional entry in row order is in row 0 if some column term is
+    # fractional, else it is F[j][j+1] for the first fractional row term.
+    divisor = den // math.gcd(tau, den)
+    fractional = [(0, v) for v in range(1, n) if col[v] % divisor] or [
+        (j, j + 1) for j in range(n - 1) if row[j] % divisor
     ]
     if fractional:
         j, v = fractional[0]
-        raise NonIntegralEntry(f"tau * r = {Fraction(tau * (ra[j] + rb[v]), den)} is not an integer")
-    A = [scale * (x // divisor) for x in ra[:-1]] + [0]
-    B = [scale * (x // divisor) for x in rb]
+        raise NonIntegralEntry(f"tau * r = {Fraction(tau * (row[j] + col[v]), den)} is not an integer")
 
     kemeny = kemeny_from_code(code).exact
-    # den * mu[v] = sum_{j<v} d_j (ra_j + rb_v) + sum_{j>v} d_j (ra_v + rb_j)
+    # den * mu[v] = sum_{j<v} d_j (row_j + col_v) + sum_{j>v} d_j (row_v + col_j)
     scaled = []
-    d_before, da_before = 0, 0
-    d_after, db_after = 2 * prof.m, sum(dj * x for dj, x in zip(d, rb))
+    d_before, drow_before = 0, 0
+    d_after, dcol_after = 2 * prof.m, sum(dj * x for dj, x in zip(d, col))
     for v in range(n):
         d_after -= d[v]
-        db_after -= d[v] * rb[v]
-        scaled.append(da_before + d_before * rb[v] + d_after * ra[v] + db_after)
+        dcol_after -= d[v] * col[v]
+        scaled.append(drow_before + d_before * col[v] + d_after * row[v] + dcol_after)
         d_before += d[v]
-        da_before += d[v] * ra[v]
+        drow_before += d[v] * row[v]
     mu = tuple(Fraction(x, den) for x in scaled)
     alpha = tuple(value - kemeny for value in mu)
-    a = tuple(Fraction(x, den) for x in ra)
-    b = tuple(Fraction(x, den) for x in rb)
-    return ResistanceProfile(n, a, b, tau, tuple(A), tuple(B), mu, alpha, kemeny)
+    return ResistanceProfile(n, den, tuple(row), tuple(col), tau, mu, alpha, kemeny)
 
 
 @dataclass(frozen=True)
@@ -225,26 +212,28 @@ def verify_orderings(code: ConstructionCode) -> OrderingReport:
 def _verify_orderings(code: ConstructionCode, profile: ResistanceProfile) -> OrderingReport:
     """verify_orderings on an already built profile of the same code.
 
-    Every F entry it compares is F[i][p] = A[min(i, p)] + B[max(i, p)];
-    F itself is never built.
+    In place of each F entry it compares f(i, p) = row[min(i, p)] +
+    col[max(i, p)] = den * R[i][p], which is F[i][p] times the positive
+    den / tau, so every verdict and witness is that of F; F itself is never
+    built.
     """
-    A, B = profile.A, profile.B
+    row, col = profile.row, profile.col
     bits = code.bits
     n = code.n
     d = degree_profile(code).degrees
-    E = [x - y for x, y in zip(A, B)]
+    E = [x - y for x, y in zip(row, col)]
     witnesses: list[str] = []
 
     def f(i: int, p: int) -> int:
-        return A[i] + B[p] if i < p else A[p] + B[i]
+        return row[i] + col[p] if i < p else row[p] + col[i]
 
     def failing(x: int, y: int, before, after=None) -> list[int]:
-        """Every i other than x and y, ascending, where before(F[i][x], F[i][y]) fails.
+        """Every i other than x and y, ascending, where before(f(i, x), f(i, y)) fails.
 
         ``after`` (default ``before``) replaces ``before`` for i > min(x, y).
-        F[i][x] - F[i][y] is B[x] - B[y] for every i before both positions,
-        A[x] - A[y] for every i after both, and +-(A[lo] - B[hi] - E[i]) for
-        lo < i < hi.  Each relation used here (==, <, <=, >=) holds on an
+        f(i, x) - f(i, y) is col[x] - col[y] for every i before both
+        positions, row[x] - row[y] for every i after both, and
+        +-(row[lo] - col[hi] - E[i]) for lo < i < hi.  Each relation used here (==, <, <=, >=) holds on an
         interval of that difference, so one probe before, one after and the
         least and greatest E[i] between decide every i; only a failure walks
         all of them.

@@ -79,17 +79,16 @@ def _suite_resistance(code: ConstructionCode, shared: _Shared) -> dict:
     profile = shared.profile
     pinv = pseudo_inverse(code)
     n = code.n
-    a, b, top = profile.a, profile.b, pinv[0]
+    row, col, den, top = profile.row, profile.col, profile.den, pinv[0]
     # R = diag(L+) 1^T + 1 diag(L+)^T - 2 L+; R is symmetric with a zero
     # diagonal by construction.  Once L+[i][j] = L+[0][max(i, j)] off the
-    # diagonal, the identity at i < j reads x_i = y_j, x_i = a_i - L+[i][i] and
-    # y_j = L+[j][j] - b_j - 2 L+[0][j]; it holds for all i < j exactly when
-    # every x_i (i <= n-2) and every y_j (j >= 1) is one value
+    # diagonal, the identity at i < j reads x_i = y_j, x_i = row_i / den -
+    # L+[i][i] and y_j = L+[j][j] - col_j / den - 2 L+[0][j]; it holds for all
+    # i < j exactly when every x_i (i <= n-2) and every y_j (j >= 1) is one value
     shaped = all(pinv[i] == [top[i]] * i + [pinv[i][i]] + top[i + 1 :] for i in range(n))
-    values = {a[i] - pinv[i][i] for i in range(n - 1)}
-    values.update(pinv[j][j] - b[j] - 2 * top[j] for j in range(1, n))
+    values = {Fraction(row[i], den) - pinv[i][i] for i in range(n - 1)}
+    values.update(pinv[j][j] - Fraction(col[j], den) - 2 * top[j] for j in range(1, n))
     exact_equal = shaped and len(values) == 1
-    row, col, den = profile._terms_over_one_denominator()
     # int / int rounds correctly, so each value is float(R[i][j]) exactly
     upper = np.zeros((n, n))
     for i in range(n - 1):

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
-from thresholdwalk import enumerate_codes
+from thresholdwalk import enumerate_codes, parse_code
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 
@@ -18,6 +19,15 @@ def connected_codes_upto(n_max, n_min=2):
     """All connected codes with n_min <= n <= n_max, ascending order."""
     for n in range(n_min, n_max + 1):
         yield from enumerate_codes(n)
+
+
+def seeded_codes(seed, count, n_min, n_max):
+    """count connected codes with orders in [n_min, n_max], drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    return [
+        parse_code("0" + "".join(rng.choice("01") for _ in range(rng.randint(n_min, n_max) - 2)) + "1")
+        for _ in range(count)
+    ]
 
 
 def frac(num, den=1) -> Fraction:

@@ -1,9 +1,11 @@
-"""Reference for the ordering checks: every comparison read off the full F matrix.
+"""Reference for the ordering checks: every comparison read off the full R matrix.
 
-This is the entry-by-entry form of ``resistance._verify_orderings``, which
-decides the same checks from the row and column terms of F.  The tests
-compare the two reports, verdicts and witnesses, on real codes and on
-perturbed row and column terms.
+R = F / tau with tau > 0, so comparing R entries decides each check as the
+F entries do.  This is the entry-by-entry form of
+``resistance._verify_orderings``, which decides the same checks from the
+row and column terms.  The tests compare the two reports, verdicts and
+witnesses, on real codes and on perturbed row and column terms; R stays
+exact under any perturbation of those terms, F's integer division does not.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ def _chain_ok(entries: list[tuple[object, str]]) -> bool:
 
 
 def reference_orderings(code, profile) -> OrderingReport:
-    """The ordering checks of one code, every comparison read from profile.F."""
-    F = profile.F
+    """The ordering checks of one code, every comparison read from profile.R."""
+    R = profile.R
     bits = code.bits
     n = code.n
     d = degree_profile(code).degrees
@@ -50,7 +52,7 @@ def reference_orderings(code, profile) -> OrderingReport:
     for p in range(n - 1):
         if bits[p] == bits[p + 1]:
             for i in others(p, p + 1):
-                if F[i][p] != F[i][p + 1]:
+                if R[i][p] != R[i][p + 1]:
                     ok_i = False
                     witnesses.append(f"case i: f[{i + 1},{p + 1}] != f[{i + 1},{p + 2}]")
 
@@ -62,7 +64,7 @@ def reference_orderings(code, profile) -> OrderingReport:
             v, w = (p, p + 1) if bits[p] == 1 else (p + 1, p)
             equality = p == 0
             for i in others(p, p + 1):
-                good = F[i][v] == F[i][w] if equality else F[i][v] < F[i][w]
+                good = R[i][v] == R[i][w] if equality else R[i][v] < R[i][w]
                 if not good:
                     ok_ii = False
                     witnesses.append(f"case ii: pair ({v + 1},{w + 1}) fails at i={i + 1}")
@@ -76,7 +78,7 @@ def reference_orderings(code, profile) -> OrderingReport:
         if q is None or q == p + 1:
             continue
         for i in others(p, q):
-            if not F[i][p] < F[i][q]:
+            if not R[i][p] < R[i][q]:
                 ok_iii = False
                 witnesses.append(f"case iii: pair ({p + 1},{q + 1}) fails at i={i + 1}")
 
@@ -91,9 +93,9 @@ def reference_orderings(code, profile) -> OrderingReport:
             continue
         for i in others(p, q):
             if q == n - 1 and i < p:
-                good = F[i][q] == F[i][p]
+                good = R[i][q] == R[i][p]
             else:
-                good = F[i][q] < F[i][p]
+                good = R[i][q] < R[i][p]
             if not good:
                 ok_iv = False
                 witnesses.append(f"case iv: pair ({p + 1},{q + 1}) fails at i={i + 1}")
@@ -116,8 +118,8 @@ def reference_orderings(code, profile) -> OrderingReport:
         return None
 
     def chain_entries(i: int, own_kind: int, own_idx: int):
-        # shared skeleton: 0 < F[i][w_k] <= F[i][w_{k-1}] < ... < F[i][w_1]
-        #                    <= F[i][v_1] < F[i][v_2] < ... < F[i][v_k]
+        # shared skeleton: 0 < R[i][w_k] <= R[i][w_{k-1}] < ... < R[i][w_1]
+        #                    <= R[i][v_1] < R[i][v_2] < ... < R[i][v_k]
         entries: list[tuple[object, str]] = [(0, "<")]
         for ordinal, bk in enumerate(range(k - 1, -1, -1)):
             if own_kind == 1 and bk == own_idx:
@@ -125,13 +127,13 @@ def reference_orderings(code, profile) -> OrderingReport:
             else:
                 rep = one_starts[bk]
             rel = "<=" if ordinal == 0 or bk == 0 else "<"
-            entries.append((None if rep is None else F[i][rep], rel))
+            entries.append((None if rep is None else R[i][rep], rel))
         for bk in range(k):
             if own_kind == 0 and bk == own_idx:
                 rep = _alternate_rep(zero_starts[bk], form.zero_runs[bk], i)
             else:
                 rep = zero_starts[bk]
-            entries.append((None if rep is None else F[i][rep], "<"))
+            entries.append((None if rep is None else R[i][rep], "<"))
         return entries
 
     ok_chain_zero = True
@@ -158,7 +160,7 @@ def reference_orderings(code, profile) -> OrderingReport:
     for i in range(n):
         order = [w for w in by_degree if w != i]
         for w, v in zip(order, order[1:]):
-            if F[i][w] < F[i][v] or (d[w] == d[v] and F[i][w] != F[i][v]):
+            if R[i][w] < R[i][v] or (d[w] == d[v] and R[i][w] != R[i][v]):
                 ok_degree = False
                 witnesses.append(f"degree characterization fails at i={i + 1}, w={w + 1}, v={v + 1}")
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import connected_codes_upto
+from conftest import connected_codes_upto, seeded_codes
 from thresholdwalk import (
     ConstructionCode,
     commuting_check,
@@ -86,11 +86,12 @@ def test_criterion_05_resistance_forest_exactness():
     for code in connected_codes_upto(9):
         assert verify_code(code, ("resistance",))["resistance"]["pass"], str(code)
     for code in connected_codes_upto(7):
+        assert verify_code(code, ("forest",))["forest"]["pass"], str(code)
+    for code in [*connected_codes_upto(7), *seeded_codes(5, 5, 12, 120)]:
         profile = resistance_matrix(code)
         for i in range(code.n):
             for j in range(code.n):
                 assert profile.F[i][j] == profile.tau * profile.R[i][j], str(code)
-        assert verify_code(code, ("forest",))["forest"]["pass"], str(code)
     elapsed = time.perf_counter() - started
     assert elapsed < 300, f"resistance/forest exactness took {elapsed:.1f}s"
     print(f"criterion 5: done in {elapsed:.1f}s")

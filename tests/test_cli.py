@@ -6,10 +6,12 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import connected_codes_upto
+from conftest import connected_codes_upto, seeded_codes
 from thresholdwalk import (
+    build_graph,
     cli,
     kemeny,
     kemeny_degree_form,
@@ -17,6 +19,7 @@ from thresholdwalk import (
     parse_code,
     pseudo_inverse,
     resistance_matrix,
+    resistance_oracle,
     upper_bounds,
     verify,
 )
@@ -161,7 +164,8 @@ class TestResistanceAndForest:
     def test_forest_beyond_int_str_digit_limit(self, capsys, monkeypatch):
         # 1400^1398 has 4399 digits, past the 4300-digit limit of str(int)
         tau = 1400**1398
-        profile = dataclasses.replace(resistance_matrix(parse_code("01")), A=(0, 0), B=(0, tau), tau=tau)
+        # at 01, row = (0, 0) and col = (0, den), so F = ((0, tau), (tau, 0))
+        profile = dataclasses.replace(resistance_matrix(parse_code("01")), tau=tau)
         monkeypatch.setattr(cli, "resistance_matrix", lambda _: profile)
         digits = str(Decimal(tau))
         assert len(digits) == 4399
@@ -351,7 +355,8 @@ class TestVerify:
     def test_resistance_suite_catches_one_changed_entry(self, capsys, monkeypatch, target):
         # a change far below float resolution: only the exact check can see it.
         # R is derived from the row and column terms, so R changes through one
-        # paired entry of a (i <= n-2) or b (j >= 1)
+        # paired row term a_i = row_i / den (i <= n-2) or column term
+        # b_j = col_j / den (j >= 1)
         rng = random.Random(target)
         codes = list(connected_codes_upto(9, n_min=3)) + [parse_code("0" + "011" * 10 + "1")]
         for code in rng.sample(codes, 25):
@@ -367,13 +372,9 @@ class TestVerify:
             elif target == "pinv_above_diagonal":
                 pinv[j][i] += delta
             elif target == "a_entry":
-                a = list(profile.a)
-                a[rng.randrange(n - 1)] += delta
-                profile = dataclasses.replace(profile, a=tuple(a))
+                profile = _nudged(profile, "row", rng.randrange(n - 1), delta)
             else:
-                b = list(profile.b)
-                b[rng.randrange(1, n)] += delta
-                profile = dataclasses.replace(profile, b=tuple(b))
+                profile = _nudged(profile, "col", rng.randrange(1, n), delta)
             assert not _all_pairs_pseudoinverse_check(profile.R, pinv)
             monkeypatch.setattr(verify, "pseudo_inverse", lambda _: pinv)
             monkeypatch.setattr(verify, "resistance_matrix", lambda _: profile)
@@ -384,15 +385,17 @@ class TestVerify:
             assert suite["max_deviation"] < 1e-8
 
     def test_resistance_suite_unperturbed_matches_all_pairs(self, capsys):
-        rng = random.Random(8)
-        seeded = [
-            parse_code("0" + "".join(rng.choice("01") for _ in range(rng.randint(30, 126))) + "1")
-            for _ in range(5)
-        ]
+        seeded = seeded_codes(8, 5, 32, 128)
         for code in list(connected_codes_upto(7, n_min=3)) + [parse_code("0" + "011" * 10 + "1"), *seeded]:
-            assert _all_pairs_pseudoinverse_check(resistance_matrix(code).R, pseudo_inverse(code))
+            R = resistance_matrix(code).R
+            assert _all_pairs_pseudoinverse_check(R, pseudo_inverse(code))
             _, envelope, _ = run_json(capsys, "verify", str(code), "--suite", "resistance")
-            assert envelope["payload"]["suites"]["resistance"]["pseudoinverse_equal"] is True
+            suite = envelope["payload"]["suites"]["resistance"]
+            assert suite["pseudoinverse_equal"] is True
+            numeric_r = resistance_oracle(build_graph(code))
+            assert suite["max_deviation"] == float(
+                np.abs(np.array([[float(x) for x in r] for r in R]) - numeric_r).max()
+            )
 
 
 def _counted(calls, name, original):
@@ -403,6 +406,14 @@ def _counted(calls, name, original):
         return original(*args)
 
     return wrapper
+
+
+def _nudged(profile, name, index, delta):
+    """profile with the term name[index] / den moved by delta, all terms over den * delta.denominator."""
+    scale = delta.denominator
+    terms = {key: [x * scale for x in getattr(profile, key)] for key in ("row", "col")}
+    terms[name][index] += delta.numerator * profile.den
+    return dataclasses.replace(profile, den=profile.den * scale, **{k: tuple(v) for k, v in terms.items()})
 
 
 def _recording(profiles):
@@ -436,6 +447,13 @@ class TestEnumerate:
         _, envelope, _ = run_json(capsys, "enumerate", "--n", "6")
         assert envelope["payload"]["count"] == 16
         assert len(envelope["payload"]["codes"]) == 16
+
+    def test_order_above_search_range_exits_one(self, capsys):
+        # refused before any code is listed: the listing would hold 2^25 codes
+        code, out, err = run(capsys, "enumerate", "--n", "27")
+        assert code == 1
+        assert out == ""
+        assert "OrderOutOfRange" in err and "Traceback" not in err
 
 
 class TestDispatch:

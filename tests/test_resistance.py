@@ -8,7 +8,7 @@ import pytest
 
 import thresholdwalk.resistance as resistance_module
 
-from conftest import connected_codes_upto
+from conftest import connected_codes_upto, seeded_codes
 from orderings_reference import reference_orderings
 from thresholdwalk import (
     OrderingReport,
@@ -115,7 +115,8 @@ class TestForestMatrix:
         assert all(F[i][j] == 8 for i in range(4) for j in range(4) if i != j)
 
     def test_nonnegative_integers(self):
-        for code in connected_codes_upto(7):
+        # the seeded codes reach F's integer division at long denominators
+        for code in [*connected_codes_upto(7), *seeded_codes(116, 5, 12, 120)]:
             profile = resistance_matrix(code)
             for i in range(code.n):
                 for j in range(code.n):
@@ -138,12 +139,13 @@ class TestForestMatrix:
                         resistance_matrix(code)
 
     def test_non_integral_entry_names_the_first_fractional_entry(self, monkeypatch):
-        # a_1 = 0, so row 1 of F is the column terms tau * b_v; at 001111 with
-        # tau = 8 all of them are integers and only a row term tau * a_j is
-        # fractional, so neither half of the check can go
+        # row_1 = 0, so row 1 of F is the column terms tau * col_v / den; at
+        # 001111 with tau = 8 all of them are integers and only a row term
+        # tau * row_j / den is fractional, so neither half of the check can go
         profile = resistance_matrix(parse_code("001111"))
-        assert profile.a[0] == 0 and all((8 * x).denominator == 1 for x in profile.b)
-        assert any((8 * x).denominator != 1 for x in profile.a[:-1])
+        row, col, den = profile.row, profile.col, profile.den
+        assert row[0] == 0 and all(8 * x % den == 0 for x in col)
+        assert any(8 * x % den for x in row[:-1])
         cases = [(code, resistance_matrix(code).R) for code in connected_codes_upto(7)]
         for code, R in cases:
             for tau in range(1, 13):
@@ -275,9 +277,9 @@ class TestOrderings:
         verdicts = set()
         for _ in range(300):
             code = rng.choice(codes)
-            perturbed = _perturbed(resistance_matrix(code), rng, ("A", "B"))
+            perturbed = _perturbed(resistance_matrix(code), rng, ("row", "col"))
             monkeypatch.setattr(resistance_module, "resistance_matrix", lambda _: perturbed)
-            expected = _pairwise_degree_check(perturbed.F, degree_profile(code).degrees)
+            expected = _pairwise_degree_check(perturbed.R, degree_profile(code).degrees)
             assert verify_orderings(code).degree_characterization == expected
             verdicts.add(expected)
         assert verdicts == {True, False}
@@ -298,7 +300,7 @@ class TestOrderings:
             for n in (rng.randint(12, 40) for _ in range(20))
         ]
         draws = [rng.choice(small) for _ in range(800)] + [rng.choice(large) for _ in range(300)]
-        fields = ("A", "B", "A", "B", "mu", "alpha")
+        fields = ("row", "col", "row", "col", "mu", "alpha")
         failed = set()
         for code in draws:
             perturbed = _perturbed(resistance_matrix(code), rng, fields, rng.randint(1, 3))
@@ -353,17 +355,17 @@ def _perturbed(profile, rng, fields, changes=1):
     return dataclasses.replace(profile, **changed)
 
 
-def _pairwise_degree_check(F, d):
-    """Reference: the degree characterization compared over every triple (i, w, v)."""
+def _pairwise_degree_check(R, d):
+    """Reference: the degree characterization compared over every triple (i, w, v) of R = F / tau."""
     n = len(d)
     for i in range(n):
         for w in range(n):
             for v in range(n):
                 if len({i, w, v}) < 3:
                     continue
-                if d[w] <= d[v] and not F[i][w] >= F[i][v]:
+                if d[w] <= d[v] and not R[i][w] >= R[i][v]:
                     return False
-                if d[w] == d[v] and F[i][w] != F[i][v]:
+                if d[w] == d[v] and R[i][w] != R[i][v]:
                     return False
     return True
 
