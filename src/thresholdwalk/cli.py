@@ -2,6 +2,8 @@
 
 The CLI only parses arguments, dispatches to the library and renders the
 result as text, CSV or JSON; the verification suites live in ``verify``.
+Text and CSV are written row by row from strings the handler has formatted;
+only the mode asked for is ever joined.
 Success with --json prints exactly one envelope object {schema_version,
 command, input, payload, timing}; timing stays outside the payload so
 payloads are byte-identical across runs.  Exit codes: 0 success, 1 domain
@@ -13,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
@@ -44,10 +47,11 @@ SCHEMA_VERSION = "1"
 
 @dataclass
 class CommandOutput:
+    """A handler's result; text and csv_rows (header first) are iterated once, only in their mode."""
+
     payload: dict
-    text: list[str] = field(default_factory=list)
-    csv_header: list[str] | None = None
-    csv_rows: list[list] | None = None
+    text: Iterable[str] = ()
+    csv_rows: Iterable[list] | None = None
     exit_code: int = 0
 
 
@@ -140,10 +144,8 @@ def _cmd_resistance(args) -> CommandOutput:
         return CommandOutput(payload, [_frac_str(value)])
     R = resistance_matrix(code).R
     rows = _symmetric([[_frac_str(x) for x in row[j + 1 :]] for j, row in enumerate(R)], "0/1")
-    payload = {"n": code.n, "r": rows}
-    text = [" ".join(row) for row in rows]
     header = [f"v{p}" for p in range(1, code.n + 1)]
-    return CommandOutput(payload, text, csv_header=header, csv_rows=rows)
+    return CommandOutput({"n": code.n, "r": rows}, (" ".join(row) for row in rows), [header, *rows])
 
 
 def _cmd_forest(args) -> CommandOutput:
@@ -151,10 +153,9 @@ def _cmd_forest(args) -> CommandOutput:
     profile = resistance_matrix(code)
     rows = _symmetric([[_int_str(x) for x in row[j + 1 :]] for j, row in enumerate(profile.F)], "0")
     tau = _int_str(profile.tau)
-    payload = {"n": code.n, "tau": tau, "f": rows}
-    text = [",".join(row) for row in rows] + [f"tau,{tau}"]
+    lines = [*rows, ["tau", tau]]
     header = [f"v{p}" for p in range(1, code.n + 1)]
-    return CommandOutput(payload, text, csv_header=header, csv_rows=[*rows, ["tau", tau]])
+    return CommandOutput({"n": code.n, "tau": tau, "f": rows}, (",".join(row) for row in lines), [header, *lines])
 
 
 def _cmd_access(args) -> CommandOutput:
@@ -181,7 +182,8 @@ def _cmd_pineapple(args) -> CommandOutput:
     if args.r is not None:
         values = [(n, args.r, pineapple_kemeny(n, args.r))]
     elif args.sweep:
-        values = [(n, r, pineapple_kemeny(n, r)) for r in range(n - 1)]
+        # r = 0 is always swept, so pineapple_kemeny refuses every n < 3
+        values = [(n, r, pineapple_kemeny(n, r)) for r in range(max(n - 1, 1))]
     else:
         best = pineapple_argmax(n)
         payload = {
@@ -196,15 +198,11 @@ def _cmd_pineapple(args) -> CommandOutput:
             f"ties: {list(best.tied_rs)}  predicted window: {list(best.predicted_set)}",
         ]
         return CommandOutput(payload, text)
-    rows = [[str(n), str(r), str(k.numerator), str(k.denominator), repr(float(k))] for n, r, k in values]
-    payload = {
-        "rows": [
-            {"n": n, "r": r, "num": str(k.numerator), "den": str(k.denominator), "float": float(k)}
-            for n, r, k in values
-        ]
-    }
-    text = [",".join(row) for row in rows]
-    return CommandOutput(payload, text, csv_header=["n", "r", "num", "den", "float"], csv_rows=rows)
+    rows = [
+        {"n": n, "r": r, "num": str(k.numerator), "den": str(k.denominator), "float": float(k)} for n, r, k in values
+    ]
+    lines = [[str(v) for v in row.values()] for row in rows]  # str of a float is its repr
+    return CommandOutput({"rows": rows}, (",".join(line) for line in lines), [list(rows[0]), *lines])
 
 
 def _default_threads() -> int:
@@ -252,7 +250,7 @@ def _cmd_search(args) -> CommandOutput:
         f"codes={report.codes_examined}  seconds={report.seconds:.3f}",
     ]
     header = ["n", "argmax_code", "k_num", "k_den", "k_float", "is_pineapple", "r", "seconds"]
-    return CommandOutput(payload, text, csv_header=header, csv_rows=[row])
+    return CommandOutput(payload, text, [header, row])
 
 
 def _cmd_enumerate(args) -> CommandOutput:
@@ -261,7 +259,7 @@ def _cmd_enumerate(args) -> CommandOutput:
         raise OrderOutOfRange(f"enumerate supports n <= {MAX_ORDER}, got {args.n}")
     codes = [str(c) for c in enumerate_codes(args.n)]
     payload = {"n": args.n, "count": code_count(args.n), "codes": codes}
-    return CommandOutput(payload, codes, csv_header=["code"], csv_rows=[[c] for c in codes])
+    return CommandOutput(payload, codes, itertools.chain([["code"]], ([c] for c in codes)))
 
 
 def _cmd_verify(args) -> CommandOutput:
@@ -343,14 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_csv(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue().rstrip("\n")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -381,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             print(json.dumps(envelope))
         elif args.csv and output.csv_rows is not None:
-            print(_render_csv(output.csv_header, output.csv_rows))
+            csv.writer(sys.stdout, lineterminator="\n").writerows(output.csv_rows)
         else:
             for line in output.text:
                 print(line)

@@ -23,6 +23,7 @@ from .errors import (
     IllegalCharacter,
     IndexOutOfRange,
     LeadingOne,
+    OrderOutOfRange,
     OrderTooSmall,
     ParameterOutOfRange,
 )
@@ -61,7 +62,8 @@ class ConstructionCode:
         return "".join(str(b) for b in self.bits)
 
 
-_RUN_RE = re.compile(r"([01])(?:\^(\d+))?")
+_RUN_RE = re.compile(r"([01])(?:\^0*(\d+))?")
+MAX_CODE_LENGTH = 10**6  # symbols parse_code accepts in either notation: 100x the largest order tested
 
 
 def parse_code(text: str) -> ConstructionCode:
@@ -70,7 +72,8 @@ def parse_code(text: str) -> ConstructionCode:
     Plain form: ``"01100011"``.  Block form: whitespace-separated runs with
     optional caret exponents, e.g. ``"0 1^2 0^3 1^2"``; a bare ``0`` or ``1``
     means a run of length one.  Codes starting with 1 are rejected rather
-    than silently normalized.
+    than silently normalized.  Codes longer than MAX_CODE_LENGTH raise
+    OrderOutOfRange before any list is built.
     """
     if text is None:
         raise EmptyInput("no code text given")
@@ -85,6 +88,7 @@ def parse_code(text: str) -> ConstructionCode:
 
 
 def _parse_plain(text: str) -> list[int]:
+    _check_length(len(text))
     bits = []
     for ch in text:
         if ch not in "01":
@@ -94,17 +98,23 @@ def _parse_plain(text: str) -> list[int]:
 
 
 def _parse_blocks(text: str) -> list[int]:
-    bits = []
+    runs = []
     for token in text.split():
         match = _RUN_RE.fullmatch(token)
         if match is None:
             raise IllegalCharacter(f"malformed run {token!r}; expected 0, 1, 0^k or 1^k")
-        symbol = int(match.group(1))
-        count = int(match.group(2)) if match.group(2) else 1
+        digits = match.group(2) or "1"  # no leading zeros, so more digits is a longer run; int() never reads them
+        count = int(digits) if len(digits) <= len(str(MAX_CODE_LENGTH)) else MAX_CODE_LENGTH + 1
         if count < 1:
             raise IllegalCharacter(f"run exponent must be at least 1 in {token!r}")
-        bits.extend([symbol] * count)
-    return bits
+        runs.append((int(match.group(1)), count))
+    _check_length(sum(count for _, count in runs))
+    return list(itertools.chain.from_iterable([symbol] * count for symbol, count in runs))
+
+
+def _check_length(length: int) -> None:
+    if length > MAX_CODE_LENGTH:
+        raise OrderOutOfRange(f"a construction code has at most {MAX_CODE_LENGTH} symbols")
 
 
 def render(code: ConstructionCode) -> str:

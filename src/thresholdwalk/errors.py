@@ -27,7 +27,7 @@ class OrderTooSmall(ThresholdWalkError):
 
 
 class OrderOutOfRange(ThresholdWalkError):
-    """Search order outside the supported exhaustive range."""
+    """An order outside a supported range."""
 
 
 class ParameterOutOfRange(ThresholdWalkError):

@@ -164,9 +164,8 @@ class UpperBounds:
 def upper_bounds(code: ConstructionCode) -> UpperBounds:
     """Evaluate K < 2n - 3 and K < n - 1 + (3/2) sqrt(m) for a connected code, n >= 3.
 
-    The sparse comparison drops to exact rational arithmetic (squaring both
-    sides) whenever the floating margin is below 1e-6, so near-boundary
-    cases cannot produce false verdicts.
+    Both verdicts are exact: with K = p/q the sparse bound holds when
+    2(p - (n-1)q) is at most 0 or its square is below 9 m q^2.
     """
     if code.n < 3:
         raise OrderTooSmall(f"the bounds assume order >= 3, got {code.n}")
@@ -179,11 +178,9 @@ def _bounds_for(n: int, result: KemenyResult) -> UpperBounds:
     linear_bound = 2 * n - 3
     sparse_bound = n - 1 + 1.5 * math.sqrt(result.m)
     holds_linear = k_exact < linear_bound
-    if abs(result.value - sparse_bound) < 1e-6:
-        shifted = k_exact - (n - 1)
-        holds_sparse = shifted <= 0 or shifted * shifted < Fraction(9 * result.m, 4)
-    else:
-        holds_sparse = result.value < sparse_bound
+    p, q = k_exact.numerator, k_exact.denominator
+    a = 2 * (p - (n - 1) * q)
+    holds_sparse = a <= 0 or a * a < 9 * result.m * q * q
     return UpperBounds(linear_bound, sparse_bound, bool(holds_linear and holds_sparse))
 
 

@@ -1,6 +1,9 @@
 """CLI contract: envelopes, exit codes, CSV shapes, error surfaces."""
 
+import contextlib
+import csv
 import dataclasses
+import io
 import json
 import random
 from decimal import Decimal
@@ -35,6 +38,53 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     return code, json.loads(out), err
+
+
+def _vertices(payload):
+    return [f"v{p}" for p in range(1, payload["n"] + 1)]
+
+
+def _search_rows(p):
+    k, r = p["k"], "" if p["r"] is None else str(p["r"])
+    row = [str(p["n"]), p["argmax_code"], k["num"], k["den"], repr(k["float"]), str(p["is_pineapple"]).lower(), r]
+    return ["n", "argmax_code", "k_num", "k_den", "k_float", "is_pineapple", "r"], [row], None
+
+
+# per command: the CSV header and rows read from the JSON payload, and the text separator
+# (None: the text lines are not rows); search's CSV ends in a seconds column left out here
+_PAYLOAD_ROWS = {
+    "resistance": lambda p: (_vertices(p), p["r"], " "),
+    "forest": lambda p: (_vertices(p), [*p["f"], ["tau", p["tau"]]], ","),
+    "pineapple": lambda p: (
+        ["n", "r", "num", "den", "float"],
+        [[str(row["n"]), str(row["r"]), row["num"], row["den"], repr(row["float"])] for row in p["rows"]],
+        ",",
+    ),
+    "search": _search_rows,
+    "enumerate": lambda p: (["code"], [[c] for c in p["codes"]], ","),
+}
+
+
+def formats_agree(*argv):
+    """Assert that main(argv) prints the JSON payload's rows again as its CSV body and its text lines.
+
+    Output is captured with redirect_stdout, so this runs outside pytest too.  Returns the row count.
+    """
+    outputs = []
+    for style in ([], ["--csv"], ["--json"]):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert main([*argv, *style]) == 0, (argv, style)
+        outputs.append(buffer.getvalue())
+    text, csv_text, json_text = outputs
+    header, rows, separator = _PAYLOAD_ROWS[argv[0]](json.loads(json_text)["payload"])
+    csv_header, *csv_body = csv.reader(io.StringIO(csv_text))
+    if argv[0] == "search":
+        csv_header, csv_body = csv_header[:-1], [row[:-1] for row in csv_body]
+    assert (csv_header, csv_body) == (header, rows), argv
+    if separator is not None:
+        assert text.splitlines() == [separator.join(row) for row in rows], argv
+    return len(rows)
 
 
 class TestCompute:
@@ -210,6 +260,13 @@ class TestPineapple:
         _, envelope, _ = run_json(capsys, "pineapple", "--n", "21", "--r", "4")
         row = envelope["payload"]["rows"][0]
         assert row["num"] == "21" and row["den"] == "1"
+
+    @pytest.mark.parametrize("style", [[], ["--csv"], ["--json"]], ids=["text", "csv", "json"])
+    @pytest.mark.parametrize("n", ["2", "1", "0", "-5"])
+    def test_sweep_below_order_three_exits_one(self, capsys, n, style):
+        code, out, err = run(capsys, "pineapple", "--n", n, "--sweep", *style)
+        assert (code, out) == (1, "")
+        assert err == f"error: ParameterOutOfRange: pineapple family needs n >= 3, got {n}\n"
 
     def test_argmax_default(self, capsys):
         _, envelope, _ = run_json(capsys, "pineapple", "--n", "10")
@@ -501,3 +558,34 @@ class TestDispatch:
         code, out, err = run(capsys, "compute", "0102")
         assert code == 1
         assert "IllegalCharacter" in err
+
+    @pytest.mark.parametrize("text", ["0^99999999999999999999 1", "0^1000000 1"])
+    def test_code_longer_than_limit_exits_one(self, capsys, text):
+        code, out, err = run(capsys, "compute", text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: OrderOutOfRange: ") and "Traceback" not in err
+
+
+class TestFormats:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("resistance", "01"),
+            ("resistance", "0101"),
+            ("resistance", "0110100111"),
+            ("forest", "01"),
+            ("forest", "0101"),
+            ("forest", "0110100111"),
+            ("forest", "0" + "011" * 10 + "1"),
+            ("pineapple", "--n", "3", "--sweep"),
+            ("pineapple", "--n", "12", "--sweep"),
+            ("pineapple", "--n", "21", "--r", "4"),
+            ("search", "--n", "3", "--threads", "1"),
+            ("search", "--n", "8", "--threads", "1"),
+            ("enumerate", "--n", "2"),
+            ("enumerate", "--n", "9"),
+        ],
+        ids=" ".join,
+    )
+    def test_csv_and_text_carry_the_json_rows(self, argv):
+        assert formats_agree(*argv) >= 1

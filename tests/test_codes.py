@@ -21,11 +21,13 @@ from thresholdwalk import (
     render,
     render_blocks,
 )
+from thresholdwalk.codes import MAX_CODE_LENGTH
 from thresholdwalk.errors import (
     EmptyInput,
     IllegalCharacter,
     IndexOutOfRange,
     LeadingOne,
+    OrderOutOfRange,
     OrderTooSmall,
     ParameterOutOfRange,
 )
@@ -60,6 +62,24 @@ class TestParse:
     def test_illegal(self, text):
         with pytest.raises(IllegalCharacter):
             parse_code(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0^99999999999999999999 1", "0^1000000 1", "0^999999 1 1", "0" * MAX_CODE_LENGTH + "1", "0 1^" + "9" * 5000],
+        ids=["20-digit-exponent", "block-limit-plus-1", "blocks-sum-past-limit", "plain-limit-plus-1", "5000-digits"],
+    )
+    def test_longer_than_limit_refused(self, text):
+        # refused before any list is built; the 5000-digit exponent is never read by int()
+        with pytest.raises(OrderOutOfRange):
+            parse_code(text)
+
+    @pytest.mark.parametrize("text", ["0^999999 1", "0^000999999 1", "0" * (MAX_CODE_LENGTH - 1) + "1"])
+    def test_limit_length_parses(self, text):
+        code = parse_code(text)
+        assert code.n == MAX_CODE_LENGTH and code.bits[-2:] == (0, 1)
+
+    def test_zero_padded_exponent(self):
+        assert parse_code("0^00000000002 1").bits == (0, 0, 1)
 
     @pytest.mark.parametrize("text", ["10", "1", "1^3 0"])
     def test_leading_one_rejected(self, text):
