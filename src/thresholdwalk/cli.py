@@ -31,6 +31,7 @@ from .codes import code_count, degree_profile, enumerate_codes, parse_code
 from .errors import OrderOutOfRange, ThresholdWalkError
 from .kemeny import (
     _bounds_for,
+    _require_code_length,
     kemeny_degree_form,
     kemeny_from_code,
     kemeny_spectral_form,
@@ -182,6 +183,7 @@ def _cmd_pineapple(args) -> CommandOutput:
     if args.r is not None:
         values = [(n, args.r, pineapple_kemeny(n, args.r))]
     elif args.sweep:
+        _require_code_length(n)
         # r = 0 is always swept, so pineapple_kemeny refuses every n < 3
         values = [(n, r, pineapple_kemeny(n, r)) for r in range(max(n - 1, 1))]
     else:

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import ConstructionCode, degree_profile
-from .errors import Disconnected, OrderTooSmall, ParameterOutOfRange
+from .codes import MAX_CODE_LENGTH, ConstructionCode, degree_profile
+from .errors import Disconnected, OrderOutOfRange, OrderTooSmall, ParameterOutOfRange
 from .spectral import hessenberg_basis, laplacian_spectrum
 
 CODE_VECTOR = "code-vector"
@@ -217,10 +217,17 @@ class PineappleArgmax:
     predicted_set: tuple[int, int]
 
 
+def _require_code_length(n: int) -> None:
+    """A pineapple of order n is an n-symbol code, so its sweeps share parse_code's limit."""
+    if n > MAX_CODE_LENGTH:
+        raise OrderOutOfRange(f"a pineapple sweep needs n <= {MAX_CODE_LENGTH}, got {n}")
+
+
 def pineapple_argmax(n: int) -> PineappleArgmax:
     """Sweep r = 0..n-2 exactly; ties resolve to the smallest r but are all reported."""
     if n < 3:
         raise OrderTooSmall(f"pineapple family needs n >= 3, got {n}")
+    _require_code_length(n)
     best: Fraction | None = None
     ties: list[int] = []
     for r in range(n - 1):

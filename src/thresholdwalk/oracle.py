@@ -2,13 +2,15 @@
 
 Everything here works from the explicit graph structure, never from the
 construction code: numeric eigensolves, fundamental-matrix first-passage
-times, exact integer determinants, and an exact count of the spanning
-2-forests, made by merging vertex partitions edge by edge.  Slower than the
+times, and exact spanning-tree counts by Kirchhoff's matrix-tree theorem.
+The spanning 2-forests are counted from the same tree counts: a 2-forest is
+a spanning tree on each side of a vertex bipartition.  Slower than the
 closed forms by design; that independence is the point.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +27,7 @@ from .errors import (
     TooLarge,
 )
 
-FOREST_ORDER_CAP = 9
+FOREST_ORDER_CAP = 9  # 2^(n-1) bipartitions; an all-minors matrix-tree certificate is the route past it
 
 
 def is_connected(graph: AdjacencyStructure) -> bool:
@@ -178,21 +180,28 @@ def resistance_oracle(graph: AdjacencyStructure) -> np.ndarray:
 
 
 def spanning_tree_oracle(graph: AdjacencyStructure) -> int:
-    """Spanning-tree count as an exact determinant of the reduced Laplacian.
-
-    Deletes the last row and column and runs fraction-free (Bareiss)
-    elimination over Python integers, so the answer is exact at any size.
-    """
+    """Spanning-tree count as an exact determinant of the reduced Laplacian."""
     _require_connected(graph)
-    n = graph.n
-    if n == 1:
-        return 1
-    A = graph.adjacency_matrix()
-    deg = A.sum(axis=1)
-    reduced = [
-        [int(deg[i]) if i == j else -int(A[i, j]) for j in range(n - 1)]
-        for i in range(n - 1)
-    ]
+    return _tree_count(graph, range(1, graph.n + 1))
+
+
+def _tree_count(graph: AdjacencyStructure, vertices: Sequence[int]) -> int:
+    """Spanning trees of the subgraph induced on ``vertices`` (1-based, ascending).
+
+    Kirchhoff: the determinant of its Laplacian with the last vertex deleted,
+    built from the neighbour lists and taken by fraction-free (Bareiss)
+    elimination over Python integers, so it is exact at any size.  0 when the
+    subgraph is disconnected, 1 for a single vertex.
+    """
+    inside = set(vertices)
+    row_of = {v: k for k, v in enumerate(vertices[:-1])}
+    reduced = [[0] * len(row_of) for _ in row_of]
+    for v, k in row_of.items():
+        for u in graph.neighbors[v - 1]:
+            if u in inside:
+                reduced[k][k] += 1
+                if u in row_of:
+                    reduced[k][row_of[u]] -= 1
     return _bareiss_determinant(reduced)
 
 
@@ -231,38 +240,18 @@ def _forest_bipartitions(graph: AdjacencyStructure) -> tuple[np.ndarray, np.ndar
     """Vertex 1's component over all spanning 2-forests, as distinct bitmasks
     and the number of forests giving each.
 
-    A subset of n-2 edges is a spanning 2-forest exactly when it is acyclic.
-    The edges are taken in order, keeping for every vertex partition (a
-    sorted tuple of component bitmasks) the number of acyclic subsets of the
-    edges so far that produce it.  Each edge is skipped, or merges the two
-    components it joins while more than two remain; a partition is dropped
-    once the edges left are too few to bring it down to two components.
-    Every acyclic (n-2)-subset is counted once, from the edge list alone.
+    A spanning 2-forest is a spanning tree on each side of a vertex
+    bipartition (S, V-S), so the side S holding vertex 1 is reached by
+    tau(G[S]) * tau(G[V-S]) forests; every S with a nonzero count is kept.
     """
-    edges = graph.edges
-    states = {tuple(1 << v for v in range(graph.n)): 1}
-    for k, (a, b) in enumerate(edges):
-        left = len(edges) - 1 - k  # edges after this one
-        bit_a, bit_b = 1 << (a - 1), 1 << (b - 1)
-        nxt: dict[tuple[int, ...], int] = {}
-        for parts, count in states.items():
-            if len(parts) - 2 <= left:
-                nxt[parts] = nxt.get(parts, 0) + count
-            if len(parts) == 2:
-                continue
-            part_a = next(p for p in parts if p & bit_a)
-            if part_a & bit_b:
-                continue
-            part_b = next(p for p in parts if p & bit_b)
-            rest = [p for p in parts if p != part_a and p != part_b]
-            merged = tuple(sorted([*rest, part_a | part_b]))
-            nxt[merged] = nxt.get(merged, 0) + count
-        states = nxt
+    n = graph.n
     counts: dict[int, int] = {}
-    for parts, count in states.items():
-        if len(parts) == 2:
-            mask = parts[0] if parts[0] & 1 else parts[1]
-            counts[mask] = counts.get(mask, 0) + count
+    for mask in range(1, (1 << n) - 1, 2):
+        inside = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
+        outside = [v for v in range(1, n + 1) if not mask >> (v - 1) & 1]
+        count = _tree_count(graph, inside) * _tree_count(graph, outside)
+        if count:
+            counts[mask] = count
     return np.array(list(counts), dtype=np.uint32), np.array(list(counts.values()), dtype=np.int64)
 
 
@@ -294,7 +283,7 @@ def two_forest_refinement(graph: AdjacencyStructure, z: int, x: int, y: int) -> 
 
 
 def two_forest_matrix(graph: AdjacencyStructure) -> list[list[int]]:
-    """All pairwise separating-forest counts from one partition-merging pass."""
+    """All pairwise separating-forest counts from one pass over the bipartitions."""
     _forest_guard(graph)
     masks, weights = _forest_bipartitions(graph)
     n = graph.n

@@ -85,7 +85,7 @@ def test_criterion_05_resistance_forest_exactness():
     started = time.perf_counter()
     for code in connected_codes_upto(9):
         assert verify_code(code, ("resistance",))["resistance"]["pass"], str(code)
-    for code in connected_codes_upto(7):
+    for code in connected_codes_upto(9):
         assert verify_code(code, ("forest",))["forest"]["pass"], str(code)
     for code in [*connected_codes_upto(7), *seeded_codes(5, 5, 12, 120)]:
         profile = resistance_matrix(code)

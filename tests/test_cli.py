@@ -268,6 +268,18 @@ class TestPineapple:
         assert (code, out) == (1, "")
         assert err == f"error: ParameterOutOfRange: pineapple family needs n >= 3, got {n}\n"
 
+    @pytest.mark.parametrize("style", [[], ["--csv"], ["--json"]], ids=["text", "csv", "json"])
+    @pytest.mark.parametrize("mode", [[], ["--sweep"]], ids=["argmax", "sweep"])
+    def test_order_longer_than_a_code_exits_one(self, capsys, mode, style):
+        code, out, err = run(capsys, "pineapple", "--n", "1000001", *mode, *style)
+        assert (code, out) == (1, "")
+        assert err == "error: OrderOutOfRange: a pineapple sweep needs n <= 1000000, got 1000001\n"
+
+    def test_single_r_past_the_code_limit(self, capsys):
+        code, out, _ = run(capsys, "pineapple", "--n", "1000001", "--r", "1", "--csv")
+        assert code == 0
+        assert out.splitlines()[1].startswith("1000001,1,3000003499993,3000003,")
+
     def test_argmax_default(self, capsys):
         _, envelope, _ = run_json(capsys, "pineapple", "--n", "10")
         payload = envelope["payload"]

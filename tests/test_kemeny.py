@@ -24,7 +24,8 @@ from thresholdwalk import (
     pineapple_kemeny,
     upper_bounds,
 )
-from thresholdwalk.errors import Disconnected, OrderTooSmall, ParameterOutOfRange
+from thresholdwalk.codes import MAX_CODE_LENGTH
+from thresholdwalk.errors import Disconnected, OrderOutOfRange, OrderTooSmall, ParameterOutOfRange
 from thresholdwalk.kemeny import CODE_VECTOR, KemenyResult, _bounds_for
 
 connected_code_strategy = st.integers(min_value=2, max_value=11).flatmap(
@@ -303,3 +304,7 @@ class TestPineappleArgmax:
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmall):
             pineapple_argmax(2)
+
+    def test_order_longer_than_a_code(self):
+        with pytest.raises(OrderOutOfRange):
+            pineapple_argmax(MAX_CODE_LENGTH + 1)

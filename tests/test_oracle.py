@@ -206,7 +206,7 @@ class TestForestEnumeration:
 
 
 def enumerated_bipartitions(text):
-    """The subset walk the partition merge replaced, the reference for _forest_bipartitions:
+    """The combinatorial reference for _forest_bipartitions's tree-count products:
     every (n-2)-subset of the edges, kept when union-find meets no cycle, counted by
     vertex 1's component (each root holds its component's bitmask)."""
     graph = build_graph(parse_code(text))

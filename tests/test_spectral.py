@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import connected_codes, connected_codes_upto
+from conftest import connected_codes, connected_codes_upto, seeded_codes
 from thresholdwalk import (
     ConstructionCode,
     commuting_check,
@@ -160,8 +160,11 @@ class TestSpanningTrees:
             assert spanning_tree_count(code) == n ** (n - 2)
 
     def test_matches_determinant(self):
-        for code in connected_codes_upto(8):
-            assert spanning_tree_count(code) == spanning_tree_oracle(build_graph(code))
+        for code in [*connected_codes_upto(8), *seeded_codes(64, 20, 12, 64)]:
+            assert spanning_tree_count(code) == spanning_tree_oracle(build_graph(code)), str(code)
+
+    def test_oracle_on_one_vertex(self):
+        assert spanning_tree_oracle(build_graph(parse_code("0"))) == 1
 
     def test_every_principal_minor_agrees(self):
         from thresholdwalk.oracle import _bareiss_determinant
