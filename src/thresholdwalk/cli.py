@@ -214,6 +214,8 @@ def _default_threads() -> int:
             return max(1, int(env))
         except ValueError:
             raise argparse.ArgumentTypeError(f"THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))  # the cores this process may use, not the host's
     return os.cpu_count() or 1
 
 
@@ -327,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common], help="exhaustive Kemeny maximum at order n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None, help="defaults to THREADS or all cores")
+    p.add_argument("--threads", type=int, default=None, help="defaults to THREADS or the cores this process may use")
     p.add_argument("--checkpoint", default=None, help="progress file (defaults under CHECKPOINT_DIR)")
     p.set_defaults(handler=_cmd_search)
 

@@ -3,7 +3,7 @@
 The code space splits into contiguous index ranges whose size depends only
 on n and ``chunk_codes``.  Inside a range a numpy float screen evaluates the
 code-vector recurrence of ``kemeny_from_code`` for a block of codes at once,
-and only the codes within ``SCREEN_WINDOW`` of their block's float maximum
+and only the codes within ``SCREEN_WINDOW`` of their range's float maximum
 are evaluated exactly with ``kemeny_from_code``; every comparison that
 decides the result is between exact rationals.  Each range keeps its exact
 maximum with its ties in code order, and the reduction compares rationals
@@ -42,21 +42,29 @@ CHECKPOINT_INTERVAL = 1 << 16  # codes per checkpointed range
 CHECKPOINT_VERSION = 2  # version 1 was the header-less format with one line per tie
 LOW_BITS = 12  # index bits that vary inside one screened block
 SCREEN_BLOCK = 1 << LOW_BITS  # codes per float pass; keeps the screen's arrays small
-# Starting the worker processes costs 10-50 ms, about the time the screen
-# takes for 2^18 codes on one core, so each worker must get at least this many.
-POOL_MIN_CODES = 1 << 18
+# Starting two worker processes costs about 20 ms, the time the screen takes
+# for 2^20 codes on one core, so each worker must get at least this many: on
+# 2 cores two workers break even at n = 23 and win from n = 24 on.
+POOL_MIN_CODES = 1 << 20
 # For n <= MAX_ORDER every integer in the recurrence (s, 2m - s, their product,
-# i (i+1) lambda_i) is far below 2^53.  The screen sums the terms
-# x_i / lambda_i - c_i / lambda_i with x_i = s (2m - s) / (2m i (i+1)) as
-# 2m x_i / lambda_i over one running sum, divided by 2m at the end, and
-# c_i / lambda_i over another.  Each term takes at most four roundings and
-# each sum n - 1 more, so with u = 2^-53
-# |float - exact| <= (n + 6) u sum(|x_i| + 1), using lambda_i >= 1.  Since
-# 0 <= 2m - s and s >= -i (i-1), |x_i| <= n/2 when s < 0, and
-# |x_i| <= m / (2 i (i+1)) <= n (n-1) / (4 i (i+1)) otherwise, so the sum is
-# below (n-1)(1 + 3n/4) < n^2: the error is under 32 * 676 * 1.2e-16 < 3e-12
-# at n = 26.  An exact maximizer of a block therefore screens at most twice
-# that below the block's float maximum; the window keeps a margin of 100x.
+# i (i+1) lambda_i) is far below 2^53, so only roundings err.  In the names
+# of ``_low_tables`` and ``_screen``, the screen sums terms to
+# 2m (K - (n - 1)), divides by 2m and subtracts a second sum, of the
+# c_i / lambda_i <= 1.  A high position i gives (h - s_i) q_i / lambda_i and
+# T q_i / lambda_i, both of the sign of s_i since h - s_i >= 0, so their
+# moduli add up to |s_i| (2m - s_i) / (i (i+1) lambda_i) <= (1 + i (i-1) / 2m) 2m
+# <= (n/2) 2m, as |s_i| <= i (i-1), 2m - s_i <= 2m + i (i-1) and 2m >= 2 (n-1).
+# A low position p gives a_p S_p (T - S_p) and h a_p (T - S_p), with
+# T - S_p = 2m - s_p >= 0 and |S_p|, h <= p (p-1), so at most
+# 2 (1 + p (p-1) / 2m) 2m <= n 2m.  Each term meets at most n + 6 roundings:
+# at most seven in forming it, applying 1 / lambda and the last steps (the
+# factor T, the addition, the division, the subtraction), and at most n - 1
+# in the sums of the folded tables, the Python weights and the matrix
+# product.  So with u = 2^-53,
+# |float - exact| <= (n + 6) u (n - 1)(n + 1) < (n + 6) u n^2, under
+# 32 * 676 * 1.2e-16 < 3e-12 at n = 26.  An exact maximizer of a range
+# therefore screens at most 6e-12 below the range's float maximum, and below
+# its own block's; the window keeps a margin of over 150x.
 SCREEN_WINDOW = 1e-9
 
 
@@ -85,13 +93,17 @@ class SearchReport:
 
 @functools.lru_cache(maxsize=1)
 def _low_tables(n: int):
-    """Per-code terms of the low positions, which depend only on the low index bits.
+    """Per-order tables of the screen: the low positions folded, and the 1 / lambda rows.
 
-    For every low part L of an index (its last k = min(LOW_BITS, n - 2) bits,
-    at positions first .. n - 2, plus the final 1 at n - 1): the ones among
-    them, their share of 2m, per position s_p minus the high part's share and
-    1 / (p (p+1) lambda_p), the sum of c_p / lambda_p, and 1 / (ones + t) for
-    every t the high positions need.
+    A low part L of an index is its last k = min(LOW_BITS, n - 2) bits, at
+    positions first .. n - 2, plus the final 1 at n - 1.  With the high part's
+    share h of 2m, s_p at a low position p is S_p + h and 2m - s_p is T - S_p,
+    where S_p and T (the low share of 2m) depend on L alone.  So the low terms
+    of every code sum to A0 + h * A1, with A0 = sum a_p S_p (T - S_p),
+    A1 = sum a_p (T - S_p) and a_p = 1 / (p (p+1) lambda_p).  Returns k, first,
+    T and one table whose columns are the low parts: row t - 1 holds
+    1 / (ones + t) for every t the high positions need, then come A0, A1 and
+    the sum of c_p / lambda_p.
     """
     k = min(LOW_BITS, n - 2)
     first = n - 1 - k
@@ -101,78 +113,94 @@ def _low_tables(n: int):
     two_m = sum(2 * p * b for p, b in zip(range(first, n), bits))
     theta = sum(bits)  # ones at positions >= p
     s = np.zeros_like(low)
-    previous = np.zeros_like(low)  # the last high bit enters s per block
-    s_rows, a_rows = [], []
-    c_sum = np.zeros(1 << k)
+    previous = np.zeros_like(low)  # the last high bit enters s through h
+    a0, a1, c_sum = np.zeros(1 << k), np.zeros(1 << k), np.zeros(1 << k)
     for p, c in zip(range(first, n), bits):
         s = s + p * (p - 1) * (previous - c)
         lam = theta + p * c
-        s_rows.append(s.astype(float))
-        a_rows.append(1.0 / (p * (p + 1) * lam))
+        a = 1.0 / (p * (p + 1) * lam)
+        a0 += a * (s * (two_m - s))
+        a1 += a * (two_m - s)
         c_sum += c / lam
         theta, previous = theta - c, c
-    inv_ones = 1.0 / (ones + np.arange(1, 2 * first, dtype=float)[:, None])  # row t - 1: 1 / (ones + t)
-    return k, first, two_m.astype(float), s_rows, a_rows, c_sum, inv_ones
+    inv_ones = 1.0 / (ones + np.arange(1, 2 * first, dtype=float)[:, None])
+    return k, first, two_m.astype(float), np.vstack([inv_ones, a0, a1, c_sum])
 
 
 def _screen(n: int, start: int, stop: int) -> np.ndarray:
     """Float K - (n - 1) of the codes with index in [start, stop), all in one block.
 
     Evaluates the recurrence of kemeny_from_code.  The high positions
-    1 .. first - 1 take the block's common bits as scalars; the low positions
-    come from ``_low_tables``.
+    1 .. first - 1 take the block's common bits as scalars: position i adds
+    (T + h - s_i) q_i / lambda_i to 2m (K - (n - 1)), with q_i = s_i / (i (i+1)),
+    and c_i / lambda_i to the sum subtracted, where 1 / lambda_i is the row
+    theta_i + i c_i - 1 of the table of ``_low_tables``.  Three weight rows
+    over the table, summed per row in Python, give the terms without T, the
+    factor of T and the subtracted sum in one matrix product with the block's
+    columns.
     """
-    k, first, two_m_low, s_rows, a_rows, c_sum, inv_ones = _low_tables(n)
+    k, first, two_m_low, table = _low_tables(n)
     high = start >> k
     lo, hi = start - (high << k), stop - (high << k)
     bits = [0] + [(high >> (first - 1 - i)) & 1 for i in range(1, first)]
-    two_m = two_m_low[lo:hi] + sum(2 * i * c for i, c in enumerate(bits))
-    scaled = np.zeros(hi - lo)  # sum of 2m x_i / lambda_i
-    minus = c_sum[lo:hi].copy()  # sum of c_i / lambda_i
+    h = sum(2 * i * c for i, c in enumerate(bits))
+    rows = len(table) - 3
+    free = [0.0] * rows + [1, h, 0]  # A0 + h A1
+    t_factor = [0.0] * (rows + 3)
+    minus = [0] * (rows + 2) + [1]  # the low sum of c_p / lambda_p
     s = 0
-    theta = sum(bits) + 1  # ones at high positions >= i and the final 1; inv_ones adds the low ones
+    theta = sum(bits) + 1  # ones at high positions >= i and the final 1; the table adds the low ones
     for i in range(1, first):
         c = bits[i]
         s += i * (i - 1) * (bits[i - 1] - c)
-        inv_lam = inv_ones[theta + i * c - 1, lo:hi]
+        row = theta + i * c - 1
         theta -= c
-        if s:
-            scaled += (two_m - s) * (s / (i * (i + 1))) * inv_lam
-        if c:
-            minus += inv_lam
-    s += first * (first - 1) * bits[first - 1]
-    for s_row, a_row in zip(s_rows, a_rows):
-        s_low = s_row[lo:hi] + s
-        scaled += s_low * (two_m - s_low) * a_row[lo:hi]
-    return scaled / two_m - minus
+        q = s / (i * (i + 1))
+        free[row] += (h - s) * q
+        t_factor[row] += q
+        minus[row] += c
+    free, t_factor, minus = np.array([free, t_factor, minus], dtype=float) @ table[:, lo:hi]
+    t = two_m_low[lo:hi]
+    return (free + t * t_factor) / (t + h) - minus
 
 
 def _chunk_best(task: tuple[int, int, int]) -> tuple[int, int, tuple[str, ...]]:
     """Exact maximum over the index window [start, stop); ties kept in code order.
 
     The window is screened by ``_screen`` in blocks, the aligned runs of
-    SCREEN_BLOCK indices that share their high bits.  Every code of a block
-    whose float value lies within SCREEN_WINDOW of the block's float maximum
-    is confirmed with exact ``kemeny_from_code``; the derivation at
-    SCREEN_WINDOW shows no exact maximizer of the block lies outside it.
-    Confirmed values are reduced exactly: a larger value replaces the ties,
-    an equal one joins them.
+    SCREEN_BLOCK indices that share their high bits.  A block keeps the codes
+    within SCREEN_WINDOW of its float maximum, unless that maximum is already
+    more than SCREEN_WINDOW below the window's running float maximum.  Once
+    the window is screened, the kept codes within SCREEN_WINDOW of its float
+    maximum are confirmed with exact ``kemeny_from_code``; the derivation at
+    SCREEN_WINDOW shows no exact maximizer of the window lies outside it.
+    Confirmed values are reduced exactly in code order: a larger value
+    replaces the ties, an equal one joins them.
     """
     n, start, stop = task
-    best: Fraction | None = None
-    ties: list[str] = []
+    top = -math.inf  # float maximum of the blocks screened so far
+    kept: list[tuple[int, float]] = []  # (index, float value), in code order
     lo = start
     while lo < stop:
         hi = min((lo // SCREEN_BLOCK + 1) * SCREEN_BLOCK, stop)
         approx = _screen(n, lo, hi)
-        for offset in np.flatnonzero(approx >= approx.max() - SCREEN_WINDOW):
-            code = code_from_index(n, lo + int(offset))
-            value = kemeny_from_code(code).exact
-            if best is None or value > best:
-                best, ties = value, [str(code)]
-            elif value == best:
-                ties.append(str(code))
+        block_top = float(approx.max())
+        if block_top >= top - SCREEN_WINDOW:
+            top = max(top, block_top)
+            offsets = np.flatnonzero(approx >= block_top - SCREEN_WINDOW)
+            kept.extend(zip((lo + offsets).tolist(), approx[offsets].tolist()))
         lo = hi
+    best: Fraction | None = None
+    ties: list[str] = []
+    for index, approx_value in kept:
+        if approx_value < top - SCREEN_WINDOW:
+            continue
+        code = code_from_index(n, index)
+        value = kemeny_from_code(code).exact
+        if best is None or value > best:
+            best, ties = value, [str(code)]
+        elif value == best:
+            ties.append(str(code))
     return best.numerator, best.denominator, tuple(ties)
 
 

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -317,6 +318,26 @@ class TestSearch:
         code, envelope, _ = run_json(capsys, "search", "--n", "4")
         assert code == 0
         assert envelope["payload"]["argmax_code"] == "0101"
+
+    def test_default_threads_follow_cpu_affinity(self, capsys, monkeypatch):
+        # a process pinned to 2 of the host's 64 cores must not start 64 workers
+        search, asked = cli.max_kemeny_search, []
+
+        def recording_search(n, threads, checkpoint):
+            asked.append(threads)
+            return search(n, threads=1, checkpoint=checkpoint)
+
+        monkeypatch.setattr(cli, "max_kemeny_search", recording_search)
+        monkeypatch.delenv("THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert run(capsys, "search", "--n", "6", "--quiet")[0] == 0
+        monkeypatch.setenv("THREADS", "3")  # THREADS keeps precedence
+        assert run(capsys, "search", "--n", "6", "--quiet")[0] == 0
+        monkeypatch.delenv("THREADS")
+        monkeypatch.delattr(os, "sched_getaffinity")  # platforms without affinity
+        assert run(capsys, "search", "--n", "6", "--quiet")[0] == 0
+        assert asked == [2, 3, 64]
 
     def test_threads_env_not_integer_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("THREADS", "x")

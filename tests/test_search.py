@@ -10,6 +10,7 @@ from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +67,35 @@ class TestScreen:
             for start in starts:
                 task = (n, start, start + size)
                 assert search._chunk_best(task) == exact_chunk_best(task), task
+
+    @pytest.mark.parametrize("n", (13, 14))
+    def test_every_code_in_window_reduces_in_code_order(self, n, monkeypatch):
+        # a screen that cannot tell codes apart sends every code of the range
+        # to exact confirmation, across 8 or 16 blocks of 256
+        monkeypatch.setattr(search, "_screen", lambda n, lo, hi: np.zeros(hi - lo))
+        monkeypatch.setattr(search, "SCREEN_BLOCK", 256)
+        task = (n, 0, 1 << (n - 2))
+        assert search._chunk_best(task) == exact_chunk_best(task)
+
+    @pytest.mark.parametrize("n", (14, 15, 16))
+    def test_windows_straddling_blocks_equal_exact_reference(self, n):
+        block, total = search.SCREEN_BLOCK, 1 << (n - 2)
+        for start, stop in ((block - 3, block + 5), (5, 3 * block - 7)):
+            task = (n, start, min(stop, total))
+            assert search._chunk_best(task) == exact_chunk_best(task), task
+
+    def test_one_exact_confirmation_per_range(self, monkeypatch):
+        # n = 20 has 4 ranges with one float maximum each; confirming each
+        # block's maximum instead would make 64 exact calls
+        calls = []
+
+        def counting(code):
+            calls.append(code)
+            return kemeny_from_code(code)
+
+        monkeypatch.setattr(search, "kemeny_from_code", counting)
+        max_kemeny_search(20)
+        assert len(calls) == 4
 
     def test_float_error_far_inside_window(self):
         rng = random.Random(2026)
