@@ -3,14 +3,16 @@
 The resistance between two code positions has a closed form in the degrees
 and code bits that splits into a row term plus a column term, r_{j,v} =
 (row_j + col_v) / den for j < v, in integers over one common denominator.
-Everything here is decided from those two length-n vectors, in
-O(n log n) exact operations when every check passes:
+Everything here is decided from those two length-n vectors, in O(n)
+exact integer operations plus one sort of the degrees when every check
+passes:
 
 - the forest counts F = tau * R split the same way.  The first row term is
   0, so F is integral exactly when every paired tau * row_j / den and
   tau * col_v / den is an integer, and that is checked;
 - the moments mu, the degree-weighted sums of R, come from prefix sums of
-  the row and column terms; accessibility is moment minus Kemeny's constant;
+  the row and column terms as integer numerators mu_num over den;
+  accessibility is moment minus Kemeny's constant;
 - every ordering check compares den * R[i][p] = row[min] + col[max], a
   positive multiple of F[i][p], and F[i][p] against F[i][q] depends on i
   only through which of p and q it precedes, so a few probes decide all i
@@ -18,8 +20,9 @@ O(n log n) exact operations when every check passes:
   name them, and those rows are the witnesses: every check is decided and
   witnessed by the same link comparisons, with no second walk.
 
-The n x n matrices R and F are built only when a caller reads them.  All
-of it is exact, so the ordering checks are decided without tolerances.
+The n x n matrices R and F, and the Fraction tuples mu and alpha, are
+built only when a caller reads them.  All of it is exact, so the ordering
+checks are decided in integer comparisons, without tolerances.
 """
 
 from __future__ import annotations
@@ -43,11 +46,12 @@ class ResistanceProfile:
     With 0-based positions, r_{j,v} = (row[j] + col[v]) / den for j < v, in
     integers row, col and den.  Only row[0 .. n-2] and col[1 .. n-1] are
     ever paired; row[0] = col[0] = 0.  F[j][v] = tau * r_{j,v} is an integer
-    for every pair.  mu[v] = sum_j d_j r_{j,v}; alpha = mu - K, whose
-    stationary-weighted average is K.
+    for every pair.  mu[v] = sum_j d_j r_{j,v} = mu_num[v] / den; alpha =
+    mu - K, whose stationary-weighted average is K.
 
     R (Fractions, symmetric, zero diagonal) and F = tau * R (ints) are
-    tuples of row tuples, built from the core when first read and kept.
+    tuples of row tuples, and mu and alpha tuples of Fractions, each built
+    from the core when first read and kept.
     """
 
     n: int
@@ -55,9 +59,16 @@ class ResistanceProfile:
     row: tuple[int, ...]
     col: tuple[int, ...]
     tau: int
-    mu: tuple[Fraction, ...]
-    alpha: tuple[Fraction, ...]
+    mu_num: tuple[int, ...]
     kemeny: Fraction
+
+    @cached_property
+    def mu(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.mu_num)
+
+    @cached_property
+    def alpha(self) -> tuple[Fraction, ...]:
+        return tuple(value - self.kemeny for value in self.mu)
 
     @cached_property
     def R(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -111,7 +122,7 @@ def resistance_closed_form(code: ConstructionCode, j: int, v: int) -> Fraction:
 
 
 def resistance_matrix(code: ConstructionCode) -> ResistanceProfile:
-    """Exact profile: tau, moments, accessibility and Kemeny's constant, R and F on demand.
+    """Exact profile: tau, moment numerators and Kemeny's constant; R, F, mu and alpha on demand.
 
     Builds the O(n) row and column terms as integers over one denominator.
     Raises NonIntegralEntry, naming the first entry in row order, when some
@@ -150,26 +161,24 @@ def resistance_matrix(code: ConstructionCode) -> ResistanceProfile:
 
     kemeny = kemeny_from_code(code).exact
     # den * mu[v] = sum_{j<v} d_j (row_j + col_v) + sum_{j>v} d_j (row_v + col_j)
-    scaled = []
+    mu_num = []
     d_before, drow_before = 0, 0
     d_after, dcol_after = 2 * prof.m, sum(dj * x for dj, x in zip(d, col))
     for v in range(n):
         d_after -= d[v]
         dcol_after -= d[v] * col[v]
-        scaled.append(drow_before + d_before * col[v] + d_after * row[v] + dcol_after)
+        mu_num.append(drow_before + d_before * col[v] + d_after * row[v] + dcol_after)
         d_before += d[v]
         drow_before += d[v] * row[v]
-    mu = tuple(Fraction(x, den) for x in scaled)
-    alpha = tuple(value - kemeny for value in mu)
-    return ResistanceProfile(n, den, tuple(row), tuple(col), tau, mu, alpha, kemeny)
+    return ResistanceProfile(n, den, tuple(row), tuple(col), tau, tuple(mu_num), kemeny)
 
 
 @dataclass(frozen=True)
 class OrderingReport:
     """Pass/fail of every exact ordering check, with witnesses for failures.
 
-    All entries are decided in rational arithmetic; no tolerance is involved
-    anywhere.
+    All entries are decided in integer comparisons on the row, column and
+    moment numerators; no tolerance is involved anywhere.
     """
 
     case_i_equal: bool
@@ -360,21 +369,14 @@ def _verify_orderings(code: ConstructionCode, profile: ResistanceProfile) -> Ord
         f"degree characterization fails at i={i + 1}, w={w + 1}, v={v + 1}" for i, _, w, v in sorted(bad)
     ]
 
-    # block-level moment and accessibility ordering
-    mu = profile.mu
+    # block-level moment ordering, on mu_num = den * mu; alpha = mu - K is
+    # ordered as mu by construction
+    mu = profile.mu_num
     mu_zero = [mu[p] for p in zero_starts]
     mu_one = [mu[p] for p in one_starts]
     ok_blocks = all(mu_zero[b] > mu_zero[b - 1] for b in range(1, k))
     ok_blocks = ok_blocks and mu_zero[0] >= mu_one[0]
     ok_blocks = ok_blocks and all(mu_one[b - 1] > mu_one[b] for b in range(1, k))
-    # alpha orders the vertices exactly as mu does, ties included; both are
-    # total orders, so neighbours in mu order decide every pair
-    alpha = profile.alpha
-    by_mu = sorted(range(n), key=mu.__getitem__)
-    ok_blocks = ok_blocks and all(
-        (alpha[p] < alpha[q]) == (mu[p] < mu[q]) and (alpha[p] == alpha[q]) == (mu[p] == mu[q])
-        for p, q in zip(by_mu, by_mu[1:])
-    )
     if not ok_blocks:
         witnesses.append("block moment ordering fails")
     s1_eq = (mu_zero[0] == mu_one[0]) == (form.zero_runs[0] == 1)

@@ -42,10 +42,12 @@ CHECKPOINT_INTERVAL = 1 << 16  # codes per checkpointed range
 CHECKPOINT_VERSION = 2  # version 1 was the header-less format with one line per tie
 LOW_BITS = 12  # index bits that vary inside one screened block
 SCREEN_BLOCK = 1 << LOW_BITS  # codes per float pass; keeps the screen's arrays small
-# Starting two worker processes costs about 20 ms, the time the screen takes
-# for 2^20 codes on one core, so each worker must get at least this many: on
-# 2 cores two workers break even at n = 23 and win from n = 24 on.
-POOL_MIN_CODES = 1 << 20
+# Starting two worker processes costs about 20-30 ms, and each worker must
+# get at least this many codes to pay for it.  On 2 cores (medians of 5,
+# alternating) one process beat two workers at n = 23 (2^21 codes), n = 24
+# went either way from one session to the next, and two workers won from
+# n = 25 (2^23 codes, about 260 against 220 ms) on.
+POOL_MIN_CODES = 1 << 22
 # For n <= MAX_ORDER every integer in the recurrence (s, 2m - s, their product,
 # i (i+1) lambda_i) is far below 2^53, so only roundings err.  In the names
 # of ``_low_tables`` and ``_screen``, the screen sums terms to

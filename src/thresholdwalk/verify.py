@@ -118,11 +118,11 @@ def _suite_ordering(code: ConstructionCode, shared: _Shared) -> dict:
     profile = shared.profile
     report = _verify_orderings(code, profile)
     prof = degree_profile(code)
-    weighted = sum(
-        (Fraction(prof.degrees[v], 2 * prof.m) * profile.alpha[v] for v in range(code.n)),
-        Fraction(0),
-    )
-    identity = weighted == profile.kemeny
+    # sum_v (d_v / 2m) alpha_v = K with alpha_v = mu_num_v / den - K and
+    # sum_v d_v = 2m reads sum_v d_v mu_num_v = 4m den K
+    weighted = sum(d * x for d, x in zip(prof.degrees, profile.mu_num))
+    K = profile.kemeny
+    identity = weighted * K.denominator == 4 * prof.m * profile.den * K.numerator
     alpha_numeric = accessibility_oracle(shared.graph)
     deviation = max(
         abs(float(profile.alpha[v]) - float(alpha_numeric[v])) for v in range(code.n)

@@ -231,7 +231,9 @@ class TestResistanceAndForest:
 
 
 class TestAccess:
-    @pytest.mark.parametrize("command,built", [("access", set()), ("forest", {"F"}), ("resistance", {"R"})])
+    @pytest.mark.parametrize(
+        "command,built", [("access", {"mu", "alpha"}), ("forest", {"F"}), ("resistance", {"R"})]
+    )
     def test_matrices_built_only_when_read(self, capsys, monkeypatch, command, built):
         profiles = []
         monkeypatch.setattr(cli, "resistance_matrix", _recording(profiles))
@@ -417,10 +419,10 @@ class TestVerify:
     @pytest.mark.parametrize(
         "suite,built",
         [
-            ("all", {"F"}),
+            ("all", {"F", "mu", "alpha"}),
             ("resistance", set()),
             ("forest", {"F"}),
-            ("ordering", set()),
+            ("ordering", {"mu", "alpha"}),
             ("kemeny", None),
         ],
     )
@@ -437,7 +439,7 @@ class TestVerify:
         monkeypatch.setattr(verify, "resistance_matrix", _recording(profiles))
         code, _, _ = run_json(capsys, "verify", "0" + "01" * 31 + "1", "--suite", "all")
         assert code == 0
-        assert [_materialised(profile) for profile in profiles] == [set()]
+        assert [_materialised(profile) for profile in profiles] == [{"mu", "alpha"}]
 
     @pytest.mark.parametrize(
         "target", ["pinv_below_diagonal", "pinv_diagonal", "pinv_above_diagonal", "a_entry", "b_entry"]
@@ -501,7 +503,7 @@ def _counted(calls, name, original):
 def _nudged(profile, name, index, delta):
     """profile with the term name[index] / den moved by delta, all terms over den * delta.denominator."""
     scale = delta.denominator
-    terms = {key: [x * scale for x in getattr(profile, key)] for key in ("row", "col")}
+    terms = {key: [x * scale for x in getattr(profile, key)] for key in ("row", "col", "mu_num")}
     terms[name][index] += delta.numerator * profile.den
     return dataclasses.replace(profile, den=profile.den * scale, **{k: tuple(v) for k, v in terms.items()})
 
@@ -517,8 +519,8 @@ def _recording(profiles):
 
 
 def _materialised(profile):
-    """Which of the matrices R and F the profile has built (cached_property keeps them in vars)."""
-    return {name for name in ("R", "F") if name in vars(profile)}
+    """Which of R, F, mu and alpha the profile has built (cached_property keeps them in vars)."""
+    return {name for name in ("R", "F", "mu", "alpha") if name in vars(profile)}
 
 
 def _all_pairs_pseudoinverse_check(R, pinv):

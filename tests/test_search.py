@@ -60,9 +60,11 @@ class TestScreen:
         for size in (1, 2, 8, search.SCREEN_BLOCK, total):
             size = min(size, total)
             starts = range(0, total, size)
-            if size <= 2 and n > 12:
-                # each call costs ~0.4 ms of numpy overhead, so tiny ranges are sampled
-                # here; the error bound below covers every code of these orders
+            if size <= 2 and n > 14:
+                # a size-1 call costs ~57-69 us at n = 12..16 with its exact
+                # confirmation, and the reference more, so every tiny range is
+                # checked through n = 14 and sampled above; the error bound in
+                # search.py covers every code of these orders
                 starts = sorted(rng.sample(starts, 256))
             for start in starts:
                 task = (n, start, start + size)
