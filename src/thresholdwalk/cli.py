@@ -5,10 +5,12 @@ result as text, CSV or JSON; the verification suites live in ``verify``.
 Text and CSV are written row by row from strings the handler has formatted;
 only the mode asked for is ever joined.
 Success with --json prints exactly one envelope object {schema_version,
-command, input, payload, timing}; timing stays outside the payload so
-payloads are byte-identical across runs.  Exit codes: 0 success, 1 domain
-error or OSError (the class name goes to stderr), 2 usage error.  Rationals are
-serialized as decimal strings so arbitrary precision survives JSON.
+command, input, payload, timing}, byte for byte as json.dumps writes it,
+though the matrix rows of resistance and forest are written by join; timing
+stays outside the payload so payloads are byte-identical across runs.  Exit
+codes: 0 success, 1 domain error or OSError (the class name goes to stderr),
+2 usage error.  Rationals are serialized as decimal strings so arbitrary
+precision survives JSON.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -48,12 +51,17 @@ SCHEMA_VERSION = "1"
 
 @dataclass
 class CommandOutput:
-    """A handler's result; text and csv_rows (header first) are iterated once, only in their mode."""
+    """A handler's result; text and csv_rows (header first) are iterated once, only in their mode.
+
+    joined_rows names the payload's last key when it holds rows of strings of
+    digits and '/' only; --json writes those rows by join instead of json.dumps.
+    """
 
     payload: dict
     text: Iterable[str] = ()
     csv_rows: Iterable[list] | None = None
     exit_code: int = 0
+    joined_rows: str | None = None
 
 
 def _frac_obj(value: Fraction) -> dict:
@@ -62,6 +70,17 @@ def _frac_obj(value: Fraction) -> dict:
 
 def _frac_str(value: Fraction) -> str:
     return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+
+
+def _ratio_formatter(den: int) -> Callable[[int], str]:
+    """x -> _frac_str(Fraction(x, den)) in one gcd, each reduced denominator formatted once."""
+    tail = cache(lambda g: "/" + _int_str(den // g))
+
+    def ratio(x: int) -> str:
+        g = math.gcd(x, den)
+        return _int_str(x // g) + tail(g)
+
+    return ratio
 
 
 def _int_str(value: int) -> str:
@@ -143,29 +162,47 @@ def _cmd_resistance(args) -> CommandOutput:
         value = resistance_closed_form(code, j, v)
         payload = {"n": code.n, "pair": [j, v], "r": _frac_str(value)}
         return CommandOutput(payload, [_frac_str(value)])
-    R = resistance_matrix(code).R
-    rows = _symmetric([[_frac_str(x) for x in row[j + 1 :]] for j, row in enumerate(R)], "0/1")
+    profile = resistance_matrix(code)
+    ratio = _ratio_formatter(profile.den)
+    rows = _symmetric([list(map(ratio, upper)) for upper in profile.r_upper_rows()], "0/1")
     header = [f"v{p}" for p in range(1, code.n + 1)]
-    return CommandOutput({"n": code.n, "r": rows}, (" ".join(row) for row in rows), [header, *rows])
+    text = (" ".join(row) for row in rows)
+    return CommandOutput({"n": code.n, "r": rows}, text, [header, *rows], joined_rows="r")
 
 
 def _cmd_forest(args) -> CommandOutput:
     code = parse_code(args.code)
     profile = resistance_matrix(code)
-    rows = _symmetric([[_int_str(x) for x in row[j + 1 :]] for j, row in enumerate(profile.F)], "0")
+    rows = _symmetric([list(map(_int_str, upper)) for upper in profile.f_upper_rows()], "0")
     tau = _int_str(profile.tau)
     lines = [*rows, ["tau", tau]]
     header = [f"v{p}" for p in range(1, code.n + 1)]
-    return CommandOutput({"n": code.n, "tau": tau, "f": rows}, (",".join(row) for row in lines), [header, *lines])
+    text = (",".join(row) for row in lines)
+    return CommandOutput({"n": code.n, "tau": tau, "f": rows}, text, [header, *lines], joined_rows="f")
 
 
 def _cmd_access(args) -> CommandOutput:
     code = parse_code(args.code)
     profile = resistance_matrix(code)
     report = _verify_orderings(code, profile)
+    den, k_num, k_den = profile.den, profile.kemeny.numerator, profile.kemeny.denominator
+    den_str = cache(_int_str)  # the reduced denominators are few: each is formatted once
+    mu, alpha = [], []
+    for x in profile.mu_num:
+        # mu_v = p / q reduced in one gcd; alpha_v = mu_v - K reduced as Fraction
+        # subtraction does: t / (s K.den) can share with its denominator only
+        # factors of g = gcd(q, K.den), cheaper than one gcd over den * K.den
+        g = math.gcd(x, den)
+        p, q = x // g, den // g
+        mu.append(f"{_int_str(p)}/{den_str(q)}")
+        g = math.gcd(q, k_den)
+        s = q // g
+        t = p * (k_den // g) - k_num * s
+        h = math.gcd(t, g)
+        alpha.append(f"{_int_str(t // h)}/{den_str(s * (k_den // h))}")
     payload = {
-        "mu": [_frac_str(x) for x in profile.mu],
-        "alpha": [_frac_str(x) for x in profile.alpha],
+        "mu": mu,
+        "alpha": alpha,
         "degrees": list(degree_profile(code).degrees),
         "ordering_ok": report.all_pass,
     }
@@ -345,6 +382,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_envelope(envelope: dict, joined_rows: str | None) -> None:
+    """print(json.dumps(envelope)), with the rows of payload[joined_rows] written one by one by join.
+
+    Those rows hold only digits and '/', which JSON writes as they are.  They
+    are the payload's last key, so with them emptied the last '[]' of the
+    envelope's JSON is theirs: only timing follows.
+    """
+    if joined_rows is None:
+        print(json.dumps(envelope))
+        return
+    payload = envelope["payload"]
+    head, _, tail = json.dumps({**envelope, "payload": {**payload, joined_rows: []}}).rpartition("[]")
+    write = sys.stdout.write
+    write(head + "[")
+    separator = '["'
+    for row in payload[joined_rows]:
+        write(separator + '", "'.join(row) + '"]')
+        separator = ', ["'
+    write("]" + tail + "\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -373,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
                 "payload": output.payload,
                 "timing": {"seconds": elapsed},
             }
-            print(json.dumps(envelope))
+            _print_envelope(envelope, output.joined_rows)
         elif args.csv and output.csv_rows is not None:
             csv.writer(sys.stdout, lineterminator="\n").writerows(output.csv_rows)
         else:

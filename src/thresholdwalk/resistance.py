@@ -28,6 +28,7 @@ checks are decided in integer comparisons, without tolerances.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -51,7 +52,9 @@ class ResistanceProfile:
 
     R (Fractions, symmetric, zero diagonal) and F = tau * R (ints) are
     tuples of row tuples, and mu and alpha tuples of Fractions, each built
-    from the core when first read and kept.
+    from the core when first read and kept.  The integer terms they are
+    built from, the strict upper triangle rows of den * R and of F and the
+    accessibility numerators, can be read without building them.
     """
 
     n: int
@@ -72,15 +75,32 @@ class ResistanceProfile:
 
     @cached_property
     def R(self) -> tuple[tuple[Fraction, ...], ...]:
-        row, col, den, n = self.row, self.col, self.den, self.n
-        upper = [[Fraction(row[j] + col[v], den) for v in range(j + 1, n)] for j in range(n)]
-        return _symmetric(upper, Fraction(0))
+        den = self.den
+        return _symmetric([[Fraction(x, den) for x in upper] for upper in self.r_upper_rows()], Fraction(0))
 
     @cached_property
     def F(self) -> tuple[tuple[int, ...], ...]:
+        return _symmetric(list(self.f_upper_rows()), 0)
+
+    def alpha_terms(self) -> tuple[list[int], int]:
+        """alpha_v = mu_v - K as integer numerators over one denominator, den * K.den; not reduced.
+
+        Reducing them costs more than building alpha: read them to divide, not to format.
+        """
+        K = self.kemeny
+        shift = K.numerator * self.den
+        return [x * K.denominator - shift for x in self.mu_num], self.den * K.denominator
+
+    def r_upper_rows(self) -> Iterator[list[int]]:
+        """For each row j, den * R[j][v] = row[j] + col[v] for v > j, as a list of ints."""
+        row, col = self.row, self.col
+        return ([row[j] + x for x in col[j + 1 :]] for j in range(self.n))
+
+    def f_upper_rows(self) -> Iterator[list[int]]:
+        """For each row j, F[j][v] for v > j, as a list of ints."""
         # tau * x // den is exact for every paired term: resistance_matrix checked it
         A, B = ([self.tau * x // self.den for x in terms] for terms in (self.row, self.col))
-        return _symmetric([[A[j] + B[v] for v in range(j + 1, self.n)] for j in range(self.n)], 0)
+        return ([A[j] + x for x in B[j + 1 :]] for j in range(self.n))
 
 
 def _symmetric(upper: list[list], zero) -> tuple[tuple, ...]:

@@ -124,9 +124,9 @@ def _suite_ordering(code: ConstructionCode, shared: _Shared) -> dict:
     K = profile.kemeny
     identity = weighted * K.denominator == 4 * prof.m * profile.den * K.numerator
     alpha_numeric = accessibility_oracle(shared.graph)
-    deviation = max(
-        abs(float(profile.alpha[v]) - float(alpha_numeric[v])) for v in range(code.n)
-    )
+    # int / int rounds correctly, so each quotient is float(profile.alpha[v]) exactly
+    alpha_num, alpha_den = profile.alpha_terms()
+    deviation = max(abs(x / alpha_den - float(y)) for x, y in zip(alpha_num, alpha_numeric))
     ok = report.all_pass and identity and deviation < 1e-8
     return {
         "pass": bool(ok),

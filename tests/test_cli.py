@@ -220,8 +220,10 @@ class TestResistanceAndForest:
         monkeypatch.setattr(cli, "resistance_matrix", lambda _: profile)
         digits = str(Decimal(tau))
         assert len(digits) == 4399
-        code, envelope, _ = run_json(capsys, "forest", "01")
+        code, out, _ = run(capsys, "forest", "01", "--json")
         assert code == 0
+        assert json.dumps(json.loads(out)) + "\n" == out
+        envelope = json.loads(out)
         assert envelope["payload"]["tau"] == digits
         assert envelope["payload"]["f"] == [["0", digits], [digits, "0"]]
         for style in ([], ["--csv"]):
@@ -230,10 +232,33 @@ class TestResistanceAndForest:
             assert out.strip().splitlines()[-1] == f"tau,{digits}"
 
 
+    @pytest.mark.parametrize("command", ["resistance", "forest", "access"])
+    def test_json_is_what_json_dumps_writes(self, capsys, command):
+        # resistance and forest write their matrix rows by join, access its lists by json.dumps
+        rng = random.Random(300)
+        codes = [*connected_codes_upto(7), *seeded_codes(15, 4, 8, 120)]
+        codes.append(parse_code("0" + "".join(rng.choice("01") for _ in range(298)) + "1"))
+        for code in codes:
+            status, out, _ = run(capsys, command, str(code), "--json")
+            assert status == 0
+            assert json.dumps(json.loads(out)) + "\n" == out, str(code)
+
+    def test_entries_are_the_reduced_fractions(self, capsys):
+        # R and alpha are formatted from the integer terms, one gcd each, with no Fraction built
+        for code in connected_codes_upto(9):
+            profile = resistance_matrix(code)
+            row, col, den, n = profile.row, profile.col, profile.den, code.n
+            entry = [[Fraction(row[min(j, v)] + col[max(j, v)], den) for v in range(n)] for j in range(n)]
+            expected = [[cli._frac_str(entry[j][v] if j != v else Fraction(0)) for v in range(n)] for j in range(n)]
+            assert run_json(capsys, "resistance", str(code))[1]["payload"]["r"] == expected, str(code)
+            payload = run_json(capsys, "access", str(code))[1]["payload"]
+            assert payload["mu"] == [cli._frac_str(x) for x in profile.mu], str(code)
+            assert payload["alpha"] == [cli._frac_str(x) for x in profile.alpha], str(code)
+
+
 class TestAccess:
-    @pytest.mark.parametrize(
-        "command,built", [("access", {"mu", "alpha"}), ("forest", {"F"}), ("resistance", {"R"})]
-    )
+    # every command formats straight from the integer terms and builds none of R, F, mu and alpha
+    @pytest.mark.parametrize("command,built", [("access", set()), ("forest", set()), ("resistance", set())])
     def test_matrices_built_only_when_read(self, capsys, monkeypatch, command, built):
         profiles = []
         monkeypatch.setattr(cli, "resistance_matrix", _recording(profiles))
@@ -419,10 +444,10 @@ class TestVerify:
     @pytest.mark.parametrize(
         "suite,built",
         [
-            ("all", {"F", "mu", "alpha"}),
+            ("all", {"F"}),
             ("resistance", set()),
             ("forest", {"F"}),
-            ("ordering", {"mu", "alpha"}),
+            ("ordering", set()),
             ("kemeny", None),
         ],
     )
@@ -439,7 +464,7 @@ class TestVerify:
         monkeypatch.setattr(verify, "resistance_matrix", _recording(profiles))
         code, _, _ = run_json(capsys, "verify", "0" + "01" * 31 + "1", "--suite", "all")
         assert code == 0
-        assert [_materialised(profile) for profile in profiles] == [{"mu", "alpha"}]
+        assert [_materialised(profile) for profile in profiles] == [set()]
 
     @pytest.mark.parametrize(
         "target", ["pinv_below_diagonal", "pinv_diagonal", "pinv_above_diagonal", "a_entry", "b_entry"]

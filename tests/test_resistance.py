@@ -206,6 +206,15 @@ class TestMomentsAndAccessibility:
         assert len({profile.alpha[i] for i in (6, 7)}) == 1
         assert profile.alpha[3] > profile.alpha[0] > profile.alpha[6] > 0
 
+    def test_alpha_terms_divide_to_float_alpha(self):
+        # the ordering suite's deviation reads x / den from alpha_terms: int / int
+        # rounds correctly, so each quotient is float(alpha_v) of alpha = mu - K
+        for code in [*connected_codes_upto(8), *seeded_codes(16, 10, 9, 400)]:
+            profile = resistance_matrix(code)
+            numerators, den = profile.alpha_terms()
+            assert profile.alpha == tuple(value - profile.kemeny for value in profile.mu), str(code)
+            assert [x / den for x in numerators] == [float(value) for value in profile.alpha], str(code)
+
     def test_weighted_alpha_identity(self):
         for code in connected_codes_upto(8):
             profile = resistance_matrix(code)
