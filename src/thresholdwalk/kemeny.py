@@ -18,11 +18,14 @@ import numpy as np
 
 from .codes import MAX_CODE_LENGTH, ConstructionCode, degree_profile
 from .errors import Disconnected, OrderOutOfRange, OrderTooSmall, ParameterOutOfRange
-from .spectral import hessenberg_basis, laplacian_spectrum
+from .spectral import _positions, hessenberg_basis, laplacian_spectrum
 
 CODE_VECTOR = "code-vector"
 DEGREE_FORM = "degree-form"
 SPECTRAL_FORM = "spectral-form"
+# Largest order of kemeny_spectral_form and verify_code: their n x n arrays peaked at 287 MB
+# and 816 MB RSS at n = 4096 (the star, 2-core VM, Python 3.11.7), growing as n^2.
+_DENSE_ORDER_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,11 @@ def _require_walk(code: ConstructionCode, min_n: int = 2) -> None:
         raise Disconnected("Kemeny's constant is undefined for a disconnected code")
 
 
+def _require_dense_order(n: int) -> None:
+    if n > _DENSE_ORDER_CAP:
+        raise OrderOutOfRange(f"the dense float routes support order n <= {_DENSE_ORDER_CAP}, got {n}")
+
+
 def _exact_sum(terms: list[tuple[int, int]], scale: int) -> Fraction:
     """Exact sum of p / (q scale) over pairs (p, q), q, scale > 0: runs of 32 terms over one
     running denominator, then the run sums pairwise in a balanced tree of reduced Fractions."""
@@ -88,28 +96,19 @@ def _exact_sum(terms: list[tuple[int, int]], scale: int) -> Fraction:
 def kemeny_from_code(code: ConstructionCode) -> KemenyResult:
     """Kemeny's constant straight from the code, in exact integer arithmetic.
 
-    The dot products w_i . c and z_i . c follow first-order recurrences, so
-    one pass over the code gives one integer term per position (scaled by
-    2m); the terms are summed exactly by block folding and a balanced tree.
+    With s_i and lambda_i of ``spectral._positions``, one pass gives the integer terms of
+    K = n - 1 + sum_{i=1}^{n-1} [s_i (2m - s_i) - 2m i (i+1) c_i] / (2m i (i+1) lambda_i),
+    scaled by 2m, and sums them exactly by block folding and a balanced tree.
     """
     _require_walk(code)
-    bits = code.bits
-    n = code.n
+    n, bits = code.n, code.bits
     # each dominating vertex at 1-based position j contributes j-1 edges
     m = sum(j for j in range(n) if bits[j])
     two_m = 2 * m
-    theta = [0] * n
-    for i in range(n - 2, -1, -1):
-        theta[i] = theta[i + 1] + bits[i + 1]
     terms = [((n - 1) * two_m, 1)]
-    s = 0  # running w_i . c
-    for i in range(1, n):
-        c_next = bits[i]
-        lam = theta[i - 1] + i * c_next  # z_i . c
-        s += i * (i - 1) * (bits[i - 1] - c_next)
-        # term i times 2m, so 2m divides the sum once: (s (2m - s) / (i (i+1)) - 2m c_{i+1}) / lam
+    for i, c, s, lam in _positions(bits[1:]):
         t = i * (i + 1)
-        p = s * (two_m - s) - two_m * t * c_next
+        p = s * (two_m - s) - two_m * t * c
         if p:
             terms.append((p, t * lam))
     exact = _exact_sum(terms, two_m)
@@ -140,9 +139,10 @@ def kemeny_spectral_form(code: ConstructionCode) -> KemenyResult:
 
     Per basis column u of a nonzero eigenvalue, sum_{a<b} d_a d_b (u_a - u_b)^2
     = (sum d)(d . u^2) - (d . u)^2, so all columns together cost O(n^2).
-    Agrees with the exact routes to ~1e-12 at desk scale.
+    Agrees with the exact routes to ~1e-12 at desk scale; OrderOutOfRange past _DENSE_ORDER_CAP.
     """
     _require_walk(code)
+    _require_dense_order(code.n)
     n = code.n
     prof = degree_profile(code)
     d = np.array(prof.degrees, dtype=float)

@@ -32,12 +32,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from operator import eq, ge, le, lt
 
 from .codes import ConstructionCode, blocks, degree_profile
 from .errors import Disconnected, IndexOutOfRange, NonIntegralEntry, OrderTooSmall
 from .kemeny import kemeny_from_code
-from .spectral import spanning_tree_count
+from .spectral import laplacian_spectrum, spanning_tree_count
 
 
 @dataclass(frozen=True)
@@ -152,18 +153,17 @@ def resistance_matrix(code: ConstructionCode) -> ResistanceProfile:
     n = code.n
     prof = degree_profile(code)
     d = prof.degrees
-    dc = [d[p] + code.bits[p] for p in range(n)]
     # 0-based, R[j][v] = a[j] + b[v] for j < v, with a[0] = b[0] = 0, and
-    #   a[p] = p / (dc_p (p+1)) - prefix_p,  b[v] = (v+1) / (dc_v v) + prefix_{v-1},
-    #   prefix_i = sum_{t=1..i} 1 / (dc_t t (t+1)).
+    #   a[p] = p / (lambda_p (p+1)) - prefix_p,  b[v] = (v+1) / (lambda_v v) + prefix_{v-1},
+    #   prefix_i = sum_{t=1..i} 1 / (lambda_t t (t+1)), lambda_t = d_t + c_t = lam[t - 1].
     # Every term is a whole multiple of 1 / den, so a and b are worked out as
     # the integer numerators row, col over den.
-    den = math.lcm(*(dc[t] * t * (t + 1) for t in range(1, n)))
-    prefix = [0] * n
-    for t in range(1, n):
-        prefix[t] = prefix[t - 1] + den // (dc[t] * t * (t + 1))
-    row = [p * den // (dc[p] * (p + 1)) - prefix[p] for p in range(n)]
-    col = [0] + [(v + 1) * den // (dc[v] * v) + prefix[v - 1] for v in range(1, n)]
+    lam = laplacian_spectrum(code).eigenvalues
+    weights = [lam[t - 1] * t * (t + 1) for t in range(1, n)]
+    den = math.lcm(*weights)
+    prefix = list(accumulate((den // w for w in weights), initial=0))
+    row = [0] + [p * den // (lam[p - 1] * (p + 1)) - prefix[p] for p in range(1, n)]
+    col = [0] + [(v + 1) * den // (lam[v - 1] * v) + prefix[v - 1] for v in range(1, n)]
 
     tau = spanning_tree_count(code)
     # F[0][v] = tau col[v] / den since row[0] = 0, and F[j][v] = (tau row[j] +

@@ -1,14 +1,14 @@
 """Exhaustive extremal search for Kemeny's constant over all connected codes of one order.
 
 The code space splits into contiguous index ranges whose size depends only
-on n and ``chunk_codes``.  Inside a range a numpy float screen evaluates the
-code-vector recurrence of ``kemeny_from_code`` for a block of codes at once,
-and only the codes within ``SCREEN_WINDOW`` of their range's float maximum
-are evaluated exactly with ``kemeny_from_code``; every comparison that
-decides the result is between exact rationals.  Each range keeps its exact
-maximum with its ties in code order, and the reduction compares rationals
-exactly, then range order, so the result is bitwise reproducible for any
-worker count.
+on n and ``chunk_codes``.  Inside a range a numpy float screen sums the
+terms of ``kemeny_from_code`` along ``spectral._positions`` for a block of
+codes at once, and only the codes within ``SCREEN_WINDOW`` of their range's
+float maximum are evaluated exactly with ``kemeny_from_code``; every
+comparison that decides the result is between exact rationals.  Each range
+keeps its exact maximum with its ties in code order, and the reduction
+compares rationals exactly, then range order, so the result is bitwise
+reproducible for any worker count.
 
 Progress is checkpointed in a text file: a header line
 ``thresholdwalk-search <format version> <n> <range size>``, then one line
@@ -35,6 +35,7 @@ import numpy as np
 from .codes import ConstructionCode, code_count, code_from_index, pineapple_r
 from .errors import CheckpointMismatch, OrderOutOfRange, ParameterOutOfRange, WorkerFailure
 from .kemeny import kemeny_from_code
+from .spectral import _positions
 
 MIN_ORDER = 3
 MAX_ORDER = 26
@@ -48,11 +49,12 @@ SCREEN_BLOCK = 1 << LOW_BITS  # codes per float pass; keeps the screen's arrays 
 # went either way from one session to the next, and two workers won from
 # n = 25 (2^23 codes, about 260 against 220 ms) on.
 POOL_MIN_CODES = 1 << 22
-# For n <= MAX_ORDER every integer in the recurrence (s, 2m - s, their product,
-# i (i+1) lambda_i) is far below 2^53, so only roundings err.  In the names
-# of ``_low_tables`` and ``_screen``, the screen sums terms to
-# 2m (K - (n - 1)), divides by 2m and subtracts a second sum, of the
-# c_i / lambda_i <= 1.  A high position i gives (h - s_i) q_i / lambda_i and
+# With s_i and lambda_i from ``spectral._positions`` and the term of
+# ``kemeny_from_code``'s docstring, for n <= MAX_ORDER every integer of a term
+# (s, 2m - s, their product, i (i+1) lambda_i) is far below 2^53, so only
+# roundings err.  In the names of ``_low_tables`` and ``_screen``, the screen
+# sums terms to 2m (K - (n - 1)), divides by 2m and subtracts a second sum, of
+# the c_i / lambda_i <= 1.  A high position i gives (h - s_i) q_i / lambda_i and
 # T q_i / lambda_i, both of the sign of s_i since h - s_i >= 0, so their
 # moduli add up to |s_i| (2m - s_i) / (i (i+1) lambda_i) <= (1 + i (i-1) / 2m) 2m
 # <= (n/2) 2m, as |s_i| <= i (i-1), 2m - s_i <= 2m + i (i-1) and 2m >= 2 (n-1).
@@ -97,15 +99,14 @@ class SearchReport:
 def _low_tables(n: int):
     """Per-order tables of the screen: the low positions folded, and the 1 / lambda rows.
 
-    A low part L of an index is its last k = min(LOW_BITS, n - 2) bits, at
-    positions first .. n - 2, plus the final 1 at n - 1.  With the high part's
-    share h of 2m, s_p at a low position p is S_p + h and 2m - s_p is T - S_p,
-    where S_p and T (the low share of 2m) depend on L alone.  So the low terms
-    of every code sum to A0 + h * A1, with A0 = sum a_p S_p (T - S_p),
-    A1 = sum a_p (T - S_p) and a_p = 1 / (p (p+1) lambda_p).  Returns k, first,
-    T and one table whose columns are the low parts: row t - 1 holds
-    1 / (ones + t) for every t the high positions need, then come A0, A1 and
-    the sum of c_p / lambda_p.
+    A low part L of an index is its last k = min(LOW_BITS, n - 2) bits, at positions
+    first .. n - 2, plus the final 1 at n - 1.  ``_positions`` from first gives lambda_p
+    and S_p = s_p - h, h the high part's share of 2m; with T the low share, 2m - s_p is
+    T - S_p, all of L alone.  So the low terms of ``kemeny_from_code`` sum to A0 + h A1,
+    A0 = sum a_p S_p (T - S_p), A1 = sum a_p (T - S_p), a_p = 1 / (p (p+1) lambda_p).
+    Returns k, first, T and one table with a column per low part: rows 1 / (ones + t) for
+    t = 1 .. first + 1, all the high positions need (see ``_screen``), then A0, A1 and the
+    sum of c_p / lambda_p.
     """
     k = min(LOW_BITS, n - 2)
     first = n - 1 - k
@@ -113,54 +114,41 @@ def _low_tables(n: int):
     bits = [(low >> (n - 2 - p)) & 1 for p in range(first, n - 1)] + [np.ones_like(low)]
     ones = sum(bits[:-1])
     two_m = sum(2 * p * b for p, b in zip(range(first, n), bits))
-    theta = sum(bits)  # ones at positions >= p
-    s = np.zeros_like(low)
-    previous = np.zeros_like(low)  # the last high bit enters s through h
     a0, a1, c_sum = np.zeros(1 << k), np.zeros(1 << k), np.zeros(1 << k)
-    for p, c in zip(range(first, n), bits):
-        s = s + p * (p - 1) * (previous - c)
-        lam = theta + p * c
+    for p, c, s, lam in _positions(bits, first):
         a = 1.0 / (p * (p + 1) * lam)
         a0 += a * (s * (two_m - s))
         a1 += a * (two_m - s)
         c_sum += c / lam
-        theta, previous = theta - c, c
-    inv_ones = 1.0 / (ones + np.arange(1, 2 * first, dtype=float)[:, None])
+    inv_ones = 1.0 / (ones + np.arange(1, first + 2, dtype=float)[:, None])
     return k, first, two_m.astype(float), np.vstack([inv_ones, a0, a1, c_sum])
 
 
 def _screen(n: int, start: int, stop: int) -> np.ndarray:
     """Float K - (n - 1) of the codes with index in [start, stop), all in one block.
 
-    Evaluates the recurrence of kemeny_from_code.  The high positions
-    1 .. first - 1 take the block's common bits as scalars: position i adds
-    (T + h - s_i) q_i / lambda_i to 2m (K - (n - 1)), with q_i = s_i / (i (i+1)),
-    and c_i / lambda_i to the sum subtracted, where 1 / lambda_i is the row
-    theta_i + i c_i - 1 of the table of ``_low_tables``.  Three weight rows
-    over the table, summed per row in Python, give the terms without T, the
-    factor of T and the subtracted sum in one matrix product with the block's
-    columns.
+    Evaluates the term of ``kemeny_from_code``.  The high positions 1 .. first - 1 take the
+    block's common bits as scalars, walked by ``_positions`` with the final 1 as the one later
+    bit: lambda_i lacks only the low ones, so 1 / lambda_i is row lambda_i - 1 <= first of
+    the table (at most first - i high ones, the final 1 and i c_i).  Position i adds
+    (T + h - s_i) q_i / lambda_i to 2m (K - (n - 1)), q_i = s_i / (i (i+1)), and
+    c_i / lambda_i to the sum subtracted.  Three weight rows over the table, summed per row
+    in Python, give the terms without T, the factor of T and the subtracted sum in one
+    matrix product with the block's columns.
     """
     k, first, two_m_low, table = _low_tables(n)
     high = start >> k
     lo, hi = start - (high << k), stop - (high << k)
-    bits = [0] + [(high >> (first - 1 - i)) & 1 for i in range(1, first)]
-    h = sum(2 * i * c for i, c in enumerate(bits))
-    rows = len(table) - 3
-    free = [0.0] * rows + [1, h, 0]  # A0 + h A1
-    t_factor = [0.0] * (rows + 3)
-    minus = [0] * (rows + 2) + [1]  # the low sum of c_p / lambda_p
-    s = 0
-    theta = sum(bits) + 1  # ones at high positions >= i and the final 1; the table adds the low ones
-    for i in range(1, first):
-        c = bits[i]
-        s += i * (i - 1) * (bits[i - 1] - c)
-        row = theta + i * c - 1
-        theta -= c
+    bits = [(high >> (first - 1 - i)) & 1 for i in range(1, first)]
+    h = sum(2 * i * c for i, c in enumerate(bits, 1))
+    free = [0.0] * (first + 1) + [1, h, 0]  # A0 + h A1
+    t_factor = [0.0] * len(free)
+    minus = [0] * (len(free) - 1) + [1]  # the low sum of c_p / lambda_p
+    for i, c, s, lam in _positions(bits, later=1):
         q = s / (i * (i + 1))
-        free[row] += (h - s) * q
-        t_factor[row] += q
-        minus[row] += c
+        free[lam - 1] += (h - s) * q
+        t_factor[lam - 1] += q
+        minus[lam - 1] += c
     free, t_factor, minus = np.array([free, t_factor, minus], dtype=float) @ table[:, lo:hi]
     t = two_m_low[lo:hi]
     return (free + t * t_factor) / (t + h) - minus

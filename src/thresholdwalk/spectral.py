@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import ConstructionCode, degree_profile
+from .codes import ConstructionCode
 from .errors import Disconnected, IndexOutOfRange, LengthMismatch, OrderTooSmall
 
 
@@ -101,13 +101,26 @@ def laplacian_matrix(code: ConstructionCode) -> np.ndarray:
     return np.diag(A.sum(axis=1)) - A
 
 
+def _positions(bits, first: int = 1, later: int = 0):
+    """The code-vector recurrence: (i, c_i, s_i, lambda_i) for i = first, first + 1, ...
+
+    Positions are 0-based: c_i is code.bits[i], position i >= 1 is basis column i, bits[k] is
+    c_{first+k} and ``later`` counts the ones after the bits.  s_i = w_i . c runs as
+    s_{i-1} + i (i-1) (c_{i-1} - c_i), positions before first taken as zeros, and the eigenvalue
+    lambda_i = z_i . c = (ones at positions >= i) + i c_i.  Bits are ints or numpy int arrays.
+    """
+    s, previous, ones = 0, 0, sum(bits) + later
+    for i, c in enumerate(bits, first):
+        s = s + i * (i - 1) * (previous - c)
+        yield i, c, s, ones + i * c
+        ones, previous = ones - c, c
+
+
 def laplacian_spectrum(code: ConstructionCode) -> LaplacianSpectrum:
-    """Eigenvalues lambda_i = theta_i + i c_{i+1} in basis-column order, lambda_n = 0."""
+    """Eigenvalues lambda_i of ``_positions`` in basis-column order, lambda_n = 0."""
     if code.n < 2:
         raise OrderTooSmall("spectra are reported for order >= 2")
-    prof = degree_profile(code)
-    lam = tuple(prof.theta[i - 1] + i * code.bits[i] for i in range(1, code.n))
-    return LaplacianSpectrum(lam + (0,))
+    return LaplacianSpectrum(tuple(lam for _, _, _, lam in _positions(code.bits[1:])) + (0,))
 
 
 def diagonalization_residual(code: ConstructionCode) -> float:
@@ -140,10 +153,7 @@ def spanning_tree_count(code: ConstructionCode) -> int:
         raise OrderTooSmall("spanning-tree counts are reported for order >= 2")
     if not code.is_connected:
         raise Disconnected("a disconnected graph has no spanning tree")
-    product = 1
-    for lam in laplacian_spectrum(code).eigenvalues[:-1]:
-        product *= lam
-    tau, remainder = divmod(product, code.n)
+    tau, remainder = divmod(math.prod(laplacian_spectrum(code).eigenvalues[:-1]), code.n)
     if remainder:
         raise ArithmeticError("eigenvalue product not divisible by n; spectrum inconsistent")
     return tau

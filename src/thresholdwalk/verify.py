@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .codes import AdjacencyStructure, ConstructionCode, build_graph, degree_profile
-from .kemeny import kemeny_degree_form, kemeny_from_code, kemeny_spectral_form
+from .kemeny import _require_dense_order, kemeny_degree_form, kemeny_from_code, kemeny_spectral_form
 from .oracle import (
     FOREST_ORDER_CAP,
     accessibility_oracle,
@@ -91,8 +91,8 @@ def _suite_resistance(code: ConstructionCode, shared: _Shared) -> dict:
     exact_equal = shaped and len(values) == 1
     # int / int rounds correctly, so each value is float(R[i][j]) exactly
     upper = np.zeros((n, n))
-    for i in range(n - 1):
-        upper[i, i + 1 :] = [(row[i] + col[j]) / den for j in range(i + 1, n)]
+    for i, terms in enumerate(profile.r_upper_rows()):
+        upper[i, i + 1 :] = [x / den for x in terms]
     deviation = float(np.abs(upper + upper.T - shared.numeric_r).max())
     ok = exact_equal and deviation < 1e-8
     return {"pass": bool(ok), "pseudoinverse_equal": exact_equal, "max_deviation": deviation}
@@ -151,7 +151,8 @@ def verify_code(code: ConstructionCode, suites: tuple[str, ...] = SUITES) -> dic
 
     Returns {suite name: result dict}; every result has a boolean ``pass``
     and a ``max_deviation`` (None where the suite compares only exactly).
-    Domain errors of the routes and oracles propagate unchanged.
+    Past the dense order cap of ``kemeny`` OrderOutOfRange comes first; other domain errors propagate.
     """
+    _require_dense_order(code.n)
     shared = _Shared(code)
     return {name: _RUNNERS[name](code, shared) for name in suites}

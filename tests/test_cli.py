@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -618,6 +619,20 @@ class TestDispatch:
         code, out, err = run(capsys, "compute", "0102")
         assert code == 1
         assert "IllegalCharacter" in err
+
+    @pytest.mark.parametrize("n", [kemeny._DENSE_ORDER_CAP + 1, 10**5])
+    @pytest.mark.parametrize(
+        "argv",
+        [("compute",), ("compute", "--method", "spectral"), ("verify",), ("verify", "--suite", "kemeny")],
+        ids=" ".join,
+    )
+    def test_order_past_the_dense_cap_exits_one(self, capsys, argv, n):
+        # the dense float routes name the order before any n x n array is built
+        started = time.perf_counter()
+        code, out, err = run(capsys, argv[0], f"0^{n - 1} 1", *argv[1:])
+        assert time.perf_counter() - started < 0.5
+        assert (code, out) == (1, "")
+        assert err.startswith("error: OrderOutOfRange: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["0^99999999999999999999 1", "0^1000000 1"])
     def test_code_longer_than_limit_exits_one(self, capsys, text):

@@ -14,6 +14,7 @@ from thresholdwalk import (
     code_vectors,
     degree_profile,
     hessenberg_basis,
+    kemeny,
     kemeny_degree_form,
     kemeny_from_code,
     kemeny_spectral_form,
@@ -23,6 +24,7 @@ from thresholdwalk import (
     pineapple_code,
     pineapple_kemeny,
     upper_bounds,
+    verify_code,
 )
 from thresholdwalk.codes import MAX_CODE_LENGTH
 from thresholdwalk.errors import Disconnected, OrderOutOfRange, OrderTooSmall, ParameterOutOfRange
@@ -134,6 +136,15 @@ class TestKnownValues:
         assert kemeny_degree_form(code).method == "degree-form"
         assert kemeny_spectral_form(code).method == "spectral-form"
         assert kemeny_spectral_form(code).exact is None
+
+    def test_dense_order_cap(self, monkeypatch):
+        monkeypatch.setattr(kemeny, "_DENSE_ORDER_CAP", 6)
+        at_cap, past_cap = parse_code("010011"), parse_code("0100111")
+        assert kemeny_spectral_form(at_cap).value == pytest.approx(kemeny_from_code(at_cap).value, abs=1e-12)
+        assert verify_code(at_cap)["kemeny"]["pass"]
+        for route in (kemeny_spectral_form, verify_code):
+            with pytest.raises(OrderOutOfRange):
+                route(past_cap)
 
     def test_errors(self):
         with pytest.raises(Disconnected):

@@ -27,6 +27,7 @@ from thresholdwalk import (
 )
 from thresholdwalk.cli import main
 from thresholdwalk.errors import CheckpointMismatch, OrderOutOfRange, ParameterOutOfRange, WorkerFailure
+from thresholdwalk.spectral import _positions
 
 
 def report_key(report):
@@ -98,6 +99,18 @@ class TestScreen:
         monkeypatch.setattr(search, "kemeny_from_code", counting)
         max_kemeny_search(20)
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("n", range(15, 23))
+    def test_table_rows_reach_exactly_first(self, n):
+        # a high position's 1 / lambda row is lambda - 1, walked with the final
+        # 1 as the one later bit: the table holds rows 0 .. first, all needed
+        k, first, _, table = search._low_tables(n)
+        assert len(table) - 3 == first + 1
+        top = 0
+        for high in range(1 << (first - 1)):
+            bits = [(high >> (first - 1 - i)) & 1 for i in range(1, first)]
+            top = max(top, max(lam - 1 for _, _, _, lam in _positions(bits, later=1)))
+        assert top == first
 
     def test_float_error_far_inside_window(self):
         rng = random.Random(2026)

@@ -20,8 +20,10 @@ from thresholdwalk import (
     spanning_tree_count,
     spanning_tree_oracle,
     build_graph,
+    code_vectors,
 )
 from thresholdwalk.errors import Disconnected, LengthMismatch, OrderTooSmall
+from thresholdwalk.spectral import _positions
 
 
 def random_code(rng, n):
@@ -108,6 +110,45 @@ class TestSpectrum:
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmall):
             laplacian_spectrum(parse_code("0"))
+
+
+class TestPositions:
+    def test_walk_is_the_code_vector_dot_products(self):
+        codes = [*connected_codes_upto(10), *seeded_codes(16, 20, 11, 200)]
+        for code in codes:
+            n, bits = code.n, code.bits
+            walk = list(_positions(bits[1:]))
+            expected = []
+            for i in range(1, n):
+                vectors = code_vectors(n, i)
+                s = sum(w * c for w, c in zip(vectors.w, bits))
+                lam = sum(z * c for z, c in zip(vectors.z, bits))
+                expected.append((i, bits[i], s, lam))
+            assert walk == expected, str(code)
+
+    def test_sliced_walks_agree_with_the_full_walk(self):
+        # the search screen walks the high positions 1 .. first - 1 with the
+        # final 1 as the one later bit, and the low positions from first
+        rng = random.Random(17)
+        for code in seeded_codes(17, 30, 4, 60):
+            n, bits = code.n, code.bits
+            full = list(_positions(bits[1:]))
+            first = rng.randint(1, n - 1)
+            h = sum(2 * t * bits[t] for t in range(first))
+            low_ones = sum(bits[first : n - 1])
+            head = list(_positions(bits[1:first], later=1))
+            assert head == [(i, c, s, lam - low_ones) for i, c, s, lam in full[: first - 1]], str(code)
+            tail = list(_positions(bits[first:], first))
+            assert tail == [(i, c, s - h, lam) for i, c, s, lam in full[first - 1 :]], str(code)
+
+    def test_array_walk_is_the_walk_of_each_column(self):
+        codes = seeded_codes(18, 8, 12, 12)
+        first = 5
+        columns = [np.array([code.bits[p] for code in codes]) for p in range(first, 12)]
+        for p, c, s, lam in _positions(columns, first):
+            for k, code in enumerate(codes):
+                expected = list(_positions(code.bits[first:], first))[p - first]
+                assert (p, c[k], s[k], lam[k]) == expected
 
 
 class TestDiagonalization:
