@@ -343,9 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("resistance", parents=[common], help="exact effective resistances")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--matrix", action="store_true", help="full matrix (default)")
-    group.add_argument("--pair", nargs=2, type=int, metavar=("J", "V"), help="one vertex pair")
+    p.add_argument("--pair", nargs=2, type=int, metavar=("J", "V"), help="one vertex pair (default: the full matrix)")
     p.add_argument("code")
     p.set_defaults(handler=_cmd_resistance)
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    Disconnected,
     EmptyInput,
     IllegalCharacter,
     IndexOutOfRange,
@@ -38,7 +39,7 @@ class ConstructionCode:
     def __post_init__(self):
         if len(self.bits) == 0:
             raise EmptyInput("a construction code needs at least one symbol")
-        if any(b not in (0, 1) for b in self.bits):
+        if self.bits.count(0) + self.bits.count(1) != len(self.bits):
             raise IllegalCharacter(f"code symbols must be 0 or 1, got {self.bits!r}")
         if self.bits[0] != 0:
             raise LeadingOne("the initial vertex is always encoded as 0")
@@ -62,7 +63,15 @@ class ConstructionCode:
         return "".join(str(b) for b in self.bits)
 
 
-_RUN_RE = re.compile(r"([01])(?:\^0*(\d+))?")
+def require_walk(code: ConstructionCode) -> None:
+    """The precondition of every random-walk quantity: order >= 2 and a connected code (ends in 1)."""
+    if code.n < 2:
+        raise OrderTooSmall(f"random-walk quantities need order >= 2, got {code.n}")
+    if not code.is_connected:
+        raise Disconnected("random-walk quantities are undefined for a disconnected code")
+
+
+_RUN_RE = re.compile(r"([01])(?:\^0*([0-9]+))?")  # ASCII digits only, as in the plain form
 MAX_CODE_LENGTH = 10**6  # symbols parse_code accepts in either notation: 100x the largest order tested
 
 
@@ -80,7 +89,7 @@ def parse_code(text: str) -> ConstructionCode:
     stripped = text.strip()
     if not stripped:
         raise EmptyInput("empty construction code")
-    if "^" in stripped or any(ch.isspace() for ch in stripped):
+    if "^" in stripped or len(stripped.split(maxsplit=1)) > 1:
         bits = _parse_blocks(stripped)
     else:
         bits = _parse_plain(stripped)
@@ -89,12 +98,10 @@ def parse_code(text: str) -> ConstructionCode:
 
 def _parse_plain(text: str) -> list[int]:
     _check_length(len(text))
-    bits = []
-    for ch in text:
-        if ch not in "01":
-            raise IllegalCharacter(f"unexpected character {ch!r} in code string")
-        bits.append(int(ch))
-    return bits
+    if not set(text) <= {"0", "1"}:
+        ch = next(ch for ch in text if ch not in "01")
+        raise IllegalCharacter(f"unexpected character {ch!r} in code string")
+    return list(map(int, text))
 
 
 def _parse_blocks(text: str) -> list[int]:
@@ -281,8 +288,9 @@ def enumerate_codes(n: int, start: int = 0, stop: int | None = None):
         stop = count
     if not (0 <= start <= stop <= count):
         raise IndexOutOfRange(f"window [{start}, {stop}) outside 0..{count}")
-    for index in range(start, stop):
-        yield code_from_index(n, index)
+    # lexicographic order of the interior bits is index order
+    for interior in itertools.islice(itertools.product((0, 1), repeat=n - 2), start, stop):
+        yield ConstructionCode((0, *interior, 1))
 
 
 def pineapple_code(n: int, r: int) -> ConstructionCode:

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import MAX_CODE_LENGTH, ConstructionCode, degree_profile
-from .errors import Disconnected, OrderOutOfRange, OrderTooSmall, ParameterOutOfRange
+from .codes import MAX_CODE_LENGTH, ConstructionCode, degree_profile, require_walk
+from .errors import OrderOutOfRange, OrderTooSmall, ParameterOutOfRange
 from .spectral import _positions, hessenberg_basis, laplacian_spectrum
 
 CODE_VECTOR = "code-vector"
@@ -67,13 +67,6 @@ def code_vectors(n: int, k: int) -> CodeVectors:
     return CodeVectors(tuple(w), w_hat, z)
 
 
-def _require_walk(code: ConstructionCode, min_n: int = 2) -> None:
-    if code.n < min_n:
-        raise OrderTooSmall(f"random-walk quantities need order >= {min_n}, got {code.n}")
-    if code.bits[-1] != 1:
-        raise Disconnected("Kemeny's constant is undefined for a disconnected code")
-
-
 def _require_dense_order(n: int) -> None:
     if n > _DENSE_ORDER_CAP:
         raise OrderOutOfRange(f"the dense float routes support order n <= {_DENSE_ORDER_CAP}, got {n}")
@@ -100,7 +93,7 @@ def kemeny_from_code(code: ConstructionCode) -> KemenyResult:
     K = n - 1 + sum_{i=1}^{n-1} [s_i (2m - s_i) - 2m i (i+1) c_i] / (2m i (i+1) lambda_i),
     scaled by 2m, and sums them exactly by block folding and a balanced tree.
     """
-    _require_walk(code)
+    require_walk(code)
     n, bits = code.n, code.bits
     # each dominating vertex at 1-based position j contributes j-1 edges
     m = sum(j for j in range(n) if bits[j])
@@ -118,7 +111,7 @@ def kemeny_from_code(code: ConstructionCode) -> KemenyResult:
 def kemeny_degree_form(code: ConstructionCode) -> KemenyResult:
     """Kemeny's constant from the degree sequence, one bracket per position scaled by 2m
     and summed like the code-vector route; equals that route exactly."""
-    _require_walk(code)
+    require_walk(code)
     n = code.n
     prof = degree_profile(code)
     d = prof.degrees
@@ -141,7 +134,7 @@ def kemeny_spectral_form(code: ConstructionCode) -> KemenyResult:
     = (sum d)(d . u^2) - (d . u)^2, so all columns together cost O(n^2).
     Agrees with the exact routes to ~1e-12 at desk scale; OrderOutOfRange past _DENSE_ORDER_CAP.
     """
-    _require_walk(code)
+    require_walk(code)
     _require_dense_order(code.n)
     n = code.n
     prof = degree_profile(code)
@@ -167,9 +160,10 @@ def upper_bounds(code: ConstructionCode) -> UpperBounds:
     Both verdicts are exact: with K = p/q the sparse bound holds when
     2(p - (n-1)q) is at most 0 or its square is below 9 m q^2.
     """
+    result = kemeny_from_code(code)
     if code.n < 3:
         raise OrderTooSmall(f"the bounds assume order >= 3, got {code.n}")
-    return _bounds_for(code.n, kemeny_from_code(code))
+    return _bounds_for(code.n, result)
 
 
 def _bounds_for(n: int, result: KemenyResult) -> UpperBounds:
@@ -217,6 +211,18 @@ class PineappleArgmax:
     predicted_set: tuple[int, int]
 
 
+def max_with_ties(pairs):
+    """(best, keys) over (key, value) pairs: the largest value and every key reaching it, in
+    pair order.  A larger value replaces the ties, an equal one joins them."""
+    best, keys = None, []
+    for key, value in pairs:
+        if best is None or value > best:
+            best, keys = value, [key]
+        elif value == best:
+            keys.append(key)
+    return best, keys
+
+
 def _require_code_length(n: int) -> None:
     """A pineapple of order n is an n-symbol code, so its sweeps share parse_code's limit."""
     if n > MAX_CODE_LENGTH:
@@ -228,14 +234,7 @@ def pineapple_argmax(n: int) -> PineappleArgmax:
     if n < 3:
         raise OrderTooSmall(f"pineapple family needs n >= 3, got {n}")
     _require_code_length(n)
-    best: Fraction | None = None
-    ties: list[int] = []
-    for r in range(n - 1):
-        value = pineapple_kemeny(n, r)
-        if best is None or value > best:
-            best, ties = value, [r]
-        elif value == best:
-            ties.append(r)
+    best, ties = max_with_ties((r, pineapple_kemeny(n, r)) for r in range(n - 1))
     root = math.isqrt(2 * n)
     predicted = (root - 1, root) if n <= 20 else (root, root + 1)
     return PineappleArgmax(ties[0], best, tuple(ties), predicted)

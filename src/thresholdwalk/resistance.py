@@ -35,8 +35,8 @@ from functools import cached_property
 from itertools import accumulate
 from operator import eq, ge, le, lt
 
-from .codes import ConstructionCode, blocks, degree_profile
-from .errors import Disconnected, IndexOutOfRange, NonIntegralEntry, OrderTooSmall
+from .codes import ConstructionCode, blocks, degree_profile, require_walk
+from .errors import IndexOutOfRange, NonIntegralEntry
 from .kemeny import kemeny_from_code
 from .spectral import laplacian_spectrum, spanning_tree_count
 
@@ -111,19 +111,12 @@ def _symmetric(upper: list[list], zero) -> tuple[tuple, ...]:
     )
 
 
-def _require_connected(code: ConstructionCode) -> None:
-    if code.n < 2:
-        raise OrderTooSmall(f"resistance quantities need order >= 2, got {code.n}")
-    if code.bits[-1] != 1:
-        raise Disconnected("effective resistance requires a connected code")
-
-
 def resistance_closed_form(code: ConstructionCode, j: int, v: int) -> Fraction:
     """Effective resistance between code positions j and v (1-based).
 
     Arguments in either order; j == v returns 0.
     """
-    _require_connected(code)
+    require_walk(code)
     n = code.n
     if not (1 <= j <= n and 1 <= v <= n):
         raise IndexOutOfRange(f"pair ({j}, {v}) outside 1..{n}")
@@ -149,7 +142,7 @@ def resistance_matrix(code: ConstructionCode) -> ResistanceProfile:
     Raises NonIntegralEntry, naming the first entry in row order, when some
     tau * r is not an integer.
     """
-    _require_connected(code)
+    require_walk(code)
     n = code.n
     prof = degree_profile(code)
     d = prof.degrees

@@ -32,9 +32,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import ConstructionCode, code_count, code_from_index, pineapple_r
+from .codes import code_count, code_from_index, parse_code, pineapple_r
 from .errors import CheckpointMismatch, OrderOutOfRange, ParameterOutOfRange, WorkerFailure
-from .kemeny import kemeny_from_code
+from .kemeny import kemeny_from_code, max_with_ties
 from .spectral import _positions
 
 MIN_ORDER = 3
@@ -164,8 +164,7 @@ def _chunk_best(task: tuple[int, int, int]) -> tuple[int, int, tuple[str, ...]]:
     the window is screened, the kept codes within SCREEN_WINDOW of its float
     maximum are confirmed with exact ``kemeny_from_code``; the derivation at
     SCREEN_WINDOW shows no exact maximizer of the window lies outside it.
-    Confirmed values are reduced exactly in code order: a larger value
-    replaces the ties, an equal one joins them.
+    Confirmed values are reduced exactly in code order by ``max_with_ties``.
     """
     n, start, stop = task
     top = -math.inf  # float maximum of the blocks screened so far
@@ -180,17 +179,8 @@ def _chunk_best(task: tuple[int, int, int]) -> tuple[int, int, tuple[str, ...]]:
             offsets = np.flatnonzero(approx >= block_top - SCREEN_WINDOW)
             kept.extend(zip((lo + offsets).tolist(), approx[offsets].tolist()))
         lo = hi
-    best: Fraction | None = None
-    ties: list[str] = []
-    for index, approx_value in kept:
-        if approx_value < top - SCREEN_WINDOW:
-            continue
-        code = code_from_index(n, index)
-        value = kemeny_from_code(code).exact
-        if best is None or value > best:
-            best, ties = value, [str(code)]
-        elif value == best:
-            ties.append(str(code))
+    confirmed = (code_from_index(n, index) for index, estimate in kept if estimate >= top - SCREEN_WINDOW)
+    best, ties = max_with_ties((str(code), kemeny_from_code(code).exact) for code in confirmed)
     return best.numerator, best.denominator, tuple(ties)
 
 
@@ -322,22 +312,10 @@ def max_kemeny_search(
             results[cid] = outcome
             _append_checkpoint(checkpoint, cid, outcome)
 
-    best: Fraction | None = None
-    ties: list[str] = []
-    for cid in range(len(ranges)):
-        num, den, chunk_ties = results[cid]
-        value = Fraction(num, den)
-        if best is None or value > best:
-            best, ties = value, list(chunk_ties)
-        elif value == best:
-            ties.extend(chunk_ties)
-
-    r: int | None = None
-    for code_str in ties:
-        candidate = pineapple_r(ConstructionCode(tuple(int(ch) for ch in code_str)))
-        if candidate is not None:
-            r = candidate
-            break
+    in_order = [results[cid] for cid in range(len(ranges))]
+    best, ties = max_with_ties((code_str, Fraction(num, den)) for num, den, chunk in in_order for code_str in chunk)
+    shapes = (pineapple_r(parse_code(code_str)) for code_str in ties)
+    r = next((shape for shape in shapes if shape is not None), None)
     return SearchReport(
         n=n,
         argmax_code=ties[0],

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import ConstructionCode
-from .errors import Disconnected, IndexOutOfRange, LengthMismatch, OrderTooSmall
+from .codes import ConstructionCode, require_walk
+from .errors import IndexOutOfRange, LengthMismatch, OrderTooSmall
 
 
 class OrthonormalBasis:
@@ -149,10 +149,7 @@ def commuting_check(code_a: ConstructionCode, code_b: ConstructionCode) -> bool:
 
 def spanning_tree_count(code: ConstructionCode) -> int:
     """Exact number of spanning trees: the product of the nonzero eigenvalues over n."""
-    if code.n < 2:
-        raise OrderTooSmall("spanning-tree counts are reported for order >= 2")
-    if not code.is_connected:
-        raise Disconnected("a disconnected graph has no spanning tree")
+    require_walk(code)
     tau, remainder = divmod(math.prod(laplacian_spectrum(code).eigenvalues[:-1]), code.n)
     if remainder:
         raise ArithmeticError("eigenvalue product not divisible by n; spectrum inconsistent")
@@ -167,10 +164,7 @@ def pseudo_inverse(code: ConstructionCode) -> list[list[Fraction]]:
     alone, and L+[a][a] = S_a + a^2 s_a: O(n) rational operations, then an
     O(n^2) fill of shared values.  L L+ L = L and L+ 1 = 0 hold exactly.
     """
-    if code.n < 2:
-        raise OrderTooSmall("pseudoinverse is reported for order >= 2")
-    if not code.is_connected:
-        raise Disconnected("pseudoinverse route requires a connected code")
+    require_walk(code)
     n = code.n
     lam = laplacian_spectrum(code).eigenvalues
     s = [Fraction(0)] + [Fraction(1, lam[i - 1] * i * (i + 1)) for i in range(1, n)]

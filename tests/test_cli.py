@@ -584,8 +584,8 @@ class TestDispatch:
         assert "routes" in second["payload"] and "routes" not in first["payload"]
         _, pair, _ = run_json(capsys, "resistance", "--pair", "1", "3", "0101")
         _, matrix, _ = run_json(capsys, "resistance", "0101")
-        assert pair["input"] == {"code": "0101", "matrix": False, "pair": [1, 3]}
-        assert matrix["input"] == {"code": "0101", "matrix": False}
+        assert pair["input"] == {"code": "0101", "pair": [1, 3]}
+        assert matrix["input"] == {"code": "0101"}
         assert len(matrix["payload"]["r"]) == 4
         code, out, _ = run(capsys, "verify", "0101", "--suite", "kemeny", "--quiet")
         assert (code, out) == (0, "")
@@ -619,6 +619,18 @@ class TestDispatch:
         code, out, err = run(capsys, "compute", "0102")
         assert code == 1
         assert "IllegalCharacter" in err
+
+    @pytest.mark.parametrize("text", ["0 1^\uff12", "0 1^\u0661", "0\u06611"])
+    def test_non_ascii_digit_exits_one(self, capsys, text):
+        code, out, err = run(capsys, "compute", text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: IllegalCharacter: ") and "Traceback" not in err
+
+    def test_resistance_matrix_flag_gone(self, capsys):
+        # the full matrix is the default; the flag that said so is no longer accepted
+        with pytest.raises(SystemExit) as excinfo:
+            main(["resistance", "0101", "--matrix"])
+        assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("n", [kemeny._DENSE_ORDER_CAP + 1, 10**5])
     @pytest.mark.parametrize(

@@ -58,10 +58,23 @@ class TestParse:
         with pytest.raises(EmptyInput):
             parse_code(text)
 
-    @pytest.mark.parametrize("text", ["012", "0 2^3", "0^x", "0^0", "0b1"])
+    # exponents, like plain codes, take ASCII 0-9 only: no fullwidth or Arabic-Indic digits
+    @pytest.mark.parametrize(
+        "text", ["012", "0 2^3", "0^x", "0^0", "0b1", "0 1^\uff12", "0 1^\u0661", "0 1^1\u0660", "0\u06611"]
+    )
     def test_illegal(self, text):
         with pytest.raises(IllegalCharacter):
             parse_code(text)
+
+    @pytest.mark.parametrize("text,bad", [("0102", "2"), ("0a1b", "a"), ("01\u0661", "\u0661"), ("1x", "x")])
+    def test_plain_names_first_offending_character(self, text, bad):
+        with pytest.raises(IllegalCharacter, match=f"^unexpected character {bad!r} in code string$"):
+            parse_code(text)
+
+    @pytest.mark.parametrize("bits", [(0, 1, -1), (0, "1"), (0, None)])
+    def test_code_symbols_checked(self, bits):
+        with pytest.raises(IllegalCharacter):
+            ConstructionCode(bits)
 
     @pytest.mark.parametrize(
         "text",
@@ -219,6 +232,13 @@ class TestEnumeration:
             seen.add(code.bits)
             assert code.bits[0] == 0 and code.bits[-1] == 1
         assert len(seen) == 2**14
+
+    def test_equals_code_from_index(self):
+        for n in range(2, 13):
+            count = code_count(n)
+            assert list(enumerate_codes(n)) == [code_from_index(n, i) for i in range(count)]
+            lo, hi = count // 4, count // 2 + 1
+            assert list(enumerate_codes(n, lo, hi)) == [code_from_index(n, i) for i in range(lo, hi)]
 
     def test_lexicographic_order(self):
         interiors = [c.bits[1:-1] for c in enumerate_codes(6)]

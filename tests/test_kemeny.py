@@ -28,7 +28,7 @@ from thresholdwalk import (
 )
 from thresholdwalk.codes import MAX_CODE_LENGTH
 from thresholdwalk.errors import Disconnected, OrderOutOfRange, OrderTooSmall, ParameterOutOfRange
-from thresholdwalk.kemeny import CODE_VECTOR, KemenyResult, _bounds_for
+from thresholdwalk.kemeny import CODE_VECTOR, KemenyResult, _bounds_for, max_with_ties
 
 connected_code_strategy = st.integers(min_value=2, max_value=11).flatmap(
     lambda n: st.tuples(
@@ -315,6 +315,12 @@ class TestPineappleArgmax:
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmall):
             pineapple_argmax(2)
+
+    def test_max_with_ties_keeps_pair_order(self):
+        pairs = [("a", Fraction(1, 2)), ("b", Fraction(2)), ("c", Fraction(1)), ("d", Fraction(4, 2)), ("e", 2)]
+        assert max_with_ties(pairs) == (2, ["b", "d", "e"])
+        assert max_with_ties(iter([("x", 0)])) == (0, ["x"])
+        assert max_with_ties([]) == (None, [])
 
     def test_order_longer_than_a_code(self):
         with pytest.raises(OrderOutOfRange):
