@@ -288,9 +288,16 @@ def enumerate_codes(n: int, start: int = 0, stop: int | None = None):
         stop = count
     if not (0 <= start <= stop <= count):
         raise IndexOutOfRange(f"window [{start}, {stop}) outside 0..{count}")
-    # lexicographic order of the interior bits is index order
-    for interior in itertools.islice(itertools.product((0, 1), repeat=n - 2), start, stop):
-        yield ConstructionCode((0, *interior, 1))
+    # lexicographic order of the interior bits is index order; the window's
+    # low `width` bits come from product and its high bits from a prefix, so
+    # the work is proportional to the window size, not to where it starts
+    width = min(n - 2, (stop - start).bit_length())
+    for prefix in range(start >> width, (stop + (1 << width) - 1) >> width):
+        high = tuple((prefix >> (n - 3 - width - k)) & 1 for k in range(n - 2 - width))
+        base = prefix << width
+        low = itertools.product((0, 1), repeat=width)
+        for bits in itertools.islice(low, max(start - base, 0), min(stop - base, 1 << width)):
+            yield ConstructionCode((0, *high, *bits, 1))
 
 
 def pineapple_code(n: int, r: int) -> ConstructionCode:

@@ -160,10 +160,10 @@ def upper_bounds(code: ConstructionCode) -> UpperBounds:
     Both verdicts are exact: with K = p/q the sparse bound holds when
     2(p - (n-1)q) is at most 0 or its square is below 9 m q^2.
     """
-    result = kemeny_from_code(code)
+    require_walk(code)
     if code.n < 3:
         raise OrderTooSmall(f"the bounds assume order >= 3, got {code.n}")
-    return _bounds_for(code.n, result)
+    return _bounds_for(code.n, kemeny_from_code(code))
 
 
 def _bounds_for(n: int, result: KemenyResult) -> UpperBounds:

@@ -1,7 +1,6 @@
-"""The per-layer timing script writes one BENCH file with its environment and medians."""
+"""The per-layer timing script: K timed runs per layer, their median, and the machine they ran on."""
 
 import importlib.util
-import json
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -14,13 +13,24 @@ def _script():
     return module
 
 
-def test_writes_bench_file(tmp_path, capsys):
-    assert _script().main(["--label", "t", "--k", "2", "--only", "parse_code", "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+def test_import_leaves_the_environment_alone():
+    before = dict(os.environ)
+    _script()
+    assert dict(os.environ) == before
+
+
+def test_times_a_layer_k_times():
+    script = _script()
+    (n, setup), = [(n, setup) for name, n, setup in script.layers() if name.startswith("parse_code")]
+    layer = script.timed(setup(n))
+    assert len(layer["runs_s"]) == script.K == 3
+    assert min(layer["runs_s"]) <= layer["median_s"] <= max(layer["runs_s"])
+
+
+def test_environment_names_the_machine():
+    report = _script().environment(ROOT)
     assert {"git_sha", "nproc", "cpu", "python", "numpy", "k"} <= set(report)
-    assert report["k"] == 2 and list(report["layers"]) == ["parse_code_x100_n4000"]
-    layer = report["layers"]["parse_code_x100_n4000"]
-    assert len(layer["runs_s"]) == 2 and min(layer["runs_s"]) <= layer["median_s"] <= max(layer["runs_s"])
+    assert report["k"] == 3
 
 
 def test_every_layer_has_a_distinct_name():

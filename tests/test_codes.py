@@ -240,6 +240,19 @@ class TestEnumeration:
             lo, hi = count // 4, count // 2 + 1
             assert list(enumerate_codes(n, lo, hi)) == [code_from_index(n, i) for i in range(lo, hi)]
 
+    def test_every_window_equals_code_from_index(self):
+        for n in range(2, 9):
+            count = code_count(n)
+            for lo in range(count + 1):
+                for hi in range(lo, count + 1):
+                    assert list(enumerate_codes(n, lo, hi)) == [code_from_index(n, i) for i in range(lo, hi)]
+
+    def test_window_cost_does_not_grow_with_its_start(self):
+        # a window at the end of order 60 is 2^58 codes in; skipping them would not finish
+        count = code_count(60)
+        for lo, hi in ((count - 3, count), (2**37 - 2, 2**37 + 2), (count // 2, count // 2 + 1)):
+            assert list(enumerate_codes(60, lo, hi)) == [code_from_index(60, i) for i in range(lo, hi)]
+
     def test_lexicographic_order(self):
         interiors = [c.bits[1:-1] for c in enumerate_codes(6)]
         assert interiors == sorted(interiors)

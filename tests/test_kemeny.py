@@ -244,6 +244,20 @@ class TestUpperBounds:
         with pytest.raises(OrderTooSmall):
             upper_bounds(parse_code("01"))
 
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("0", OrderTooSmall, "random-walk quantities need order >= 2, got 1"),
+            ("00", Disconnected, "random-walk quantities are undefined for a disconnected code"),
+            ("01", OrderTooSmall, "the bounds assume order >= 3, got 2"),
+        ],
+    )
+    def test_small_code_errors(self, text, error, message):
+        # the walk precondition comes first, then the bounds' own order rule
+        with pytest.raises(error) as caught:
+            upper_bounds(parse_code(text))
+        assert type(caught.value) is error and str(caught.value) == message
+
     def test_sparse_bound_decided_exactly_near_the_bound(self):
         # n = 10, m = 16: the sparse bound 9 + 1.5 * sqrt(16) is 15.0 exactly
         def holds(k):

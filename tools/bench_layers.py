@@ -3,16 +3,16 @@
 Times each layer of the ROADMAP layer table at fixed orders on codes drawn
 from ``random.Random(n)``, plus ``parse_code`` at n = 4000, ``enumerate
 --n 20 --json`` and the tier-1 pytest wall time.  Each layer is set up once
-and then timed k times; the file records every run and their median, with
+and then timed K = 3 times; the file records every run and their median, with
 ``nproc``, the CPU, the Python and numpy versions and the git SHA of the
 measured tree.  Needs only the standard library and numpy.
 
     python3 tools/bench_layers.py --label baseline                 # this checkout
     python3 tools/bench_layers.py --label parent --root OTHER_CHECKOUT
-    python3 tools/bench_layers.py --label quick --k 1 --only parse_code
 
 ``--root`` imports ``src/thresholdwalk`` from another checkout and runs its
-tests; the file goes to ``--out`` (default: this checkout's root).
+tests; the file goes to ``--out`` (default: this checkout's root).  Run as a
+script, it pins BLAS to one thread, as the benchmark runs.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ import sys
 import time
 from functools import partial
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")  # one BLAS thread, as the benchmark runs
-
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+K = 3  # timed runs per layer; the file records their median
 PARSE_CALLS = 100  # parse_code is timed over this many calls per run
 
 
@@ -136,35 +134,21 @@ def git(root: str, *argv: str) -> str:
     return subprocess.run(["git", "-C", root, *argv], capture_output=True, text=True).stdout.strip()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
-    parser.add_argument("--k", type=int, default=3, help="timed runs per layer (default 3)")
-    parser.add_argument("--root", default=REPO, help="checkout whose src/ and tests are measured")
-    parser.add_argument("--out", default=REPO, help="directory for the BENCH file")
-    parser.add_argument("--only", default="", help="time only the layers whose name contains this")
-    args = parser.parse_args(argv)
-    root = os.path.abspath(args.root)
-    sys.path.insert(0, os.path.join(root, "src"))
+def timed(call) -> dict:
+    """K timed runs of call and their median, in seconds."""
+    runs = []
+    for _ in range(K):
+        started = time.perf_counter()
+        call()
+        runs.append(time.perf_counter() - started)
+    return {"median_s": statistics.median(runs), "runs_s": runs}
+
+
+def environment(root: str) -> dict:
+    """The machine, versions and git state a BENCH file is measured on."""
     import numpy as np
 
-    results = {}
-    plan = [*layers(), ("tier1_pytest", None, lambda _: tier1(root))]
-    for name, n, setup in plan:
-        key = name if n is None else f"{name}_n{n}"
-        if args.only not in key:
-            continue
-        call = setup(n)
-        runs = []
-        for _ in range(args.k):
-            started = time.perf_counter()
-            call()
-            runs.append(time.perf_counter() - started)
-        results[key] = {"n": n, "median_s": statistics.median(runs), "runs_s": runs}
-        print(f"{key:52s} {results[key]['median_s']:10.4f} s", flush=True)
-
-    report = {
-        "label": args.label,
+    return {
         "git_sha": git(root, "rev-parse", "HEAD") or None,
         "git_dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
         "nproc": os.cpu_count(),
@@ -172,12 +156,30 @@ def main(argv=None) -> int:
         "cpu": cpu_model(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-        "k": args.k,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "k": K,
         "statistic": "median of k runs",
         "codes": "order n: '0' + Random(n) choice of '01' for n - 2 interior bits + '1'",
-        "layers": results,
     }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
+    parser.add_argument("--root", default=REPO, help="checkout whose src/ and tests are measured")
+    parser.add_argument("--out", default=REPO, help="directory for the BENCH file")
+    args = parser.parse_args(argv)
+    root = os.path.abspath(args.root)
+    sys.path.insert(0, os.path.join(root, "src"))
+
+    results = {}
+    plan = [*layers(), ("tier1_pytest", None, lambda _: tier1(root))]
+    for name, n, setup in plan:
+        key = name if n is None else f"{name}_n{n}"
+        results[key] = {"n": n, **timed(setup(n))}
+        print(f"{key:52s} {results[key]['median_s']:10.4f} s", flush=True)
+
+    report = {"label": args.label, **environment(root), "layers": results}
     path = os.path.join(args.out, f"BENCH_{args.label}.json")
     with open(path, "w") as handle:
         json.dump(report, handle, indent=1)
@@ -187,4 +189,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")  # one BLAS thread, as the benchmark runs
     sys.exit(main())
