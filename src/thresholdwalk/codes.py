@@ -30,6 +30,9 @@ from .errors import (
 )
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # code bits as bytes -> ASCII digits
+
+
 @dataclass(frozen=True)
 class ConstructionCode:
     """An immutable construction code; ``bits[k]`` is c_{k+1}."""
@@ -60,7 +63,7 @@ class ConstructionCode:
         return self.n == 1 or self.bits[-1] == 1
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return bytes(self.bits).translate(_DIGITS).decode()
 
 
 def require_walk(code: ConstructionCode) -> None:
@@ -234,10 +237,10 @@ class AdjacencyStructure:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix with row v-1 for vertex v."""
+        ends = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64, count=2 * self.m)
+        i, j = ends.reshape(-1, 2).T - 1
         A = np.zeros((self.n, self.n), dtype=np.int64)
-        for i, j in self.edges:
-            A[i - 1, j - 1] = 1
-            A[j - 1, i - 1] = 1
+        A[i, j] = A[j, i] = 1
         return A
 
 

@@ -3,14 +3,17 @@
 Everything here works from the explicit graph structure, never from the
 construction code: numeric eigensolves, fundamental-matrix first-passage
 times, and exact spanning-tree counts by Kirchhoff's matrix-tree theorem.
-The spanning 2-forests are counted from the same tree counts: a 2-forest is
-a spanning tree on each side of a vertex bipartition.  Slower than the
-closed forms by design; that independence is the point.
+The tree counts of any batch of induced subgraphs come from one stack of
+reduced Laplacians and one fraction-free (Bareiss) elimination over all of
+it.  The spanning 2-forests are counted from those tree counts: a 2-forest
+is a spanning tree on each side of a vertex bipartition, so one batch over
+every vertex subset serves them all.  Slower than the closed forms by
+design; that independence is the point.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -182,49 +185,60 @@ def resistance_oracle(graph: AdjacencyStructure) -> np.ndarray:
 def spanning_tree_oracle(graph: AdjacencyStructure) -> int:
     """Spanning-tree count as an exact determinant of the reduced Laplacian."""
     _require_connected(graph)
-    return _tree_count(graph, range(1, graph.n + 1))
+    return int(_tree_counts(graph, np.ones((graph.n, 1), dtype=bool))[0])
 
 
-def _tree_count(graph: AdjacencyStructure, vertices: Sequence[int]) -> int:
-    """Spanning trees of the subgraph induced on ``vertices`` (1-based, ascending).
+def _tree_counts(graph: AdjacencyStructure, member: np.ndarray) -> np.ndarray:
+    """Spanning trees of the subgraph induced on each column of ``member``.
 
-    Kirchhoff: the determinant of its Laplacian with the last vertex deleted,
-    built from the neighbour lists and taken by fraction-free (Bareiss)
-    elimination over Python integers, so it is exact at any size.  0 when the
-    subgraph is disconnected, 1 for a single vertex.
+    ``member`` is an (n, B) boolean matrix; column b holds the vertex set of
+    subgraph b, which must be nonempty.  Kirchhoff: each count is the
+    determinant of that subgraph's Laplacian with its last member deleted,
+    padded with the identity on every other vertex, so all B matrices share
+    one (n, n, B) stack.  0 when the subgraph is disconnected, 1 for a single
+    vertex.  Every entry the elimination forms is a minor, at most Hadamard's
+    H = prod(d_v + 1) in size, so each update a p - b c stays within 2 H^2:
+    the stack is int64 when that is below 2^63, and Python integers otherwise.
     """
-    inside = set(vertices)
-    row_of = {v: k for k, v in enumerate(vertices[:-1])}
-    reduced = [[0] * len(row_of) for _ in row_of]
-    for v, k in row_of.items():
-        for u in graph.neighbors[v - 1]:
-            if u in inside:
-                reduced[k][k] += 1
-                if u in row_of:
-                    reduced[k][row_of[u]] -= 1
-    return _bareiss_determinant(reduced)
+    n, batch = member.shape
+    A = graph.adjacency_matrix()
+    last = n - 1 - np.argmax(member[::-1], axis=0)
+    kept = member.copy()
+    kept[last, np.arange(batch)] = False
+    stack = -A[:, :, None] * (kept[:, None, :] & kept[None, :, :])
+    diagonal = np.arange(n)
+    stack[diagonal, diagonal] = np.where(kept, A @ member, 1)
+    hadamard = math.prod(len(nb) + 1 for nb in graph.neighbors)
+    if 2 * hadamard * hadamard >= 1 << 63:
+        stack = stack.astype(object)
+    return _psd_determinants(stack)
 
 
-def _bareiss_determinant(matrix: list[list[int]]) -> int:
-    m = [row[:] for row in matrix]
-    size = len(m)
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            pivot = next((r for r in range(k + 1, size) if m[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+def _psd_determinants(stack: np.ndarray) -> np.ndarray:
+    """Determinants of the positive semidefinite integer matrices ``stack[:, :, b]``.
+
+    Fraction-free (Bareiss) elimination over the whole batch at once, without
+    pivoting, overwriting ``stack``.  By Sylvester's identity every entry stays
+    a minor of its matrix, so each division is exact.  A zero pivot of a
+    semidefinite matrix is a zero leading minor, so that determinant is 0; its
+    row and column are then zero too, and dividing by the previous pivot
+    instead leaves the matrix as it is, which keeps the rest of the batch exact.
+    """
+    n, batch = stack.shape[0], stack.shape[2]
+    prev = np.ones(batch, dtype=stack.dtype)
+    singular = np.zeros(batch, dtype=bool)
+    for k in range(n - 1):
+        pivot = stack[k, k]
+        zero = pivot == 0
+        if zero.any():
+            singular |= zero
+            pivot = np.where(zero, prev, pivot)
+        rest = stack[k + 1 :, k + 1 :]
+        rest *= pivot
+        rest -= stack[k + 1 :, k, None] * stack[None, k, k + 1 :]
+        rest //= prev
+        prev = pivot
+    return np.where(singular, 0, stack[-1, -1])
 
 
 def _forest_guard(graph: AdjacencyStructure) -> None:
@@ -245,14 +259,13 @@ def _forest_bipartitions(graph: AdjacencyStructure) -> tuple[np.ndarray, np.ndar
     tau(G[S]) * tau(G[V-S]) forests; every S with a nonzero count is kept.
     """
     n = graph.n
-    counts: dict[int, int] = {}
-    for mask in range(1, (1 << n) - 1, 2):
-        inside = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
-        outside = [v for v in range(1, n + 1) if not mask >> (v - 1) & 1]
-        count = _tree_count(graph, inside) * _tree_count(graph, outside)
-        if count:
-            counts[mask] = count
-    return np.array(list(counts), dtype=np.uint32), np.array(list(counts.values()), dtype=np.int64)
+    masks = np.arange(1, 1 << n, dtype=np.uint32)
+    member = ((masks >> np.arange(n, dtype=np.uint32)[:, None]) & 1).astype(bool)
+    trees = _tree_counts(graph, member)
+    inside = masks[: -1 : 2]
+    counts = (trees[inside - 1] * trees[masks[-1] - inside - 1]).astype(np.int64)
+    forested = counts != 0
+    return inside[forested], counts[forested]
 
 
 def _vertex_bits(graph: AdjacencyStructure, masks: np.ndarray, v: int) -> np.ndarray:
@@ -286,11 +299,5 @@ def two_forest_matrix(graph: AdjacencyStructure) -> list[list[int]]:
     """All pairwise separating-forest counts from one pass over the bipartitions."""
     _forest_guard(graph)
     masks, weights = _forest_bipartitions(graph)
-    n = graph.n
-    bits = [_vertex_bits(graph, masks, v) for v in range(1, n + 1)]
-    out = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            count = int(weights[bits[a] != bits[b]].sum())
-            out[a][b] = out[b][a] = count
-    return out
+    bits = (masks >> np.arange(graph.n, dtype=np.uint32)[:, None]) & 1
+    return ((bits[:, None, :] != bits[None, :, :]) @ weights).tolist()

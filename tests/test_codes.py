@@ -2,11 +2,12 @@
 
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import connected_codes, connected_codes_upto
+from conftest import connected_codes, connected_codes_upto, seeded_codes
 from thresholdwalk import (
     ConstructionCode,
     blocks,
@@ -107,6 +108,7 @@ class TestParse:
     @given(random_bits)
     def test_round_trip_plain(self, bits):
         code = ConstructionCode(bits)
+        assert render(code) == str(code) == "".join(map(str, bits))
         assert parse_code(render(code)) == code
 
     @given(random_bits)
@@ -211,6 +213,15 @@ class TestBuildGraph:
                             queue.append(u)
                 assert len(dist) == n
                 assert max(dist.values()) <= 2
+
+    def test_adjacency_matrix_equals_edge_loop(self):
+        for code in [parse_code("0"), parse_code("000"), *connected_codes_upto(9), *seeded_codes(36, 10, 24, 64)]:
+            graph = build_graph(code)
+            expected = np.zeros((graph.n, graph.n), dtype=np.int64)
+            for i, j in graph.edges:
+                expected[i - 1, j - 1] = expected[j - 1, i - 1] = 1
+            A = graph.adjacency_matrix()
+            assert A.dtype == np.int64 and np.array_equal(A, expected), str(code)
 
 
 class TestEnumeration:

@@ -21,9 +21,12 @@ from thresholdwalk import (
     two_forest_matrix,
     two_forest_refinement,
 )
+from thresholdwalk import oracle
 from thresholdwalk.errors import Disconnected, SameVertex, TooLarge
 from thresholdwalk.oracle import (
     _forest_bipartitions,
+    _psd_determinants,
+    _tree_counts,
     is_connected,
     stationary_distribution,
     transition_matrix,
@@ -265,3 +268,111 @@ class TestForestReference:
         # F = tau R on K_n: tau = n^(n-2) and r = 2/n, so every entry is 2 n^(n-3)
         counts = two_forest_matrix(build_graph(parse_code("0" + "1" * 8)))
         assert all(counts[i][j] == 2 * 9**6 for i in range(9) for j in range(9) if i != j)
+
+
+def reference_tree_count(graph, vertices):
+    """The per-subset reference for _tree_counts: the reduced Laplacian of the subgraph
+    induced on ``vertices`` (1-based, ascending) from the neighbour lists, its last vertex
+    deleted, and its determinant by Bareiss elimination with row swaps over Python ints."""
+    inside = set(vertices)
+    row_of = {v: k for k, v in enumerate(vertices[:-1])}
+    m = [[0] * len(row_of) for _ in row_of]
+    for v, k in row_of.items():
+        for u in graph.neighbors[v - 1]:
+            if u in inside:
+                m[k][k] += 1
+                if u in row_of:
+                    m[k][row_of[u]] -= 1
+    size = len(m)
+    if size == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            pivot = next((r for r in range(k + 1, size) if m[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def every_subset(n):
+    """Every nonempty vertex subset of an order-n graph and its (n, B) membership matrix."""
+    subsets = [s for r in range(1, n + 1) for s in itertools.combinations(range(1, n + 1), r)]
+    member = np.zeros((n, len(subsets)), dtype=bool)
+    for b, subset in enumerate(subsets):
+        member[np.array(subset) - 1, b] = True
+    return subsets, member
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """Every stack handed to _psd_determinants, copied before the elimination overwrites it."""
+    seen = []
+
+    def recording(stack):
+        seen.append(stack.copy())
+        return _psd_determinants(stack)
+
+    monkeypatch.setattr(oracle, "_psd_determinants", recording)
+    return seen
+
+
+def block_diagonal(*blocks):
+    size = sum(len(b) for b in blocks)
+    out = np.zeros((size, size), dtype=np.int64)
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
+
+
+class TestTreeCounts:
+    @pytest.mark.parametrize("text", REFERENCE_CODES)
+    def test_every_subset_equals_reference(self, text):
+        graph = build_graph(parse_code(text))
+        subsets, member = every_subset(graph.n)
+        assert _tree_counts(graph, member).tolist() == [reference_tree_count(graph, s) for s in subsets]
+
+    def test_int64_and_object_paths_agree(self, stacks):
+        for text in [*REFERENCE_CODES[::5], "0" + "1" * 8]:
+            graph = build_graph(parse_code(text))
+            _tree_counts(graph, every_subset(graph.n)[1])
+        for stack in stacks:
+            assert stack.dtype == np.int64
+            wide = _psd_determinants(stack.astype(object))
+            assert all(type(d) is int for d in wide)
+            assert _psd_determinants(stack.copy()).tolist() == wide.tolist()
+
+    def test_dtype_guard(self, stacks):
+        # 2 H^2 < 2^63 with H = prod(d_v + 1): 9^9 on K9, 24^24 on K24
+        _forest_bipartitions.cache_clear()
+        assert spanning_tree_oracle(build_graph(parse_code("0" + "1" * 8))) == 9**7
+        assert two_forest_matrix(build_graph(parse_code("0" + "1" * 8)))[0][1] == 2 * 9**6
+        assert spanning_tree_oracle(build_graph(parse_code("0" + "1" * 23))) == 24**22
+        assert [stack.dtype for stack in stacks] == [np.int64, np.int64, object]
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_zero_pivot_beside_nonsingular(self, dtype):
+        edge = [[1, -1], [-1, 1]]
+        path = [[2, -1], [-1, 2]]
+        triangle = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+        k6 = 6 * np.eye(5, dtype=np.int64) - 1
+        tridiagonal = 2 * np.eye(5, dtype=np.int64) - np.eye(5, k=1, dtype=np.int64) - np.eye(5, k=-1, dtype=np.int64)
+        batch = [
+            k6,
+            block_diagonal(edge, path, [[1]]),  # zero pivot at step 1
+            tridiagonal,
+            block_diagonal([[3]], edge, path),  # zero pivot at step 2
+            np.eye(5, dtype=np.int64),
+            block_diagonal(path, triangle),  # zero at the last diagonal
+        ]
+        stack = np.stack(batch, axis=-1).astype(dtype)
+        assert _psd_determinants(stack).tolist() == [6**4, 0, 6, 0, 1, 0]

@@ -1,8 +1,9 @@
 """Per-layer timings of thresholdwalk, written to BENCH_<label>.json.
 
 Times each layer of the ROADMAP layer table at fixed orders on codes drawn
-from ``random.Random(n)``, plus ``parse_code`` at n = 4000, ``enumerate
---n 20 --json`` and the tier-1 pytest wall time.  Each layer is set up once
+from ``random.Random(n)``, plus ``parse_code`` at n = 4000, ``two_forest_matrix``
+at n = 9 (its bipartition cache cleared in every call), ``enumerate --n 20
+--json`` and the tier-1 pytest wall time.  Each layer is set up once
 and then timed K = 3 times; the file records every run and their median, with
 ``nproc``, the CPU, the Python and numpy versions and the git SHA of the
 measured tree.  Needs only the standard library and numpy.
@@ -32,6 +33,7 @@ from functools import partial
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 K = 3  # timed runs per layer; the file records their median
 PARSE_CALLS = 100  # parse_code is timed over this many calls per run
+FOREST_CALLS = 20  # two_forest_matrix is timed over this many cold calls per run
 
 
 def seeded_code(n: int) -> str:
@@ -55,7 +57,7 @@ def layers():
     """(name, n, setup) per layer; setup(n) builds the inputs and returns the call to time."""
     from thresholdwalk import build_graph, mfpt_matrix, parse_code, pseudo_inverse, resistance_matrix
     from thresholdwalk.cli import main
-    from thresholdwalk.oracle import spanning_tree_oracle
+    from thresholdwalk.oracle import _forest_bipartitions, spanning_tree_oracle, two_forest_matrix
     from thresholdwalk.resistance import _verify_orderings
     from thresholdwalk.search import max_kemeny_search
 
@@ -82,6 +84,16 @@ def layers():
     def mfpt(n):
         return partial(mfpt_matrix, build_graph(code(n)))
 
+    def forests(n):
+        graph = build_graph(code(n))
+
+        def call():
+            for _ in range(FOREST_CALLS):
+                _forest_bipartitions.cache_clear()
+                two_forest_matrix(graph)
+
+        return call
+
     def parse(n):
         text = seeded_code(n)
         return lambda: [parse_code(text) for _ in range(PARSE_CALLS)]
@@ -96,6 +108,7 @@ def layers():
         ("pseudo_inverse", 1000, lambda n: partial(pseudo_inverse, code(n))),
         ("spanning_tree_oracle", 64, tree_oracle),
         ("spanning_tree_oracle", 200, tree_oracle),
+        (f"two_forest_matrix_x{FOREST_CALLS}", 9, forests),
         ("mfpt_matrix", 200, mfpt),
         ("mfpt_matrix", 400, mfpt),
         ("cli_verify_all_json", 200, lambda n: cli_call(main, ["verify", seeded_code(n), "--suite", "all", "--json"])),
