@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -236,12 +237,34 @@ class AdjacencyStructure:
         return tuple(len(nb) for nb in self.neighbors)
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix with row v-1 for vertex v."""
+        """Dense 0/1 adjacency matrix with row v-1 for vertex v, built once per graph and read-only."""
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> np.ndarray:
         ends = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64, count=2 * self.m)
         i, j = ends.reshape(-1, 2).T - 1
         A = np.zeros((self.n, self.n), dtype=np.int64)
         A[i, j] = A[j, i] = 1
+        A.flags.writeable = False
         return A
+
+    @cached_property
+    def is_connected(self) -> bool:
+        """Breadth-first reachability from vertex 1, run once per graph."""
+        if self.n == 0:
+            return False
+        seen = {1}
+        frontier = [1]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in self.neighbors[v - 1]:
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
+            frontier = nxt
+        return len(seen) == self.n
 
 
 def build_graph(code: ConstructionCode) -> AdjacencyStructure:

@@ -4,11 +4,14 @@ Everything here works from the explicit graph structure, never from the
 construction code: numeric eigensolves, fundamental-matrix first-passage
 times, and exact spanning-tree counts by Kirchhoff's matrix-tree theorem.
 The tree counts of any batch of induced subgraphs come from one stack of
-reduced Laplacians and one fraction-free (Bareiss) elimination over all of
-it.  The spanning 2-forests are counted from those tree counts: a 2-forest
-is a spanning tree on each side of a vertex bipartition, so one batch over
-every vertex subset serves them all.  Slower than the closed forms by
-design; that independence is the point.
+reduced Laplacians and one elimination over all of it: fraction-free
+(Bareiss) in int64 while Hadamard's bound allows, and otherwise modulo
+primes after the Schur complement of an independent set, with the counts
+rebuilt by the Chinese remainder theorem.  The spanning 2-forests are
+counted from those tree counts: a 2-forest is a spanning tree on each side
+of a vertex bipartition, so one batch over every vertex subset serves them
+all.  Slower than the closed forms by design; that independence is the
+point.
 """
 
 from __future__ import annotations
@@ -30,28 +33,14 @@ from .errors import (
     TooLarge,
 )
 
+_PRIME_LIMIT = 1 << 31  # residues below 2^31 keep each product of two inside int64
+_CHUNK_ELEMENTS = 1 << 19  # entries of one chunk of the modular stack
+
 FOREST_ORDER_CAP = 9  # 2^(n-1) bipartitions; an all-minors matrix-tree certificate is the route past it
 
 
-def is_connected(graph: AdjacencyStructure) -> bool:
-    """Breadth-first reachability from vertex 1."""
-    if graph.n == 0:
-        return False
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in graph.neighbors[v - 1]:
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return len(seen) == graph.n
-
-
 def _require_connected(graph: AdjacencyStructure) -> None:
-    if not is_connected(graph):
+    if not graph.is_connected:
         raise Disconnected("oracle computations need a connected graph")
 
 
@@ -185,10 +174,10 @@ def resistance_oracle(graph: AdjacencyStructure) -> np.ndarray:
 def spanning_tree_oracle(graph: AdjacencyStructure) -> int:
     """Spanning-tree count as an exact determinant of the reduced Laplacian."""
     _require_connected(graph)
-    return int(_tree_counts(graph, np.ones((graph.n, 1), dtype=bool))[0])
+    return _tree_counts(graph, np.ones((graph.n, 1), dtype=bool))[0]
 
 
-def _tree_counts(graph: AdjacencyStructure, member: np.ndarray) -> np.ndarray:
+def _tree_counts(graph: AdjacencyStructure, member: np.ndarray) -> list[int]:
     """Spanning trees of the subgraph induced on each column of ``member``.
 
     ``member`` is an (n, B) boolean matrix; column b holds the vertex set of
@@ -196,22 +185,31 @@ def _tree_counts(graph: AdjacencyStructure, member: np.ndarray) -> np.ndarray:
     determinant of that subgraph's Laplacian with its last member deleted,
     padded with the identity on every other vertex, so all B matrices share
     one (n, n, B) stack.  0 when the subgraph is disconnected, 1 for a single
-    vertex.  Every entry the elimination forms is a minor, at most Hadamard's
-    H = prod(d_v + 1) in size, so each update a p - b c stays within 2 H^2:
-    the stack is int64 when that is below 2^63, and Python integers otherwise.
+    vertex.  Every count and every minor is at most Hadamard's
+    H = prod(d_v + 1), so a Bareiss update a p - b c stays within 2 H^2.
+    While that is below 2^63 (every forest batch, n <= 9) the stack is
+    eliminated in int64.  Otherwise a greedy independent set of the graph,
+    whose block of every padded matrix is diagonal, is eliminated first, and
+    the rest modulo the fewest primes whose product exceeds H.
     """
-    n, batch = member.shape
     A = graph.adjacency_matrix()
+    stack = _padded_laplacians(A, member)
+    hadamard = math.prod(len(nb) + 1 for nb in graph.neighbors)
+    if 2 * hadamard * hadamard < 1 << 63:
+        return _psd_determinants(stack).tolist()
+    return _modular_determinants(stack, _independent_set(A), hadamard)
+
+
+def _padded_laplacians(A: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """The (n, n, B) stack of reduced Laplacians that ``_tree_counts`` describes."""
+    n, batch = member.shape
     last = n - 1 - np.argmax(member[::-1], axis=0)
     kept = member.copy()
     kept[last, np.arange(batch)] = False
     stack = -A[:, :, None] * (kept[:, None, :] & kept[None, :, :])
     diagonal = np.arange(n)
     stack[diagonal, diagonal] = np.where(kept, A @ member, 1)
-    hadamard = math.prod(len(nb) + 1 for nb in graph.neighbors)
-    if 2 * hadamard * hadamard >= 1 << 63:
-        stack = stack.astype(object)
-    return _psd_determinants(stack)
+    return stack
 
 
 def _psd_determinants(stack: np.ndarray) -> np.ndarray:
@@ -241,6 +239,146 @@ def _psd_determinants(stack: np.ndarray) -> np.ndarray:
     return np.where(singular, 0, stack[-1, -1])
 
 
+def _independent_set(A: np.ndarray) -> np.ndarray:
+    """A maximal independent set of the graph with adjacency ``A``, as a boolean mask.
+
+    Greedy over the vertices in order of increasing degree (ties by index).
+    """
+    chosen = np.zeros(len(A), dtype=bool)
+    blocked = np.zeros(len(A), dtype=bool)
+    for v in np.argsort(A.sum(axis=1), kind="stable").tolist():
+        if not blocked[v]:
+            chosen[v] = True
+            blocked |= A[v] != 0
+    return chosen
+
+
+def _modular_determinants(stack: np.ndarray, independent: np.ndarray, bound: int) -> list[int]:
+    """Determinants, each in [0, bound], of the Laplacian-like int64 matrices ``stack[:, :, b]``.
+
+    Off the diagonal the entries are 0 or -1.  Every matrix is diagonal on
+    the indices I that the boolean mask ``independent`` selects, and the
+    other indices K are not empty.  With D that diagonal,
+    det M = prod(D) det S for the Schur complement S = M_KK - M_KI D^-1 M_IK,
+    which is formed and eliminated modulo each of the fewest primes below
+    2^31 whose product exceeds ``bound``; the Chinese remainder theorem then
+    rebuilds each determinant.  The primes go a chunk at a time, so the
+    modular stack and the products that form it hold at most about
+    _CHUNK_ELEMENTS entries whatever the bound.
+    """
+    n, batch = stack.shape[0], stack.shape[2]
+    independent, rest = np.flatnonzero(independent), np.flatnonzero(~independent)
+    stack = stack.transpose(2, 0, 1)  # set axis first: the modular batch is primes x sets
+    diagonal = stack[:, independent, independent]
+    inner = stack[:, rest[:, None], rest]
+    left = stack[:, rest[:, None], independent]
+    right = stack[:, independent[:, None], rest]
+    primes = _crt_primes(bound)
+    step = max(1, _CHUNK_ELEMENTS // (len(rest) * n * batch))
+    # a zero in D is an isolated kept vertex, whose zero row and column make
+    # M singular; prod(D) carries that 0, and 1 stands in for its inverse
+    values, index = np.unique(np.maximum(diagonal, 1), return_inverse=True)
+    index = index.reshape(diagonal.shape)
+    residues = []
+    for start in range(0, len(primes), step):
+        chunk_primes = primes[start : start + step]
+        moduli = np.array(chunk_primes, dtype=np.int64)[:, None]
+        inverses = np.array([[pow(v, -1, p) for v in values.tolist()] for p in chunk_primes])
+        schur = (left * inverses[:, index][:, :, None, :]) @ right
+        np.subtract(inner, schur, out=schur)
+        schur %= moduli[:, :, None, None]
+        chunk = _determinants_mod(schur.reshape(-1, len(rest), len(rest)), np.repeat(moduli, batch))
+        chunk = chunk.reshape(len(moduli), batch)
+        for d in diagonal.T:
+            chunk = chunk * d % moduli
+        residues.append(chunk)
+    modulus = math.prod(primes)
+    basis = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    return [sum(r * e for r, e in zip(column, basis)) % modulus for column in np.concatenate(residues).T.tolist()]
+
+
+def _determinants_mod(stack: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """Determinants of ``stack[c]`` modulo the prime ``moduli[c]`` < 2^31.
+
+    Division-free Gaussian elimination over the whole batch at once,
+    overwriting ``stack``, whose int64 entries must lie in [0, moduli).  A
+    zero pivot swaps in the first row below with a nonzero entry in its
+    column, negating the determinant; with no such row the determinant is 0.
+    Step k multiplies the rows below the pivot by it instead of dividing, so
+    the product of the pivots is det times prod_k pivot_k^(m-1-k), which is
+    the product of the running pivot products; its one inverse is taken at
+    the end.  With q the modulus, the update a p + (q^2 - b c) is computed
+    unsigned: each term is below q^2 < 2^62, and unsigned remainders are the
+    cheaper ones.
+    """
+    columns, m = stack.shape[0], stack.shape[1]
+    stack = stack.view(np.uint64)
+    moduli = moduli.astype(np.uint64)
+    square = (moduli * moduli)[:, None, None]
+    top = np.ones(columns, dtype=np.uint64)  # the pivots' product, sign included
+    scaling = np.ones(columns, dtype=np.uint64)  # prod_k pivot_k^(m-1-k)
+    running = np.ones(columns, dtype=np.uint64)
+    for k in range(m):
+        pivot = stack[:, k, k]
+        zero = pivot == 0
+        if zero.any():
+            row = k + np.argmax(stack[:, k:, k] != 0, axis=1)
+            swap = np.flatnonzero(row != k)
+            taken = stack[swap, row[swap], k:]
+            stack[swap, row[swap], k:] = stack[swap, k, k:]
+            stack[swap, k, k:] = taken
+            top[swap] = moduli[swap] - top[swap]
+            pivot = stack[:, k, k]
+            zero = pivot == 0
+            pivot = np.where(zero, 1, pivot)
+            top[zero] = 0
+        top = top * pivot % moduli
+        if k == m - 1:
+            break
+        block = stack[:, k + 1 :, k + 1 :]
+        product = stack[:, k + 1 :, k, None] * stack[:, None, k, k + 1 :]
+        block *= pivot[:, None, None]
+        block += np.subtract(square, product, out=product)
+        block %= moduli[:, None, None]
+        running = running * pivot % moduli
+        scaling = scaling * running % moduli
+    inverse = [pow(s, -1, p) for s, p in zip(scaling.tolist(), moduli.tolist())]
+    return (top * np.array(inverse, dtype=np.uint64) % moduli).astype(np.int64)
+
+
+def _crt_primes(bound: int) -> tuple[int, ...]:
+    """The fewest primes below 2^31 whose product exceeds ``bound``: the largest ones."""
+    # every prime here exceeds 2^30, so this many always suffice
+    count = bound.bit_length() // 30 + 1
+    primes = _largest_primes(1 << (count - 1).bit_length())
+    product, used = primes[0], 1
+    while product <= bound:
+        product *= primes[used]
+        used += 1
+    return primes[:used]
+
+
+@lru_cache(maxsize=None)
+def _largest_primes(count: int) -> tuple[int, ...]:
+    """The ``count`` largest primes below 2^31, descending, from a sieve of a window below it."""
+    root = math.isqrt(_PRIME_LIMIT)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for q in range(2, math.isqrt(root) + 1):
+        if small[q]:
+            small[q * q :: q] = False
+    width = 32 * count  # primes near 2^31 are about 21.5 apart
+    while True:
+        low = _PRIME_LIMIT - width
+        composite = np.zeros(width, dtype=bool)
+        for q in np.flatnonzero(small).tolist():
+            composite[-low % q :: q] = True
+        primes = low + np.flatnonzero(~composite)[::-1]
+        if len(primes) >= count:
+            return tuple(primes[:count].tolist())
+        width *= 2
+
+
 def _forest_guard(graph: AdjacencyStructure) -> None:
     if graph.n > FOREST_ORDER_CAP:
         raise TooLarge(f"forest enumeration is capped at order {FOREST_ORDER_CAP}, got {graph.n}")
@@ -261,7 +399,7 @@ def _forest_bipartitions(graph: AdjacencyStructure) -> tuple[np.ndarray, np.ndar
     n = graph.n
     masks = np.arange(1, 1 << n, dtype=np.uint32)
     member = ((masks >> np.arange(n, dtype=np.uint32)[:, None]) & 1).astype(bool)
-    trees = _tree_counts(graph, member)
+    trees = np.array(_tree_counts(graph, member))
     inside = masks[: -1 : 2]
     counts = (trees[inside - 1] * trees[masks[-1] - inside - 1]).astype(np.int64)
     forested = counts != 0

@@ -1,5 +1,8 @@
 """Construction-code parsing, enumeration and derived structure."""
 
+import cProfile
+import pstats
+import random
 from collections import deque
 
 import numpy as np
@@ -22,7 +25,7 @@ from thresholdwalk import (
     render,
     render_blocks,
 )
-from thresholdwalk.codes import MAX_CODE_LENGTH
+from thresholdwalk.codes import MAX_CODE_LENGTH, AdjacencyStructure
 from thresholdwalk.errors import (
     EmptyInput,
     IllegalCharacter,
@@ -32,6 +35,7 @@ from thresholdwalk.errors import (
     OrderTooSmall,
     ParameterOutOfRange,
 )
+from thresholdwalk.verify import verify_code
 
 random_bits = st.builds(
     lambda tail: (0, *tail),
@@ -222,6 +226,20 @@ class TestBuildGraph:
                 expected[i - 1, j - 1] = expected[j - 1, i - 1] = 1
             A = graph.adjacency_matrix()
             assert A.dtype == np.int64 and np.array_equal(A, expected), str(code)
+
+    def test_graph_arrays_built_once_per_request(self):
+        # every oracle of one verify --suite all request reads the same matrix and BFS
+        cached = [vars(AdjacencyStructure)[name].func.__code__ for name in ("_adjacency", "is_connected")]
+        keys = {(c.co_filename, c.co_firstlineno, c.co_name) for c in cached}
+        rng = random.Random(42)
+        for text in ["011010111", "0" + "".join(rng.choice("01") for _ in range(40)) + "1"]:
+            profile = cProfile.Profile()
+            profile.runcall(verify_code, parse_code(text))
+            calls = {key[2]: stat[1] for key, stat in pstats.Stats(profile).stats.items() if key in keys}
+            assert calls == {"_adjacency": 1, "is_connected": 1}, text
+        A = build_graph(parse_code("0101")).adjacency_matrix()
+        with pytest.raises(ValueError, match="read-only"):
+            A[0, 1] = 0
 
 
 class TestEnumeration:

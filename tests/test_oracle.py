@@ -21,13 +21,17 @@ from thresholdwalk import (
     two_forest_matrix,
     two_forest_refinement,
 )
-from thresholdwalk import oracle
+from thresholdwalk import oracle, spanning_tree_count
 from thresholdwalk.errors import Disconnected, SameVertex, TooLarge
 from thresholdwalk.oracle import (
+    _crt_primes,
+    _determinants_mod,
     _forest_bipartitions,
+    _independent_set,
+    _modular_determinants,
+    _padded_laplacians,
     _psd_determinants,
     _tree_counts,
-    is_connected,
     stationary_distribution,
     transition_matrix,
 )
@@ -52,8 +56,8 @@ class TestWalkBasics:
             assert np.abs(w @ T - w).max() < 1e-10
 
     def test_connectivity_detector(self):
-        assert is_connected(PAW)
-        assert not is_connected(build_graph(parse_code("0110")))
+        assert PAW.is_connected
+        assert not build_graph(parse_code("0110")).is_connected
 
 
 class TestEigenOracle:
@@ -311,17 +315,9 @@ def every_subset(n):
     return subsets, member
 
 
-@pytest.fixture
-def stacks(monkeypatch):
-    """Every stack handed to _psd_determinants, copied before the elimination overwrites it."""
-    seen = []
-
-    def recording(stack):
-        seen.append(stack.copy())
-        return _psd_determinants(stack)
-
-    monkeypatch.setattr(oracle, "_psd_determinants", recording)
-    return seen
+def hadamard(graph):
+    """The bound prod(d_v + 1) on every tree count of the graph's subgraphs."""
+    return math.prod(len(nb) + 1 for nb in graph.neighbors)
 
 
 def block_diagonal(*blocks):
@@ -339,25 +335,84 @@ class TestTreeCounts:
     def test_every_subset_equals_reference(self, text):
         graph = build_graph(parse_code(text))
         subsets, member = every_subset(graph.n)
-        assert _tree_counts(graph, member).tolist() == [reference_tree_count(graph, s) for s in subsets]
+        assert _tree_counts(graph, member) == [reference_tree_count(graph, s) for s in subsets]
 
-    def test_int64_and_object_paths_agree(self, stacks):
-        for text in [*REFERENCE_CODES[::5], "0" + "1" * 8]:
-            graph = build_graph(parse_code(text))
-            _tree_counts(graph, every_subset(graph.n)[1])
-        for stack in stacks:
-            assert stack.dtype == np.int64
-            wide = _psd_determinants(stack.astype(object))
-            assert all(type(d) is int for d in wide)
-            assert _psd_determinants(stack.copy()).tolist() == wide.tolist()
+    @pytest.mark.parametrize("text", REFERENCE_CODES)
+    def test_modular_route_every_subset_equals_reference(self, text):
+        # with the Hadamard bound itself (one prime up to order 9) and with a
+        # bound that takes three primes, so the Chinese remaindering is exercised
+        graph = build_graph(parse_code(text))
+        subsets, member = every_subset(graph.n)
+        A = graph.adjacency_matrix()
+        reference = [reference_tree_count(graph, s) for s in subsets]
+        for bound in (hadamard(graph), hadamard(graph) << 62):
+            stack = _padded_laplacians(A, member)
+            assert _modular_determinants(stack, _independent_set(A), bound) == reference
 
-    def test_dtype_guard(self, stacks):
-        # 2 H^2 < 2^63 with H = prod(d_v + 1): 9^9 on K9, 24^24 on K24
+    def test_routing(self, monkeypatch):
+        # int64 Bareiss exactly when 2 H^2 < 2^63 with H = prod(d_v + 1): 9^9 on K9,
+        # 24^24 on K24; a seeded order-40 code is far past it
+        routes = []
+
+        def recording(name, route):
+            def call(*args):
+                routes.append(name)
+                return route(*args)
+
+            monkeypatch.setattr(oracle, name, call)
+
+        recording("_psd_determinants", _psd_determinants)
+        recording("_modular_determinants", _modular_determinants)
         _forest_bipartitions.cache_clear()
-        assert spanning_tree_oracle(build_graph(parse_code("0" + "1" * 8))) == 9**7
-        assert two_forest_matrix(build_graph(parse_code("0" + "1" * 8)))[0][1] == 2 * 9**6
+        k9 = build_graph(parse_code("0" + "1" * 8))
+        assert two_forest_matrix(k9)[0][1] == 2 * 9**6
+        assert spanning_tree_oracle(k9) == 9**7
         assert spanning_tree_oracle(build_graph(parse_code("0" + "1" * 23))) == 24**22
-        assert [stack.dtype for stack in stacks] == [np.int64, np.int64, object]
+        rng = random.Random(40)
+        code = parse_code("0" + "".join(rng.choice("01") for _ in range(38)) + "1")
+        assert spanning_tree_oracle(build_graph(code)) == spanning_tree_count(code)
+        assert routes == ["_psd_determinants"] * 2 + ["_modular_determinants"] * 2
+
+    def test_small_primes_need_row_swaps(self):
+        # each matrix under 5 and under 7: zero pivots mod p that a row swap
+        # passes, a determinant divisible by 5, and matrices singular over the integers
+        triangle = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+        batch = [
+            ([[5, 1, 0], [1, 1, 0], [0, 0, 1]], 4),  # pivot 0 mod 5 at step 1
+            ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], -1),  # pivot 0 at step 2 over the integers
+            ([[0, 1, 0], [1, 0, 0], [0, 0, 3]], -3),  # swap at step 1 under both primes
+            ([[7, 2, 0], [1, 3, 1], [0, 1, 2]], 31),  # pivot 0 mod 7 at step 1
+            ([[1, 2, 0], [2, 4, 0], [0, 0, 1]], 0),  # singular: rank 2
+            (triangle, 0),  # a Laplacian: singular
+            ([[5, 0, 0], [0, 2, 1], [0, 1, 1]], 5),  # divisible by 5, no row to swap in
+            ([[6, -1, -1], [-1, 6, -1], [-1, -1, 6]], 196),  # 196 = 2^2 7^2
+        ]
+        primes = [5, 7]
+        stack = np.stack([np.array(m) % p for p in primes for m, _ in batch])
+        moduli = np.repeat(primes, len(batch))
+        expected = [det % p for p in primes for _, det in batch]
+        assert _determinants_mod(stack, moduli).tolist() == expected
+
+    def test_crt_primes(self):
+        # the bounds of K24 and K200 and either side of one prime
+        complete = [hadamard(build_graph(parse_code("0" + "1" * (n - 1)))) for n in (24, 200)]
+        for bound in (1, (1 << 31) - 1, 1 << 31, *complete, 10**1000):
+            primes = _crt_primes(bound)
+            assert len(set(primes)) == len(primes)
+            assert all(p < 1 << 31 for p in primes)
+            assert math.prod(primes) > bound >= math.prod(primes[:-1])
+        divisors = np.arange(2, math.isqrt(1 << 31) + 1)
+        assert all((p % divisors).all() for p in _crt_primes(10**1000))
+
+    def test_independent_set(self):
+        rng = random.Random(19)
+        seeded = ["0" + "".join(rng.choice("01") for _ in range(n - 2)) + "1" for n in (24, 40, 64, 200)]
+        for text in [*REFERENCE_CODES, *seeded, "0" + "1" * 199]:
+            A = build_graph(parse_code(text)).adjacency_matrix()
+            chosen = _independent_set(A)
+            assert not A[np.ix_(chosen, chosen)].any(), text  # independent
+            assert A[np.ix_(~chosen, chosen)].any(axis=1).all(), text  # maximal
+        assert _independent_set(A).sum() == 1  # the complete graph of order 200
 
     @pytest.mark.parametrize("dtype", [np.int64, object])
     def test_zero_pivot_beside_nonsingular(self, dtype):

@@ -1,7 +1,8 @@
 """Per-layer timings of thresholdwalk, written to BENCH_<label>.json.
 
 Times each layer of the ROADMAP layer table at fixed orders on codes drawn
-from ``random.Random(n)``, plus ``parse_code`` at n = 4000, ``two_forest_matrix``
+from ``random.Random(n)``, plus ``spanning_tree_oracle`` on the complete graph
+of order 200, ``parse_code`` at n = 4000, ``two_forest_matrix``
 at n = 9 (its bipartition cache cleared in every call), ``enumerate --n 20
 --json`` and the tier-1 pytest wall time.  Each layer is set up once
 and then timed K = 3 times; the file records every run and their median, with
@@ -81,6 +82,9 @@ def layers():
     def tree_oracle(n):
         return partial(spanning_tree_oracle, build_graph(code(n)))
 
+    def complete_tree_oracle(n):
+        return partial(spanning_tree_oracle, build_graph(parse_code("0" + "1" * (n - 1))))
+
     def mfpt(n):
         return partial(mfpt_matrix, build_graph(code(n)))
 
@@ -108,6 +112,7 @@ def layers():
         ("pseudo_inverse", 1000, lambda n: partial(pseudo_inverse, code(n))),
         ("spanning_tree_oracle", 64, tree_oracle),
         ("spanning_tree_oracle", 200, tree_oracle),
+        ("spanning_tree_oracle_complete_graph", 200, complete_tree_oracle),
         (f"two_forest_matrix_x{FOREST_CALLS}", 9, forests),
         ("mfpt_matrix", 200, mfpt),
         ("mfpt_matrix", 400, mfpt),
