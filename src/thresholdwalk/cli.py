@@ -23,14 +23,14 @@ import math
 import os
 import sys
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 
 from . import __version__
-from .codes import code_count, degree_profile, enumerate_codes, parse_code
+from .codes import code_count, degree_profile, enumerate_codes, parse_code, require_walk
 from .errors import OrderOutOfRange, ThresholdWalkError
 from .kemeny import (
     _bounds_for,
@@ -43,7 +43,7 @@ from .kemeny import (
 )
 from .resistance import _symmetric, _verify_orderings, resistance_closed_form, resistance_matrix
 from .search import MAX_ORDER, _checkpoint_in, max_kemeny_search
-from .spectral import laplacian_spectrum, spanning_tree_count
+from .spectral import laplacian_spectrum
 from .verify import SUITES, verify_code
 
 SCHEMA_VERSION = "1"
@@ -81,6 +81,44 @@ def _ratio_formatter(den: int) -> Callable[[int], str]:
         return _int_str(x // g) + tail(g)
 
     return ratio
+
+
+def _moment_formatter(den: int, kemeny: Fraction) -> Callable[[int], tuple[str, str]]:
+    """x -> (_frac_str(mu), _frac_str(mu - kemeny)) for mu = Fraction(x, den).
+
+    The reduced denominators are few: each is formatted once.
+    """
+    k_num, k_den = kemeny.numerator, kemeny.denominator
+    den_str = cache(_int_str)
+
+    def moment(x: int) -> tuple[str, str]:
+        # mu = p / q reduced in one gcd; alpha = mu - K reduced as Fraction
+        # subtraction does: t / (s K.den) can share with its denominator only
+        # factors of g = gcd(q, K.den), cheaper than one gcd over den * K.den
+        g = math.gcd(x, den)
+        p, q = x // g, den // g
+        g = math.gcd(q, k_den)
+        s = q // g
+        t = p * (k_den // g) - k_num * s
+        h = math.gcd(t, g)
+        return f"{_int_str(p)}/{den_str(q)}", f"{_int_str(t // h)}/{den_str(s * (k_den // h))}"
+
+    return moment
+
+
+def _mapped_once(rows: Iterable[list[int]], formatter: Callable) -> Iterator[list]:
+    """Each row mapped through formatter, which is called once per distinct value over all rows.
+
+    The rows are read one at a time and only one result per distinct value
+    is kept.  The positions of one run of equal code bits are twins, so the row
+    and column terms are constant along runs and about a quarter of the
+    entries of R or F are distinct.
+    """
+    table: dict = {}
+    for row in rows:
+        new = set(row).difference(table)
+        table.update(zip(new, map(formatter, new)))
+        yield list(map(table.__getitem__, row))
 
 
 def _int_str(value: int) -> str:
@@ -140,19 +178,16 @@ def _cmd_compute(args) -> CommandOutput:
 def _cmd_spectrum(args) -> CommandOutput:
     code = parse_code(args.code)
     spectrum = laplacian_spectrum(code)
-    tau = _int_str(spanning_tree_count(code))
-    payload = {
-        "n": code.n,
-        "lambda": list(spectrum.eigenvalues),
-        "sorted": list(spectrum.sorted()),
-        "tau": tau,
-    }
-    text = [
-        f"lambda (basis order): {' '.join(str(v) for v in spectrum.eigenvalues)}",
-        f"sorted: {' '.join(str(v) for v in spectrum.sorted())}",
-        f"tau = {tau}",
-    ]
-    return CommandOutput(payload, text)
+    require_walk(code)
+    tau = _int_str(spectrum.tree_count())
+    payload = {"n": code.n, "lambda": list(spectrum.eigenvalues), "sorted": list(spectrum.sorted()), "tau": tau}
+
+    def text():
+        yield "lambda (basis order): " + " ".join(map(str, payload["lambda"]))
+        yield "sorted: " + " ".join(map(str, payload["sorted"]))
+        yield f"tau = {tau}"
+
+    return CommandOutput(payload, text())
 
 
 def _cmd_resistance(args) -> CommandOutput:
@@ -163,8 +198,7 @@ def _cmd_resistance(args) -> CommandOutput:
         payload = {"n": code.n, "pair": [j, v], "r": _frac_str(value)}
         return CommandOutput(payload, [_frac_str(value)])
     profile = resistance_matrix(code)
-    ratio = _ratio_formatter(profile.den)
-    rows = _symmetric([list(map(ratio, upper)) for upper in profile.r_upper_rows()], "0/1")
+    rows = _symmetric(list(_mapped_once(profile.r_upper_rows(), _ratio_formatter(profile.den))), "0/1")
     header = [f"v{p}" for p in range(1, code.n + 1)]
     text = (" ".join(row) for row in rows)
     return CommandOutput({"n": code.n, "r": rows}, text, [header, *rows], joined_rows="r")
@@ -173,7 +207,7 @@ def _cmd_resistance(args) -> CommandOutput:
 def _cmd_forest(args) -> CommandOutput:
     code = parse_code(args.code)
     profile = resistance_matrix(code)
-    rows = _symmetric([list(map(_int_str, upper)) for upper in profile.f_upper_rows()], "0")
+    rows = _symmetric(list(_mapped_once(profile.f_upper_rows(), _int_str)), "0")
     tau = _int_str(profile.tau)
     lines = [*rows, ["tau", tau]]
     header = [f"v{p}" for p in range(1, code.n + 1)]
@@ -185,21 +219,8 @@ def _cmd_access(args) -> CommandOutput:
     code = parse_code(args.code)
     profile = resistance_matrix(code)
     report = _verify_orderings(code, profile)
-    den, k_num, k_den = profile.den, profile.kemeny.numerator, profile.kemeny.denominator
-    den_str = cache(_int_str)  # the reduced denominators are few: each is formatted once
-    mu, alpha = [], []
-    for x in profile.mu_num:
-        # mu_v = p / q reduced in one gcd; alpha_v = mu_v - K reduced as Fraction
-        # subtraction does: t / (s K.den) can share with its denominator only
-        # factors of g = gcd(q, K.den), cheaper than one gcd over den * K.den
-        g = math.gcd(x, den)
-        p, q = x // g, den // g
-        mu.append(f"{_int_str(p)}/{den_str(q)}")
-        g = math.gcd(q, k_den)
-        s = q // g
-        t = p * (k_den // g) - k_num * s
-        h = math.gcd(t, g)
-        alpha.append(f"{_int_str(t // h)}/{den_str(s * (k_den // h))}")
+    (moments,) = _mapped_once([profile.mu_num], _moment_formatter(profile.den, profile.kemeny))
+    mu, alpha = map(list, zip(*moments))
     payload = {
         "mu": mu,
         "alpha": alpha,

@@ -89,6 +89,16 @@ class LaplacianSpectrum:
     def sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.eigenvalues))
 
+    def tree_count(self) -> int:
+        """Exact number of spanning trees: the product of the eigenvalues but the last over n.
+
+        The product is 0 when a second eigenvalue is 0, as for a disconnected code.
+        """
+        tau, remainder = divmod(math.prod(self.eigenvalues[:-1]), self.n)
+        if remainder:
+            raise ArithmeticError("eigenvalue product not divisible by n; spectrum inconsistent")
+        return tau
+
 
 def laplacian_matrix(code: ConstructionCode) -> np.ndarray:
     """Integer Laplacian L = D - A with vertices in code order."""
@@ -148,12 +158,9 @@ def commuting_check(code_a: ConstructionCode, code_b: ConstructionCode) -> bool:
 
 
 def spanning_tree_count(code: ConstructionCode) -> int:
-    """Exact number of spanning trees: the product of the nonzero eigenvalues over n."""
+    """Exact number of spanning trees of a connected code: its spectrum's tree_count."""
     require_walk(code)
-    tau, remainder = divmod(math.prod(laplacian_spectrum(code).eigenvalues[:-1]), code.n)
-    if remainder:
-        raise ArithmeticError("eigenvalue product not divisible by n; spectrum inconsistent")
-    return tau
+    return laplacian_spectrum(code).tree_count()
 
 
 def pseudo_inverse(code: ConstructionCode) -> list[list[Fraction]]:

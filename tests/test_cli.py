@@ -8,6 +8,7 @@ import json
 import os
 import random
 import time
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from conftest import connected_codes_upto, seeded_codes
 from thresholdwalk import (
     build_graph,
     cli,
+    degree_profile,
     kemeny,
     kemeny_degree_form,
     oracle,
@@ -25,10 +27,12 @@ from thresholdwalk import (
     pseudo_inverse,
     resistance_matrix,
     resistance_oracle,
+    spectral,
     upper_bounds,
     verify,
 )
 from thresholdwalk.cli import main
+from thresholdwalk.resistance import _verify_orderings
 
 
 def run(capsys, *argv):
@@ -192,6 +196,30 @@ class TestSpectrum:
         assert len(tau) == 4399
         assert int(Decimal(tau)) == 1400**1398
 
+    def test_one_spectrum_per_request(self, capsys, monkeypatch):
+        # tau is the product of the spectrum already formed, not of a second one
+        calls = {"laplacian_spectrum": 0}
+        counted = _counted(calls, "laplacian_spectrum", spectral.laplacian_spectrum)
+        for module in (cli, spectral):
+            monkeypatch.setattr(module, "laplacian_spectrum", counted)
+        for style in ([], ["--csv"], ["--json"]):
+            calls["laplacian_spectrum"] = 0
+            assert run(capsys, "spectrum", "01100011", *style)[0] == 0
+            assert calls == {"laplacian_spectrum": 1}, style
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("0110", "Disconnected: random-walk quantities are undefined for a disconnected code"),
+            ("0", "OrderTooSmall: spectra are reported for order >= 2"),
+            ("0x1", "IllegalCharacter: unexpected character 'x' in code string"),
+            ("", "EmptyInput: empty construction code"),
+        ],
+    )
+    @pytest.mark.parametrize("style", [[], ["--csv"], ["--json"]], ids=["text", "csv", "json"])
+    def test_bad_code_exits_one(self, capsys, text, message, style):
+        assert run(capsys, "spectrum", text, *style) == (1, "", f"error: {message}\n")
+
 
 class TestResistanceAndForest:
     def test_pair(self, capsys):
@@ -244,17 +272,96 @@ class TestResistanceAndForest:
             assert status == 0
             assert json.dumps(json.loads(out)) + "\n" == out, str(code)
 
-    def test_entries_are_the_reduced_fractions(self, capsys):
-        # R and alpha are formatted from the integer terms, one gcd each, with no Fraction built
-        for code in connected_codes_upto(9):
+    @pytest.mark.parametrize("command", ["resistance", "forest", "access"])
+    def test_every_mode_equals_the_per_entry_reference(self, capsys, command):
+        # each distinct term is formatted once and shared by its repeats; the
+        # reference formats every entry on its own as the reduced Fraction
+        for code in [*connected_codes_upto(9), *seeded_codes(2020, 8, 12, 300)]:
+            expected = _per_entry_outputs(command, code, resistance_matrix(code))
+            assert _outputs(capsys, command, str(code)) == expected, str(code)
+
+    @pytest.mark.parametrize("command", ["resistance", "forest", "access"])
+    def test_per_entry_reference_past_the_digit_limit(self, capsys, monkeypatch, command):
+        # 1400^1398 has 4399 digits, past the 4300-digit limit of str(int)
+        profile = dataclasses.replace(resistance_matrix(parse_code("01")), tau=1400**1398)
+        monkeypatch.setattr(cli, "resistance_matrix", lambda _: profile)
+        expected = _per_entry_outputs(command, parse_code("01"), profile)
+        assert _outputs(capsys, command, "01") == expected
+
+    @pytest.mark.parametrize("command", ["resistance", "forest", "access"])
+    def test_each_distinct_value_formatted_once(self, capsys, monkeypatch, command):
+        calls = []
+
+        def listing(formatter):
+            def wrapper(x):
+                calls.append(x)
+                return formatter(x)
+
+            return wrapper
+
+        if command == "forest":
+            monkeypatch.setattr(cli, "_int_str", listing(cli._int_str))
+        else:
+            name = "_ratio_formatter" if command == "resistance" else "_moment_formatter"
+            factory = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args: listing(factory(*args)))
+        for code in [parse_code("0110100111"), *seeded_codes(2021, 4, 40, 200)]:
             profile = resistance_matrix(code)
-            row, col, den, n = profile.row, profile.col, profile.den, code.n
-            entry = [[Fraction(row[min(j, v)] + col[max(j, v)], den) for v in range(n)] for j in range(n)]
-            expected = [[cli._frac_str(entry[j][v] if j != v else Fraction(0)) for v in range(n)] for j in range(n)]
-            assert run_json(capsys, "resistance", str(code))[1]["payload"]["r"] == expected, str(code)
-            payload = run_json(capsys, "access", str(code))[1]["payload"]
-            assert payload["mu"] == [cli._frac_str(x) for x in profile.mu], str(code)
-            assert payload["alpha"] == [cli._frac_str(x) for x in profile.alpha], str(code)
+            if command == "access":
+                terms = list(profile.mu_num)
+            else:
+                upper = profile.f_upper_rows() if command == "forest" else profile.r_upper_rows()
+                terms = [x for row in upper for x in row]
+            calls.clear()
+            assert run(capsys, command, str(code), "--json")[0] == 0
+            assert len(set(terms)) < len(terms), str(code)  # twins repeat terms
+            # forest also formats tau, once
+            expected = Counter(set(terms)) + Counter([profile.tau] if command == "forest" else [])
+            assert Counter(calls) == expected, str(code)
+
+
+def _outputs(capsys, command, text):
+    """command's JSON payload, text lines and CSV output for the code text; the JSON is what json.dumps writes."""
+    status, out, _ = run(capsys, command, text, "--json")
+    assert status == 0 and json.dumps(json.loads(out)) + "\n" == out
+    payload = json.dumps(json.loads(out)["payload"])
+    status_text, text_out, _ = run(capsys, command, text)
+    status_csv, csv_out, _ = run(capsys, command, text, "--csv")
+    assert status_text == status_csv == 0
+    return payload, text_out.splitlines(), csv_out
+
+
+def _per_entry_outputs(command, code, profile):
+    """_outputs of command, each entry formatted on its own by _frac_str or _int_str of the exact value."""
+    n, row, col, den = code.n, profile.row, profile.col, profile.den
+    if command == "access":
+        mu = [Fraction(x, den) for x in profile.mu_num]
+        payload = {
+            "mu": [cli._frac_str(x) for x in mu],
+            "alpha": [cli._frac_str(x - profile.kemeny) for x in mu],
+            "degrees": list(degree_profile(code).degrees),
+            "ordering_ok": _verify_orderings(code, profile).all_pass,
+        }
+        text = [
+            "mu: " + " ".join(payload["mu"]),
+            "alpha: " + " ".join(payload["alpha"]),
+            "degrees: " + " ".join(map(str, payload["degrees"])),
+            f"ordering_ok: {payload['ordering_ok']}",
+        ]
+        return json.dumps(payload), text, "".join(line + "\n" for line in text)  # --csv prints the text
+    terms = [[row[min(j, v)] + col[max(j, v)] if j != v else 0 for v in range(n)] for j in range(n)]
+    if command == "resistance":
+        rows = [[cli._frac_str(Fraction(x, den)) for x in line] for line in terms]
+        payload, lines, separator = {"n": n, "r": rows}, rows, " "
+    else:
+        f = [[divmod(profile.tau * x, den) for x in line] for line in terms]
+        assert all(remainder == 0 for line in f for _, remainder in line)
+        rows = [[cli._int_str(x) for x, _ in line] for line in f]
+        tau = cli._int_str(profile.tau)
+        payload, lines, separator = {"n": n, "tau": tau, "f": rows}, [*rows, ["tau", tau]], ","
+    # the fields hold only digits, '/' and letters, so CSV quotes none of them
+    csv_lines = [[f"v{p}" for p in range(1, n + 1)], *lines]
+    return json.dumps(payload), [separator.join(line) for line in lines], "".join(",".join(x) + "\n" for x in csv_lines)
 
 
 class TestAccess:
@@ -501,6 +608,9 @@ class TestVerify:
             assert status == 1
             assert suite["pseudoinverse_equal"] is False
             assert suite["max_deviation"] < 1e-8
+            # a nudged term splits its run of twins: still every entry's own float
+            floats = np.array([[float(x) for x in r] for r in profile.R])
+            assert suite["max_deviation"] == float(np.abs(floats - resistance_oracle(build_graph(code))).max())
 
     def test_resistance_suite_unperturbed_matches_all_pairs(self, capsys):
         seeded = seeded_codes(8, 5, 32, 128)

@@ -23,7 +23,7 @@ from thresholdwalk import (
     code_vectors,
 )
 from thresholdwalk.errors import Disconnected, LengthMismatch, OrderTooSmall
-from thresholdwalk.spectral import _positions
+from thresholdwalk.spectral import LaplacianSpectrum, _positions
 
 
 def random_code(rng, n):
@@ -219,6 +219,14 @@ class TestSpanningTrees:
     def test_disconnected(self):
         with pytest.raises(Disconnected):
             spanning_tree_count(parse_code("0110"))
+
+    def test_spectrum_tree_count(self):
+        # a disconnected spectrum has a second zero, so its product is 0; a
+        # product that n does not divide is no threshold spectrum
+        assert laplacian_spectrum(parse_code("0110")).tree_count() == 0
+        assert LaplacianSpectrum((5, 5, 2, 2, 2, 8, 8, 0)).tree_count() == 1600
+        with pytest.raises(ArithmeticError):
+            LaplacianSpectrum((3, 0)).tree_count()
 
 
 class TestPseudoInverse:

@@ -119,6 +119,7 @@ def layers():
         ("cli_verify_all_json", 200, lambda n: cli_call(main, ["verify", seeded_code(n), "--suite", "all", "--json"])),
         ("cli_access_json", 10_000, lambda n: cli_call(main, ["access", seeded_code(n), "--json"])),
         ("cli_forest_json", 600, lambda n: cli_call(main, ["forest", seeded_code(n), "--json"])),
+        ("cli_resistance_json", 600, lambda n: cli_call(main, ["resistance", seeded_code(n), "--json"])),
         (f"parse_code_x{PARSE_CALLS}", 4000, parse),
         ("cli_enumerate_json", 20, lambda n: cli_call(main, ["enumerate", "--n", str(n), "--json"])),
     ]
