@@ -2,8 +2,8 @@
 
 The CLI only parses arguments, dispatches to the library and renders the
 result as text, CSV or JSON; the verification suites live in ``verify``.
-Text and CSV are written row by row from strings the handler has formatted;
-only the mode asked for is ever joined.
+Text and CSV are written row by row from strings the handler has formatted,
+CSV by comma joins, as no field needs quoting; only the mode asked for is ever joined.
 Success with --json prints exactly one envelope object {schema_version,
 command, input, payload, timing}, byte for byte as json.dumps writes it,
 though the matrix rows of resistance and forest are written by join; timing
@@ -16,14 +16,13 @@ precision survives JSON.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
 import os
 import sys
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -41,7 +40,7 @@ from .kemeny import (
     pineapple_argmax,
     pineapple_kemeny,
 )
-from .resistance import _symmetric, _verify_orderings, resistance_closed_form, resistance_matrix
+from .resistance import _verify_orderings, resistance_closed_form, resistance_matrix
 from .search import MAX_ORDER, _checkpoint_in, max_kemeny_search
 from .spectral import laplacian_spectrum
 from .verify import SUITES, verify_code
@@ -104,21 +103,6 @@ def _moment_formatter(den: int, kemeny: Fraction) -> Callable[[int], tuple[str, 
         return f"{_int_str(p)}/{den_str(q)}", f"{_int_str(t // h)}/{den_str(s * (k_den // h))}"
 
     return moment
-
-
-def _mapped_once(rows: Iterable[list[int]], formatter: Callable) -> Iterator[list]:
-    """Each row mapped through formatter, which is called once per distinct value over all rows.
-
-    The rows are read one at a time and only one result per distinct value
-    is kept.  The positions of one run of equal code bits are twins, so the row
-    and column terms are constant along runs and about a quarter of the
-    entries of R or F are distinct.
-    """
-    table: dict = {}
-    for row in rows:
-        new = set(row).difference(table)
-        table.update(zip(new, map(formatter, new)))
-        yield list(map(table.__getitem__, row))
 
 
 def _int_str(value: int) -> str:
@@ -198,7 +182,8 @@ def _cmd_resistance(args) -> CommandOutput:
         payload = {"n": code.n, "pair": [j, v], "r": _frac_str(value)}
         return CommandOutput(payload, [_frac_str(value)])
     profile = resistance_matrix(code)
-    rows = _symmetric(list(_mapped_once(profile.r_upper_rows(), _ratio_formatter(profile.den))), "0/1")
+    row, col, ratio = profile.row, profile.col, cache(_ratio_formatter(profile.den))
+    rows = profile.matrix(lambda j, v: ratio(row[j] + col[v]), "0/1")
     header = [f"v{p}" for p in range(1, code.n + 1)]
     text = (" ".join(row) for row in rows)
     return CommandOutput({"n": code.n, "r": rows}, text, [header, *rows], joined_rows="r")
@@ -207,7 +192,8 @@ def _cmd_resistance(args) -> CommandOutput:
 def _cmd_forest(args) -> CommandOutput:
     code = parse_code(args.code)
     profile = resistance_matrix(code)
-    rows = _symmetric(list(_mapped_once(profile.f_upper_rows(), _int_str)), "0")
+    (A, B), int_str = profile.f_terms(), cache(_int_str)
+    rows = profile.matrix(lambda j, v: int_str(A[j] + B[v]), "0")
     tau = _int_str(profile.tau)
     lines = [*rows, ["tau", tau]]
     header = [f"v{p}" for p in range(1, code.n + 1)]
@@ -219,7 +205,7 @@ def _cmd_access(args) -> CommandOutput:
     code = parse_code(args.code)
     profile = resistance_matrix(code)
     report = _verify_orderings(code, profile)
-    (moments,) = _mapped_once([profile.mu_num], _moment_formatter(profile.den, profile.kemeny))
+    moments = map(cache(_moment_formatter(profile.den, profile.kemeny)), profile.mu_num)
     mu, alpha = map(list, zip(*moments))
     payload = {
         "mu": mu,
@@ -452,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             _print_envelope(envelope, output.joined_rows)
         elif args.csv and output.csv_rows is not None:
-            csv.writer(sys.stdout, lineterminator="\n").writerows(output.csv_rows)
+            sys.stdout.writelines(",".join(row) + "\n" for row in output.csv_rows)
         else:
             for line in output.text:
                 print(line)

@@ -28,11 +28,11 @@ checks are decided in integer comparisons, without tolerances.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from operator import eq, ge, le, lt
 
 from .codes import ConstructionCode, blocks, degree_profile, require_walk
@@ -53,9 +53,9 @@ class ResistanceProfile:
 
     R (Fractions, symmetric, zero diagonal) and F = tau * R (ints) are
     tuples of row tuples, and mu and alpha tuples of Fractions, each built
-    from the core when first read and kept.  The integer terms they are
-    built from, the strict upper triangle rows of den * R and of F and the
-    accessibility numerators, can be read without building them.
+    from the core when first read and kept, R and F by matrix from one
+    entry per pair of twin classes.  The terms of F and of alpha can be
+    read without building them, from f_terms and alpha_terms.
     """
 
     n: int
@@ -76,12 +76,13 @@ class ResistanceProfile:
 
     @cached_property
     def R(self) -> tuple[tuple[Fraction, ...], ...]:
-        den = self.den
-        return _symmetric([[Fraction(x, den) for x in upper] for upper in self.r_upper_rows()], Fraction(0))
+        row, col, den = self.row, self.col, self.den
+        return self.matrix(lambda j, v: Fraction(row[j] + col[v], den), Fraction(0))
 
     @cached_property
     def F(self) -> tuple[tuple[int, ...], ...]:
-        return _symmetric(list(self.f_upper_rows()), 0)
+        A, B = self.f_terms()
+        return self.matrix(lambda j, v: A[j] + B[v], 0)
 
     def alpha_terms(self) -> tuple[list[int], int]:
         """alpha_v = mu_v - K as integer numerators over one denominator, den * K.den; not reduced.
@@ -92,23 +93,39 @@ class ResistanceProfile:
         shift = K.numerator * self.den
         return [x * K.denominator - shift for x in self.mu_num], self.den * K.denominator
 
-    def r_upper_rows(self) -> Iterator[list[int]]:
-        """For each row j, den * R[j][v] = row[j] + col[v] for v > j, as a list of ints."""
-        row, col = self.row, self.col
-        return ([row[j] + x for x in col[j + 1 :]] for j in range(self.n))
-
-    def f_upper_rows(self) -> Iterator[list[int]]:
-        """For each row j, F[j][v] for v > j, as a list of ints."""
+    def f_terms(self) -> tuple[list[int], list[int]]:
+        """A, B with F[j][v] = A[j] + B[v] for j < v: tau * row // den and tau * col // den."""
         # tau * x // den is exact for every paired term: resistance_matrix checked it
-        A, B = ([self.tau * x // self.den for x in terms] for terms in (self.row, self.col))
-        return ([A[j] + x for x in B[j + 1 :]] for j in range(self.n))
+        return [self.tau * x // self.den for x in self.row], [self.tau * x // self.den for x in self.col]
 
+    def class_table(self, entry: Callable[[int, int], object], zero) -> tuple[list[int], list[list]]:
+        """The twin class sizes in code order, and the k x k table of entry(j, v) on the classes.
 
-def _symmetric(upper: list[list], zero) -> tuple[tuple, ...]:
-    """The symmetric matrix with diagonal zero and strict upper triangle rows upper."""
-    return tuple(
-        tuple([upper[v][j - v - 1] for v in range(j)] + [zero] + upper[j]) for j in range(len(upper))
-    )
+        Positions j - 1 and j are twins when the terms pairing them agree, col unless j = 1 and
+        row unless j = n - 1: a leading 01 is a class (case (ii)'s equality), as is each run of
+        equal bits (case (i)).  entry is called once per pair of classes, on their first positions
+        s < t, and once per class of two or more, as entry(s, s + 1); a class of one has zero.
+        """
+        n, row, col = self.n, self.row, self.col
+        starts = [0] + [
+            j for j in range(1, n) if (j > 1 and col[j - 1] != col[j]) or (j < n - 1 and row[j - 1] != row[j])
+        ]
+        sizes = [t - s for s, t in zip(starts, [*starts[1:], n])]
+        upper = [[entry(s, t) for t in starts[a + 1 :]] for a, s in enumerate(starts)]
+        diagonal = [entry(s, s + 1) if size > 1 else zero for s, size in zip(starts, sizes)]
+        return sizes, [[upper[b][a - b - 1] for b in range(a)] + [diagonal[a]] + upper[a] for a in range(len(starts))]
+
+    def matrix(self, entry: Callable[[int, int], object], zero) -> tuple[tuple, ...]:
+        """The symmetric n x n matrix with diagonal zero and entry(j, v) at j < v, spread from class_table."""
+        sizes, table = self.class_table(entry, zero)
+        rows: list[tuple] = []
+        for a, values in enumerate(table):
+            spread = list(chain.from_iterable(map(repeat, values, sizes)))
+            for p in range(len(rows), len(rows) + sizes[a]):
+                spread[p] = zero
+                rows.append(tuple(spread))
+                spread[p] = values[a]
+        return tuple(rows)
 
 
 def resistance_closed_form(code: ConstructionCode, j: int, v: int) -> Fraction:

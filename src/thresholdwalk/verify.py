@@ -89,14 +89,11 @@ def _suite_resistance(code: ConstructionCode, shared: _Shared) -> dict:
     values = {Fraction(row[i], den) - pinv[i][i] for i in range(n - 1)}
     values.update(pinv[j][j] - Fraction(col[j], den) - 2 * top[j] for j in range(1, n))
     exact_equal = shaped and len(values) == 1
-    # int / int rounds correctly, so each value is float(R[i][j]) exactly.
-    # Adjacent positions with equal row and column terms (twins) share every
-    # entry, so each pair of such runs is divided once and then repeated
-    firsts = [j for j in range(n) if j == 0 or (row[j], col[j]) != (row[j - 1], col[j - 1])]
-    sizes = np.diff([*firsts, n])
-    runs = [[0.0] * a + [(row[i] + col[j]) / den for j in firsts[a:]] for a, i in enumerate(firsts)]
-    upper = np.triu(np.repeat(np.repeat(runs, sizes, axis=0), sizes, axis=1), 1)
-    deviation = float(np.abs(upper + upper.T - shared.numeric_r).max())
+    # one int / int per pair of twin classes; it rounds correctly, so it is float(R[i][j]) exactly
+    sizes, table = profile.class_table(lambda j, v: (row[j] + col[v]) / den, 0.0)
+    numeric = np.repeat(np.repeat(table, sizes, axis=0), sizes, axis=1)
+    np.fill_diagonal(numeric, 0.0)
+    deviation = float(np.abs(numeric - shared.numeric_r).max())
     ok = exact_equal and deviation < 1e-8
     return {"pass": bool(ok), "pseudoinverse_equal": exact_equal, "max_deviation": deviation}
 

@@ -310,8 +310,8 @@ class TestResistanceAndForest:
             if command == "access":
                 terms = list(profile.mu_num)
             else:
-                upper = profile.f_upper_rows() if command == "forest" else profile.r_upper_rows()
-                terms = [x for row in upper for x in row]
+                a, b = profile.f_terms() if command == "forest" else (profile.row, profile.col)
+                terms = [a[j] + b[v] for v in range(code.n) for j in range(v)]
             calls.clear()
             assert run(capsys, command, str(code), "--json")[0] == 0
             assert len(set(terms)) < len(terms), str(code)  # twins repeat terms
@@ -763,26 +763,44 @@ class TestDispatch:
         assert err.startswith("error: OrderOutOfRange: ") and "Traceback" not in err
 
 
+_ROW_COMMANDS = [
+    ("resistance", "01"),
+    ("resistance", "0101"),
+    ("resistance", "0110100111"),
+    ("forest", "01"),
+    ("forest", "0101"),
+    ("forest", "0110100111"),
+    ("forest", "0" + "011" * 10 + "1"),
+    ("pineapple", "--n", "3", "--sweep"),
+    ("pineapple", "--n", "12", "--sweep"),
+    ("pineapple", "--n", "21", "--r", "4"),
+    ("search", "--n", "3", "--threads", "1"),
+    ("search", "--n", "8", "--threads", "1"),
+    ("enumerate", "--n", "2"),
+    ("enumerate", "--n", "9"),
+]
+
+
 class TestFormats:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("resistance", "01"),
-            ("resistance", "0101"),
-            ("resistance", "0110100111"),
-            ("forest", "01"),
-            ("forest", "0101"),
-            ("forest", "0110100111"),
-            ("forest", "0" + "011" * 10 + "1"),
-            ("pineapple", "--n", "3", "--sweep"),
-            ("pineapple", "--n", "12", "--sweep"),
-            ("pineapple", "--n", "21", "--r", "4"),
-            ("search", "--n", "3", "--threads", "1"),
-            ("search", "--n", "8", "--threads", "1"),
-            ("enumerate", "--n", "2"),
-            ("enumerate", "--n", "9"),
-        ],
-        ids=" ".join,
-    )
+    @pytest.mark.parametrize("argv", _ROW_COMMANDS, ids=" ".join)
     def test_csv_and_text_carry_the_json_rows(self, argv):
         assert formats_agree(*argv) >= 1
+
+    @pytest.mark.parametrize("argv", _ROW_COMMANDS, ids=" ".join)
+    def test_csv_is_what_csv_writer_writes(self, monkeypatch, argv):
+        # the CSV rows are joined by commas; the csv module writes the same bytes, quoting nothing
+        outputs = []
+        command_output = cli.CommandOutput
+
+        def recording(*args, **kwargs):
+            output = command_output(*args, **kwargs)
+            output.csv_rows = list(output.csv_rows)
+            outputs.append(output)
+            return output
+
+        monkeypatch.setattr(cli, "CommandOutput", recording)
+        written, expected = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(written):
+            assert main([*argv, "--csv"]) == 0
+        csv.writer(expected, lineterminator="\n").writerows(outputs[0].csv_rows)
+        assert written.getvalue() == expected.getvalue()

@@ -102,6 +102,83 @@ class TestResistanceMatrix:
                         assert R[i][k] <= R[i][j] + R[j][k]
 
 
+def _reference_starts(profile):
+    """The first position of each twin class, from R with each entry its own Fraction of the terms.
+
+    Positions j - 1 and j share a class exactly when their R rows agree
+    outside their own 2 x 2 block.
+    """
+    n, row, col, den = profile.n, profile.row, profile.col, profile.den
+
+    def r(i, p):
+        return Fraction(row[min(i, p)] + col[max(i, p)], den) if i != p else Fraction(0)
+
+    return [j for j in range(n) if j == 0 or any(r(j - 1, i) != r(j, i) for i in range(n) if i not in (j - 1, j))]
+
+
+def _starts(sizes):
+    return [sum(sizes[:a]) for a in range(len(sizes))]
+
+
+def _class_starts(profile):
+    return _starts(profile.class_table(lambda j, v: None, None)[0])
+
+
+class TestTwinClasses:
+    CODES = [*connected_codes_upto(9), *seeded_codes(21, 8, 10, 300)]
+
+    def test_classes_equal_the_reference_partition(self):
+        for code in self.CODES:
+            profile = resistance_matrix(code)
+            starts = _class_starts(profile)
+            assert starts == _reference_starts(profile), str(code)
+            # every run of equal bits lies inside one class
+            assert all(code.bits[j - 1] != code.bits[j] for j in starts[1:]), str(code)
+
+    def test_leading_01_merges(self):
+        # the two positions differ in their bits, and yet are twins: case (ii)'s equality
+        leading = [code for code in self.CODES if code.bits[1] == 1]
+        assert len(leading) > 100
+        for code in leading:
+            sizes, _ = resistance_matrix(code).class_table(lambda j, v: None, None)
+            assert sizes[0] >= 2, str(code)
+
+    def test_nudged_term_splits_its_class(self):
+        split = 0
+        for code in [*connected_codes_upto(7, 3), *seeded_codes(22, 3, 10, 40)]:
+            profile = resistance_matrix(code)
+            k = len(_class_starts(profile))
+            for name in ("row", "col"):
+                for p in range(code.n):
+                    terms = list(getattr(profile, name))
+                    terms[p] += 1
+                    nudged = dataclasses.replace(profile, **{name: tuple(terms)})
+                    starts = _class_starts(nudged)
+                    assert starts == _reference_starts(nudged), (str(code), name, p)
+                    if (name, p) in (("col", 0), ("row", code.n - 1)):
+                        assert len(starts) == k  # never paired, never compared
+                    split += len(starts) > k
+                    row, col, n = nudged.row, nudged.col, code.n
+                    expected = tuple(
+                        tuple(row[min(i, v)] + col[max(i, v)] if i != v else 0 for v in range(n)) for i in range(n)
+                    )
+                    assert nudged.matrix(lambda j, v: row[j] + col[v], 0) == expected
+        assert split > 100
+
+    def test_entry_called_once_per_pair_of_classes(self):
+        for code in self.CODES:
+            profile = resistance_matrix(code)
+            calls = []
+            sizes, table = profile.class_table(lambda j, v: calls.append((j, v)) or (j, v), "zero")
+            starts, k = _starts(sizes), len(sizes)
+            pairs = [(s, t) for a, s in enumerate(starts) for t in starts[a + 1 :]]
+            pairs += [(s, s + 1) for s, size in zip(starts, sizes) if size > 1]
+            assert sorted(calls) == sorted(pairs), str(code)
+            assert len(calls) == k * (k - 1) // 2 + sum(size > 1 for size in sizes)
+            assert all(table[a][b] == table[b][a] for a in range(k) for b in range(k))
+            assert all(table[a][a] == "zero" for a in range(k) if sizes[a] == 1)
+
+
 class TestForestMatrix:
     def test_star(self):
         F = resistance_matrix(STAR).F
