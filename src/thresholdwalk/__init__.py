@@ -68,6 +68,7 @@ from .spectral import (
     laplacian_matrix,
     laplacian_spectrum,
     pseudo_inverse,
+    pseudo_inverse_terms,
     spanning_tree_count,
 )
 from .verify import verify_code

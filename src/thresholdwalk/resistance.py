@@ -38,7 +38,7 @@ from operator import eq, ge, le, lt
 from .codes import ConstructionCode, blocks, degree_profile, require_walk
 from .errors import IndexOutOfRange, NonIntegralEntry
 from .kemeny import kemeny_from_code
-from .spectral import laplacian_spectrum, spanning_tree_count
+from .spectral import _reciprocals, spanning_tree_count
 
 
 @dataclass(frozen=True)
@@ -165,15 +165,13 @@ def resistance_matrix(code: ConstructionCode) -> ResistanceProfile:
     d = prof.degrees
     # 0-based, R[j][v] = a[j] + b[v] for j < v, with a[0] = b[0] = 0, and
     #   a[p] = p / (lambda_p (p+1)) - prefix_p,  b[v] = (v+1) / (lambda_v v) + prefix_{v-1},
-    #   prefix_i = sum_{t=1..i} 1 / (lambda_t t (t+1)), lambda_t = d_t + c_t = lam[t - 1].
-    # Every term is a whole multiple of 1 / den, so a and b are worked out as
-    # the integer numerators row, col over den.
-    lam = laplacian_spectrum(code).eigenvalues
-    weights = [lam[t - 1] * t * (t + 1) for t in range(1, n)]
-    den = math.lcm(*weights)
-    prefix = list(accumulate((den // w for w in weights), initial=0))
-    row = [0] + [p * den // (lam[p - 1] * (p + 1)) - prefix[p] for p in range(1, n)]
-    col = [0] + [(v + 1) * den // (lam[v - 1] * v) + prefix[v - 1] for v in range(1, n)]
+    #   prefix_i = sum_{t=1..i} 1 / (lambda_t t (t+1)), lambda_t = d_t + c_t.
+    # Every term is a whole multiple of 1 / den: with s_t / den = 1 / (lambda_t t (t+1)),
+    # a and b are the integer numerators row_p = p^2 s_p - prefix_p and col_v = (v+1)^2 s_v + prefix_{v-1}.
+    den, s = _reciprocals(code)
+    prefix = list(accumulate(s))
+    row = [0] + [p * p * s[p] - prefix[p] for p in range(1, n)]
+    col = [0] + [(v + 1) * (v + 1) * s[v] + prefix[v - 1] for v in range(1, n)]
 
     tau = spanning_tree_count(code)
     # F[0][v] = tau col[v] / den since row[0] = 0, and F[j][v] = (tau row[j] +

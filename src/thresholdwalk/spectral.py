@@ -4,7 +4,9 @@ Every code-ordered threshold Laplacian of one order is diagonalized by the
 same upper-Hessenberg orthonormal basis, so eigenvalues come straight from
 the code as integers, spanning-tree counts from their product, and the
 exact pseudoinverse from O(n) suffix sums over the integer eigenvectors,
-since its off-diagonal entries depend only on max(a, b).
+since its off-diagonal entries depend only on max(a, b).  The pseudoinverse
+lives in ``pseudo_inverse_terms`` as O(n) integers over the denominator
+``resistance_matrix`` uses; ``pseudo_inverse`` only spreads them into Fractions.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -163,20 +166,39 @@ def spanning_tree_count(code: ConstructionCode) -> int:
     return laplacian_spectrum(code).tree_count()
 
 
-def pseudo_inverse(code: ConstructionCode) -> list[list[Fraction]]:
-    """Exact rational Moore-Penrose inverse of the Laplacian.
+def _reciprocals(code: ConstructionCode) -> tuple[int, list[int]]:
+    """den = lcm of w_i = lambda_i i (i+1) over i = 1 .. n-1, and s = [0, den // w_1, ..., den // w_{n-1}].
 
-    With s_i = 1 / (lambda_i i (i+1)) and S_b the sum of s_i over i > b
-    (0-based), L+[a][b] = S_b - b s_b for a < b, a function of max(a, b)
-    alone, and L+[a][a] = S_a + a^2 s_a: O(n) rational operations, then an
-    O(n^2) fill of shared values.  L L+ L = L and L+ 1 = 0 hold exactly.
+    s_i / den = 1 / w_i: 1 / lambda_i over the squared norm of integer_eigenvector(n, i).  The
+    pseudoinverse terms and the resistance row and column terms are sums of these over one den.
+    """
+    lam = laplacian_spectrum(code).eigenvalues
+    weights = [lam[i - 1] * i * (i + 1) for i in range(1, code.n)]
+    den = math.lcm(*weights)
+    return den, [0] + [den // w for w in weights]
+
+
+def pseudo_inverse_terms(code: ConstructionCode) -> tuple[int, list[int], list[int]]:
+    """(den, diag, off) with L+[a][a] = diag[a] / den and L+[a][b] = off[max(a, b)] / den for a != b.
+
+    With 0-based positions, s from ``_reciprocals`` and tail_b the sum of s_i over i > b,
+    off_b = tail_b - b s_b and diag_a = tail_a + a^2 s_a: O(n) integers over one den, the
+    same den as ``resistance_matrix``'s.  off[0] is never read.
     """
     require_walk(code)
-    n = code.n
-    lam = laplacian_spectrum(code).eigenvalues
-    s = [Fraction(0)] + [Fraction(1, lam[i - 1] * i * (i + 1)) for i in range(1, n)]
-    tail = [Fraction(0)] * n
-    for b in range(n - 2, -1, -1):
-        tail[b] = tail[b + 1] + s[b + 1]
-    off = [tail[b] - b * s[b] for b in range(n)]
-    return [[off[a]] * a + [tail[a] + a * a * s[a]] + off[a + 1 :] for a in range(n)]
+    den, s = _reciprocals(code)
+    total = sum(s)
+    tail = [total - prefix for prefix in accumulate(s)]
+    off = [t - b * x for b, (t, x) in enumerate(zip(tail, s))]
+    diag = [t + a * a * x for a, (t, x) in enumerate(zip(tail, s))]
+    return den, diag, off
+
+
+def pseudo_inverse(code: ConstructionCode) -> list[list[Fraction]]:
+    """Exact rational Moore-Penrose inverse of the Laplacian, filled from ``pseudo_inverse_terms``.
+
+    One Fraction per term, then an O(n^2) fill of shared values; L L+ L = L and L+ 1 = 0 hold exactly.
+    """
+    den, diag, off = pseudo_inverse_terms(code)
+    shared = [Fraction(x, den) for x in off]
+    return [[shared[a]] * a + [Fraction(x, den)] + shared[a + 1 :] for a, x in enumerate(diag)]

@@ -5,12 +5,14 @@ one result dict per suite, each with a ``pass`` flag.  The suites of one call
 share the explicit graph, the numeric resistances of ``resistance_oracle``
 and the exact resistance profile; each is built at most once, on first use,
 so the Kemeny suite alone never builds the profile.  The oracles read only
-the graph, never the code formulas.
+the graph, never the code formulas.  The resistance suite decides
+R = diag(L+) 1^T + 1 diag(L+)^T - 2 L+ as one set of 2n - 2 integers, the
+profile's row and column terms cross-multiplied with ``pseudo_inverse_terms``,
+and builds no matrix.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +28,7 @@ from .oracle import (
     two_forest_matrix,
 )
 from .resistance import ResistanceProfile, _verify_orderings, resistance_matrix
-from .spectral import pseudo_inverse
+from .spectral import pseudo_inverse_terms
 
 
 class _Shared:
@@ -77,18 +79,18 @@ def _suite_kemeny(code: ConstructionCode, shared: _Shared) -> dict:
 
 def _suite_resistance(code: ConstructionCode, shared: _Shared) -> dict:
     profile = shared.profile
-    pinv = pseudo_inverse(code)
+    row, col, den = profile.row, profile.col, profile.den
+    pden, diag, off = pseudo_inverse_terms(code)
     n = code.n
-    row, col, den, top = profile.row, profile.col, profile.den, pinv[0]
-    # R = diag(L+) 1^T + 1 diag(L+)^T - 2 L+; R is symmetric with a zero
-    # diagonal by construction.  Once L+[i][j] = L+[0][max(i, j)] off the
-    # diagonal, the identity at i < j reads x_i = y_j, x_i = row_i / den -
-    # L+[i][i] and y_j = L+[j][j] - col_j / den - 2 L+[0][j]; it holds for all
-    # i < j exactly when every x_i (i <= n-2) and every y_j (j >= 1) is one value
-    shaped = all(pinv[i] == [top[i]] * i + [pinv[i][i]] + top[i + 1 :] for i in range(n))
-    values = {Fraction(row[i], den) - pinv[i][i] for i in range(n - 1)}
-    values.update(pinv[j][j] - Fraction(col[j], den) - 2 * top[j] for j in range(1, n))
-    exact_equal = shaped and len(values) == 1
+    # R = diag(L+) 1^T + 1 diag(L+)^T - 2 L+; by construction R is symmetric with
+    # a zero diagonal and L+[i][j] = off_{max(i, j)} / pden off the diagonal.  At
+    # i < j the identity reads x_i = y_j, x_i = row_i / den - diag_i / pden and
+    # y_j = (diag_j - 2 off_j) / pden - col_j / den; it holds for all i < j exactly
+    # when every x_i (i <= n-2) and every y_j (j >= 1) is one value, compared here
+    # times den * pden
+    values = {row[i] * pden - diag[i] * den for i in range(n - 1)}
+    values.update((diag[j] - 2 * off[j]) * den - col[j] * pden for j in range(1, n))
+    exact_equal = len(values) == 1
     # one int / int per pair of twin classes; it rounds correctly, so it is float(R[i][j]) exactly
     sizes, table = profile.class_table(lambda j, v: (row[j] + col[v]) / den, 0.0)
     numeric = np.repeat(np.repeat(table, sizes, axis=0), sizes, axis=1)

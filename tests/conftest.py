@@ -34,6 +34,12 @@ def frac(num, den=1) -> Fraction:
     return Fraction(num, den)
 
 
+def pseudoinverse_from_terms(den, diag, off):
+    """Reference: the n x n Fraction matrix with diag[a] / den on the diagonal and off[max(a, b)] / den off it."""
+    n = len(diag)
+    return [[Fraction(diag[a] if a == b else off[max(a, b)], den) for b in range(n)] for a in range(n)]
+
+
 def pytest_runtest_logreport(report):
     if report.when == "call" and "test_acceptance" in report.nodeid:
         _ACCEPTANCE_RESULTS[report.nodeid] = report.outcome

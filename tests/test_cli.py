@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import connected_codes_upto, seeded_codes
+from conftest import connected_codes_upto, pseudoinverse_from_terms, seeded_codes
 from thresholdwalk import (
     build_graph,
     cli,
@@ -25,6 +25,7 @@ from thresholdwalk import (
     oracle,
     parse_code,
     pseudo_inverse,
+    pseudo_inverse_terms,
     resistance_matrix,
     resistance_oracle,
     spectral,
@@ -574,34 +575,40 @@ class TestVerify:
         assert code == 0
         assert [_materialised(profile) for profile in profiles] == [set()]
 
-    @pytest.mark.parametrize(
-        "target", ["pinv_below_diagonal", "pinv_diagonal", "pinv_above_diagonal", "a_entry", "b_entry"]
-    )
+    def test_verify_all_builds_no_pseudoinverse_matrix(self, capsys, monkeypatch):
+        def refused(code):
+            raise AssertionError("the resistance suite built the pseudoinverse matrix")
+
+        for module in (spectral, verify):
+            monkeypatch.setattr(module, "pseudo_inverse", refused, raising=False)
+        status, envelope, _ = run_json(capsys, "verify", "0" + "01" * 31 + "1", "--suite", "all")
+        assert status == 0
+        assert envelope["payload"]["suites"]["resistance"]["pseudoinverse_equal"] is True
+
+    @pytest.mark.parametrize("target", ["diag_term", "off_term", "a_entry", "b_entry"])
     def test_resistance_suite_catches_one_changed_entry(self, capsys, monkeypatch, target):
         # a change far below float resolution: only the exact check can see it.
         # R is derived from the row and column terms, so R changes through one
         # paired row term a_i = row_i / den (i <= n-2) or column term
-        # b_j = col_j / den (j >= 1)
+        # b_j = col_j / den (j >= 1); L+ changes through one diagonal term or one
+        # off-diagonal term off_b, which stands for every entry with max(a, b) = b
         rng = random.Random(target)
         codes = list(connected_codes_upto(9, n_min=3)) + [parse_code("0" + "011" * 10 + "1")]
         for code in rng.sample(codes, 25):
             n = code.n
             profile = resistance_matrix(code)
-            pinv = pseudo_inverse(code)
+            terms = pseudo_inverse_terms(code)
             delta = Fraction(rng.choice([-1, 1]), 10**30)
-            i, j = sorted(rng.sample(range(n), 2), reverse=True)  # i > j
-            if target == "pinv_below_diagonal":
-                pinv[i][j] += delta
-            elif target == "pinv_diagonal":
-                pinv[i][i] += delta
-            elif target == "pinv_above_diagonal":
-                pinv[j][i] += delta
+            if target == "diag_term":
+                terms = _nudged_terms(terms, 1, rng.randrange(n), delta)
+            elif target == "off_term":
+                terms = _nudged_terms(terms, 2, rng.randrange(1, n), delta)
             elif target == "a_entry":
                 profile = _nudged(profile, "row", rng.randrange(n - 1), delta)
             else:
                 profile = _nudged(profile, "col", rng.randrange(1, n), delta)
-            assert not _all_pairs_pseudoinverse_check(profile.R, pinv)
-            monkeypatch.setattr(verify, "pseudo_inverse", lambda _: pinv)
+            assert not _all_pairs_pseudoinverse_check(profile.R, pseudoinverse_from_terms(*terms))
+            monkeypatch.setattr(verify, "pseudo_inverse_terms", lambda _: terms)
             monkeypatch.setattr(verify, "resistance_matrix", lambda _: profile)
             status, envelope, _ = run_json(capsys, "verify", str(code), "--suite", "resistance")
             suite = envelope["payload"]["suites"]["resistance"]
@@ -611,6 +618,18 @@ class TestVerify:
             # a nudged term splits its run of twins: still every entry's own float
             floats = np.array([[float(x) for x in r] for r in profile.R])
             assert suite["max_deviation"] == float(np.abs(floats - resistance_oracle(build_graph(code))).max())
+
+    def test_resistance_suite_reads_each_side_over_its_own_denominator(self, capsys, monkeypatch):
+        # the identity is cross-multiplied: the same values over den * 10^30 and 7 * den still pass
+        for code in [parse_code("0101"), *seeded_codes(23, 4, 10, 64)]:
+            profile = _scaled(resistance_matrix(code), 10**30)
+            den, diag, off = pseudo_inverse_terms(code)
+            terms = (7 * den, [7 * x for x in diag], [7 * x for x in off])
+            monkeypatch.setattr(verify, "pseudo_inverse_terms", lambda _: terms)
+            monkeypatch.setattr(verify, "resistance_matrix", lambda _: profile)
+            status, envelope, _ = run_json(capsys, "verify", str(code), "--suite", "resistance")
+            assert status == 0
+            assert envelope["payload"]["suites"]["resistance"]["pseudoinverse_equal"] is True
 
     def test_resistance_suite_unperturbed_matches_all_pairs(self, capsys):
         seeded = seeded_codes(8, 5, 32, 128)
@@ -636,12 +655,27 @@ def _counted(calls, name, original):
     return wrapper
 
 
+def _scaled(profile, scale):
+    """profile with den and every term times scale: the same values over another denominator."""
+    terms = {key: tuple(x * scale for x in getattr(profile, key)) for key in ("row", "col", "mu_num")}
+    return dataclasses.replace(profile, den=profile.den * scale, **terms)
+
+
 def _nudged(profile, name, index, delta):
     """profile with the term name[index] / den moved by delta, all terms over den * delta.denominator."""
+    scaled = _scaled(profile, delta.denominator)
+    terms = list(getattr(scaled, name))
+    terms[index] += delta.numerator * profile.den
+    return dataclasses.replace(scaled, **{name: tuple(terms)})
+
+
+def _nudged_terms(terms, which, index, delta):
+    """pseudo_inverse_terms with terms[which][index] / den moved by delta, all over den * delta.denominator."""
     scale = delta.denominator
-    terms = {key: [x * scale for x in getattr(profile, key)] for key in ("row", "col", "mu_num")}
-    terms[name][index] += delta.numerator * profile.den
-    return dataclasses.replace(profile, den=profile.den * scale, **{k: tuple(v) for k, v in terms.items()})
+    den, diag, off = terms
+    moved = [den * scale, [x * scale for x in diag], [x * scale for x in off]]
+    moved[which][index] += delta.numerator * den
+    return tuple(moved)
 
 
 def _recording(profiles):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import connected_codes, connected_codes_upto, seeded_codes
+from conftest import connected_codes, connected_codes_upto, pseudoinverse_from_terms, seeded_codes
 from thresholdwalk import (
     ConstructionCode,
     commuting_check,
@@ -17,6 +17,8 @@ from thresholdwalk import (
     laplacian_spectrum,
     parse_code,
     pseudo_inverse,
+    pseudo_inverse_terms,
+    resistance_matrix,
     spanning_tree_count,
     spanning_tree_oracle,
     build_graph,
@@ -259,6 +261,26 @@ class TestPseudoInverse:
     def test_disconnected(self):
         with pytest.raises(Disconnected):
             pseudo_inverse(parse_code("010"))
+
+    def test_terms_reproduce_the_matrix(self):
+        for code in [*connected_codes_upto(9), *seeded_codes(22, 12, 10, 128)]:
+            terms = pseudo_inverse_terms(code)
+            assert terms[0] == resistance_matrix(code).den
+            assert pseudo_inverse(code) == pseudoinverse_from_terms(*terms)
+
+    def test_terms_equal_the_eigenvector_sum(self):
+        # L+ = sum_i z_i z_i^T / (lambda_i i (i+1)) over the integer eigenvectors z_i
+        for code in connected_codes_upto(9):
+            n = code.n
+            lam = laplacian_spectrum(code).eigenvalues
+            vectors = [integer_eigenvector(n, i) for i in range(1, n)]
+            den, diag, off = pseudo_inverse_terms(code)
+            for a in range(n):
+                for b in range(a, n):
+                    expected = sum(
+                        Fraction(z[a] * z[b], lam[i - 1] * i * (i + 1)) for i, z in enumerate(vectors, 1)
+                    )
+                    assert Fraction(diag[a] if a == b else off[b], den) == expected
 
     def test_integer_eigenvector_shape(self):
         assert integer_eigenvector(5, 3) == (1, 1, 1, -3, 0)

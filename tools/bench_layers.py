@@ -98,6 +98,9 @@ def layers():
 
         return call
 
+    def verify_all(n):
+        return cli_call(main, ["verify", seeded_code(n), "--suite", "all", "--json"])
+
     def parse(n):
         text = seeded_code(n)
         return lambda: [parse_code(text) for _ in range(PARSE_CALLS)]
@@ -116,7 +119,8 @@ def layers():
         (f"two_forest_matrix_x{FOREST_CALLS}", 9, forests),
         ("mfpt_matrix", 200, mfpt),
         ("mfpt_matrix", 400, mfpt),
-        ("cli_verify_all_json", 200, lambda n: cli_call(main, ["verify", seeded_code(n), "--suite", "all", "--json"])),
+        ("cli_verify_all_json", 64, verify_all),
+        ("cli_verify_all_json", 200, verify_all),
         ("cli_access_json", 10_000, lambda n: cli_call(main, ["access", seeded_code(n), "--json"])),
         ("cli_forest_json", 600, lambda n: cli_call(main, ["forest", seeded_code(n), "--json"])),
         ("cli_resistance_json", 600, lambda n: cli_call(main, ["resistance", seeded_code(n), "--json"])),
