@@ -585,13 +585,16 @@ class TestVerify:
         assert status == 0
         assert envelope["payload"]["suites"]["resistance"]["pseudoinverse_equal"] is True
 
-    @pytest.mark.parametrize("target", ["diag_term", "off_term", "a_entry", "b_entry"])
+    @pytest.mark.parametrize(
+        "target", ["pinv_below_diagonal", "pinv_diagonal", "pinv_above_diagonal", "a_entry", "b_entry"]
+    )
     def test_resistance_suite_catches_one_changed_entry(self, capsys, monkeypatch, target):
         # a change far below float resolution: only the exact check can see it.
         # R is derived from the row and column terms, so R changes through one
         # paired row term a_i = row_i / den (i <= n-2) or column term
-        # b_j = col_j / den (j >= 1); L+ changes through one diagonal term or one
-        # off-diagonal term off_b, which stands for every entry with max(a, b) = b
+        # b_j = col_j / den (j >= 1); L+ changes through the term its entry (a, b)
+        # reads, diag_a on the diagonal and off_max(a, b) off it, so a changed
+        # entry below or above the diagonal moves every entry with the same max(a, b)
         rng = random.Random(target)
         codes = list(connected_codes_upto(9, n_min=3)) + [parse_code("0" + "011" * 10 + "1")]
         for code in rng.sample(codes, 25):
@@ -599,10 +602,12 @@ class TestVerify:
             profile = resistance_matrix(code)
             terms = pseudo_inverse_terms(code)
             delta = Fraction(rng.choice([-1, 1]), 10**30)
-            if target == "diag_term":
-                terms = _nudged_terms(terms, 1, rng.randrange(n), delta)
-            elif target == "off_term":
-                terms = _nudged_terms(terms, 2, rng.randrange(1, n), delta)
+            if target == "pinv_diagonal":
+                a = rng.randrange(n)
+                terms = _nudged_terms(terms, 1, a, delta)
+            elif target.startswith("pinv"):
+                a, b = sorted(rng.sample(range(n), 2), reverse=target == "pinv_below_diagonal")
+                terms = _nudged_terms(terms, 2, max(a, b), delta)
             elif target == "a_entry":
                 profile = _nudged(profile, "row", rng.randrange(n - 1), delta)
             else:
