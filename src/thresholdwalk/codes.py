@@ -32,6 +32,7 @@ from .errors import (
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # code bits as bytes -> ASCII digits
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII digits -> code bits as bytes
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,12 @@ def parse_code(text: str) -> ConstructionCode:
     return ConstructionCode(tuple(bits))
 
 
-def _parse_plain(text: str) -> list[int]:
+def _parse_plain(text: str) -> bytes:
     _check_length(len(text))
     if not set(text) <= {"0", "1"}:
         ch = next(ch for ch in text if ch not in "01")
         raise IllegalCharacter(f"unexpected character {ch!r} in code string")
-    return list(map(int, text))
+    return text.encode("ascii").translate(_BITS)
 
 
 def _parse_blocks(text: str) -> list[int]:

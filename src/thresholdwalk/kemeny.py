@@ -3,6 +3,8 @@
 The code-vector route works entirely in integers read off the construction
 code; the degree route re-expresses the same quantity through the degree
 sequence; the spectral route evaluates the shared eigenbasis numerically.
+Both exact routes add one telescoped term per run of equal bits, not one
+per position.
 All three must agree, which is the core cross-validation this package
 provides.  Also here: the two proven upper bounds and the closed form for
 the pineapple family together with its exact argmax.
@@ -13,12 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import ne
 
 import numpy as np
 
 from .codes import MAX_CODE_LENGTH, ConstructionCode, degree_profile, require_walk
 from .errors import OrderOutOfRange, OrderTooSmall, ParameterOutOfRange
-from .spectral import _positions, hessenberg_basis, laplacian_spectrum
+from .spectral import _runs, hessenberg_basis, laplacian_spectrum
 
 CODE_VECTOR = "code-vector"
 DEGREE_FORM = "degree-form"
@@ -89,40 +93,49 @@ def _exact_sum(terms: list[tuple[int, int]], scale: int) -> Fraction:
 def kemeny_from_code(code: ConstructionCode) -> KemenyResult:
     """Kemeny's constant straight from the code, in exact integer arithmetic.
 
-    With s_i and lambda_i of ``spectral._positions``, one pass gives the integer terms of
-    K = n - 1 + sum_{i=1}^{n-1} [s_i (2m - s_i) - 2m i (i+1) c_i] / (2m i (i+1) lambda_i),
-    scaled by 2m, and sums them exactly by block folding and a balanced tree.
+    With s_i and lambda_i of ``spectral._positions``, per position
+    K = n - 1 + sum_{i=1}^{n-1} [s_i (2m - s_i) - 2m i (i+1) c_i] / (2m i (i+1) lambda_i).
+    Along a run a .. b of equal bits c, s and lambda are constant (``spectral._runs``), and
+    sum_{i=a}^{b} 1 / (i (i+1)) = 1/a - 1/(b+1), so the run's terms telescope to one,
+    len [s (2m - s) - 2m c a (b+1)] / (2m lambda a (b+1)).  The run terms, scaled by 2m, are
+    summed exactly by block folding and a balanced tree.
     """
     require_walk(code)
     n, bits = code.n, code.bits
     # each dominating vertex at 1-based position j contributes j-1 edges
-    m = sum(j for j in range(n) if bits[j])
+    m = sum(compress(range(n), bits))
     two_m = 2 * m
     terms = [((n - 1) * two_m, 1)]
-    for i, c, s, lam in _positions(bits[1:]):
-        t = i * (i + 1)
-        p = s * (two_m - s) - two_m * t * c
-        if p:
-            terms.append((p, t * lam))
+    for a, end, c, s, lam in _runs(bits):
+        t = a * end
+        terms.append(((end - a) * (s * (two_m - s) - two_m * c * t), t * lam))
     exact = _exact_sum(terms, two_m)
     return KemenyResult(n, m, CODE_VECTOR, exact, float(exact))
 
 
 def kemeny_degree_form(code: ConstructionCode) -> KemenyResult:
-    """Kemeny's constant from the degree sequence, one bracket per position scaled by 2m
-    and summed like the code-vector route; equals that route exactly."""
+    """Kemeny's constant from the degree sequence; equals the code-vector route exactly.
+
+    With 0-based positions, degrees d and prefix sums P_i = d_0 + ... + d_{i-1}, per position
+    K = sum_{i=1}^{n-1} [(P_i + i^2 d_i) 2m - (P_i - i d_i)^2] / (2m (d_i + c_i) i (i+1)).
+    Among positions 1 .. n-1 the runs of equal degree are the runs of equal bits, and along one,
+    a .. b, s = P_i - i d_i stays P_a - a d_a, so the bracket is s (2m - s) + 2m d i (i+1) and the
+    run telescopes to len [s (2m - s) + 2m d a (b+1)] / (2m (d + c) a (b+1)).  The runs are found
+    from the degrees, not from ``spectral._runs``, so this route stays an independent check.
+    """
     require_walk(code)
-    n = code.n
+    n, bits = code.n, code.bits
     prof = degree_profile(code)
     d = prof.degrees
     two_m = 2 * prof.m
-    prefix = 0  # d_1 + ... + d_{j-1}
+    starts = [1, *compress(range(2, n), map(ne, d[1:], d[2:])), n]
+    prefix = d[0]  # P_a
     terms = []
-    for j in range(2, n + 1):
-        dj = d[j - 1]
-        prefix += d[j - 2]
-        bracket = (prefix + (j - 1) ** 2 * dj) * two_m - (prefix - (j - 1) * dj) ** 2
-        terms.append((bracket, (dj + code.bits[j - 1]) * j * (j - 1)))
+    for a, end in zip(starts, starts[1:]):
+        da, length, t = d[a], end - a, a * end
+        s = prefix - a * da
+        terms.append((length * (s * (two_m - s) + two_m * da * t), (da + bits[a]) * t))
+        prefix += length * da
     total = _exact_sum(terms, two_m)
     return KemenyResult(n, prof.m, DEGREE_FORM, total, float(total))
 

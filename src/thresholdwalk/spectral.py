@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import ne
 
 import numpy as np
 
@@ -127,6 +128,23 @@ def _positions(bits, first: int = 1, later: int = 0):
         s = s + i * (i - 1) * (previous - c)
         yield i, c, s, ones + i * c
         ones, previous = ones - c, c
+
+
+def _runs(bits):
+    """``_positions`` of a whole code, one (a, end, c, s, lambda) per run of equal bits a .. end - 1.
+
+    Positions are 0-based and the runs cover 1 .. n-1.  s moves only where the bit flips, and
+    lambda = (ones at positions >= i) + i c is constant along a run: a zero run passes no ones,
+    and in a one run the ones count falls by one as i rises by one.
+    """
+    n = len(bits)
+    starts = [1, *compress(range(2, n), map(ne, bits[1:], bits[2:])), n]
+    s, ones = 0, sum(bits)
+    for a, end in zip(starts, starts[1:]):
+        c = bits[a]
+        s += a * (a - 1) * (1 - 2 * c)  # c_{a-1} = 1 - c at a run start; a = 1 adds 0
+        yield a, end, c, s, ones + a * c
+        ones -= c * (end - a)
 
 
 def laplacian_spectrum(code: ConstructionCode) -> LaplacianSpectrum:

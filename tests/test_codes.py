@@ -96,6 +96,13 @@ class TestParse:
         code = parse_code(text)
         assert code.n == MAX_CODE_LENGTH and code.bits[-2:] == (0, 1)
 
+    def test_plain_equals_the_digit_map(self):
+        rng = random.Random(23)
+        for n in [*range(1, 40), *(rng.randint(40, 5000) for _ in range(40))]:
+            text = "0" + "".join(rng.choice("01") for _ in range(n - 1))
+            bits = parse_code(text).bits
+            assert bits == tuple(map(int, text)) and all(type(b) is int for b in bits), text
+
     def test_zero_padded_exponent(self):
         assert parse_code("0^00000000002 1").bits == (0, 0, 1)
 

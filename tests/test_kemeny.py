@@ -90,6 +90,21 @@ def pairwise_spectral_kemeny(code):
     return acc / (2.0 * prof.m)
 
 
+def long_run_codes():
+    """Codes of few, long runs, where a run's telescoped term stands for many positions."""
+    yield from connected_codes_upto(3)
+    for n in (3, 4, 10, 100, 300):
+        yield ConstructionCode((0,) * (n - 1) + (1,))  # the star
+        yield ConstructionCode((0,) + (1,) * (n - 1))  # the complete graph
+    yield from (pineapple_code(50, r) for r in range(49))
+    yield from (parse_code("01" * k) for k in (2, 3, 50, 150))
+
+
+def bit_runs(code):
+    """Number of runs of equal bits among positions 1 .. n-1."""
+    return 1 + sum(a != b for a, b in zip(code.bits[1:], code.bits[2:]))
+
+
 def seeded_codes(orders, seed):
     rng = random.Random(seed)
     return [ConstructionCode((0, *(rng.randint(0, 1) for _ in range(n - 2)), 1)) for n in orders]
@@ -186,6 +201,27 @@ class TestAgainstReferenceLoops:
         for code in seeded_codes((1000, 2500, 4000), seed=4):
             exact = kemeny_from_code(code).exact
             assert exact == running_sum_kemeny(code) == kemeny_degree_form(code).exact, code.n
+
+    def test_exact_routes_on_long_runs(self):
+        for code in long_run_codes():
+            exact = kemeny_from_code(code).exact
+            assert exact == running_sum_kemeny(code) == naive_kemeny(code) == kemeny_degree_form(code).exact, str(code)
+
+    def test_one_term_per_run(self, monkeypatch):
+        counts = []
+
+        def counting_sum(terms, scale):
+            counts.append(len(terms))
+            return exact_sum(terms, scale)
+
+        exact_sum = kemeny._exact_sum
+        monkeypatch.setattr(kemeny, "_exact_sum", counting_sum)
+        codes = [*long_run_codes(), *seeded_codes((1000, 4000), seed=23)]
+        for code in codes:
+            kemeny_from_code(code)
+            kemeny_degree_form(code)
+        # the code-vector route adds the constant (n - 1) 2m to its run terms
+        assert counts == [count for code in codes for count in (bit_runs(code) + 1, bit_runs(code))]
 
     def test_spectral_small(self):
         for code in connected_codes_upto(10):

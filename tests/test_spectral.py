@@ -1,5 +1,6 @@
 """Eigenbasis, integer spectra, commuting Laplacians, tree counts, pseudoinverse."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from thresholdwalk import (
     code_vectors,
 )
 from thresholdwalk.errors import Disconnected, LengthMismatch, OrderTooSmall
-from thresholdwalk.spectral import LaplacianSpectrum, _positions
+from thresholdwalk.spectral import LaplacianSpectrum, _positions, _runs
 
 
 def random_code(rng, n):
@@ -151,6 +152,17 @@ class TestPositions:
             for k, code in enumerate(codes):
                 expected = list(_positions(code.bits[first:], first))[p - first]
                 assert (p, c[k], s[k], lam[k]) == expected
+
+    def test_runs_expand_to_the_walk(self):
+        tails = (tail for n in range(2, 13) for tail in itertools.product((0, 1), repeat=n - 1))
+        every_small = [ConstructionCode((0, *tail)) for tail in tails]
+        long_runs = [parse_code(text) for text in ("0 1^2000 0^7998 1", "0^3999 1", "0 1^3999", "0 0 1", "01" * 2000)]
+        for code in (*every_small, *seeded_codes(23, 12, 13, 4000), *long_runs):
+            runs = list(_runs(code.bits))
+            expanded = [(i, c, s, lam) for a, end, c, s, lam in runs for i in range(a, end)]
+            assert expanded == list(_positions(code.bits[1:])), str(code)
+            run_bits = [c for _, _, c, _, _ in runs]
+            assert run_bits[1:] == [1 - c for c in run_bits[:-1]], str(code)  # maximal runs alternate
 
 
 class TestDiagonalization:

@@ -2,7 +2,9 @@
 
 Times each layer of the ROADMAP layer table at fixed orders on codes drawn
 from ``random.Random(n)``, plus ``spanning_tree_oracle`` on the complete graph
-of order 200, ``parse_code`` at n = 4000, ``two_forest_matrix``
+of order 200, ``parse_code`` at n = 4000, both exact Kemeny routes at n = 4000
+on the seeded code and on ``(01)^2000`` (every run of equal bits of length one,
+the most runs an order-4000 code has), ``two_forest_matrix``
 at n = 9 (its bipartition cache cleared in every call), ``enumerate --n 20
 --json`` and the tier-1 pytest wall time.  Each layer is set up once
 and then timed K = 3 times; the file records every run and their median, with
@@ -35,6 +37,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 K = 3  # timed runs per layer; the file records their median
 PARSE_CALLS = 100  # parse_code is timed over this many calls per run
 FOREST_CALLS = 20  # two_forest_matrix is timed over this many cold calls per run
+KEMENY_CALLS = 20  # each exact Kemeny route is timed over this many calls per run
 
 
 def seeded_code(n: int) -> str:
@@ -56,7 +59,15 @@ def cli_call(main, argv):
 
 def layers():
     """(name, n, setup) per layer; setup(n) builds the inputs and returns the call to time."""
-    from thresholdwalk import build_graph, mfpt_matrix, parse_code, pseudo_inverse, resistance_matrix
+    from thresholdwalk import (
+        build_graph,
+        kemeny_degree_form,
+        kemeny_from_code,
+        mfpt_matrix,
+        parse_code,
+        pseudo_inverse,
+        resistance_matrix,
+    )
     from thresholdwalk.cli import main
     from thresholdwalk.oracle import _forest_bipartitions, spanning_tree_oracle, two_forest_matrix
     from thresholdwalk.resistance import _verify_orderings
@@ -105,6 +116,13 @@ def layers():
         text = seeded_code(n)
         return lambda: [parse_code(text) for _ in range(PARSE_CALLS)]
 
+    def exact_kemeny(route, text, n):
+        c = parse_code(text(n))
+        return lambda: [route(c) for _ in range(KEMENY_CALLS)]
+
+    def alternating(n):
+        return "01" * (n // 2)
+
     return [
         ("max_kemeny_search_2threads", 24, search),
         ("max_kemeny_search_2threads", 26, search),
@@ -125,6 +143,11 @@ def layers():
         ("cli_forest_json", 600, lambda n: cli_call(main, ["forest", seeded_code(n), "--json"])),
         ("cli_resistance_json", 600, lambda n: cli_call(main, ["resistance", seeded_code(n), "--json"])),
         (f"parse_code_x{PARSE_CALLS}", 4000, parse),
+        *(
+            (f"{route.__name__}{tag}_x{KEMENY_CALLS}", 4000, partial(exact_kemeny, route, text))
+            for route in (kemeny_from_code, kemeny_degree_form)
+            for tag, text in (("", seeded_code), ("_alternating", alternating))
+        ),
         ("cli_enumerate_json", 20, lambda n: cli_call(main, ["enumerate", "--n", str(n), "--json"])),
     ]
 
