@@ -16,6 +16,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, mul
 
 import numpy as np
 
@@ -207,11 +208,9 @@ class DegreeProfile:
 
 def degree_profile(code: ConstructionCode) -> DegreeProfile:
     """Degrees, tail one-counts and edge count, straight from the code."""
-    n = code.n
-    theta = [0] * n
-    for i in range(n - 2, -1, -1):
-        theta[i] = theta[i + 1] + code.bits[i + 1]
-    degrees = tuple(i * code.bits[i] + theta[i] for i in range(n))
+    bits = code.bits
+    theta = [*itertools.accumulate(reversed(bits[1:]))][::-1] + [0]
+    degrees = tuple(map(add, map(mul, range(code.n), bits), theta))
     total = sum(degrees)
     if total % 2:
         raise ArithmeticError("degree sum is odd; construction code is corrupt")

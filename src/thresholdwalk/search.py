@@ -2,9 +2,10 @@
 
 The code space splits into contiguous index ranges whose size depends only
 on n and ``chunk_codes``.  Inside a range a numpy float screen sums the
-terms of ``kemeny_from_code`` along ``spectral._positions`` for a block of
-codes at once, and only the codes within ``SCREEN_WINDOW`` of their range's
-float maximum are evaluated exactly with ``kemeny_from_code``; every
+terms of ``kemeny_from_code`` along ``spectral._positions`` for a slab of up
+to SLAB_BLOCKS blocks of codes at once, with one folded weight row per block
+and one matrix product per slab, and only the codes within ``SCREEN_WINDOW`` of
+their range's float maximum are evaluated exactly with ``kemeny_from_code``; every
 comparison that decides the result is between exact rationals.  Each range
 keeps its exact maximum with its ties in code order, and the reduction
 compares rationals exactly, then range order, so the result is bitwise
@@ -24,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -42,33 +44,46 @@ MAX_ORDER = 26
 CHECKPOINT_INTERVAL = 1 << 16  # codes per checkpointed range
 CHECKPOINT_VERSION = 2  # version 1 was the header-less format with one line per tie
 LOW_BITS = 12  # index bits that vary inside one screened block
-SCREEN_BLOCK = 1 << LOW_BITS  # codes per float pass; keeps the screen's arrays small
+SCREEN_BLOCK = 1 << LOW_BITS  # codes that share their high bits, one column of the table each
+SLAB_BLOCKS = 16  # blocks per float pass: a default checkpointed range is one slab
+SCREEN_SLAB = SLAB_BLOCKS * SCREEN_BLOCK
+# OpenBLAS runs a product of up to 65536 * 4 multiply-adds on one thread and threads
+# larger ones, which oversubscribes the cores when pool workers each do so.
+BLAS_ONE_THREAD = 1 << 18
 # Starting two worker processes costs about 20-30 ms, and each worker must
 # get at least this many codes to pay for it.  On 2 cores (medians of 5,
 # alternating) one process beat two workers at n = 23 (2^21 codes), n = 24
 # went either way from one session to the next, and two workers won from
-# n = 25 (2^23 codes, about 260 against 220 ms) on.
+# n = 25 (2^23 codes, about 260 against 220 ms) on.  That was with the
+# per-block screen; with the slab screen one process also won at n = 25 and
+# 26 (medians of 3: 78 against 97 ms, and 144 against 192 ms).
 POOL_MIN_CODES = 1 << 22
 # With s_i and lambda_i from ``spectral._positions`` and the term of
 # ``kemeny_from_code``'s docstring, for n <= MAX_ORDER every integer of a term
 # (s, 2m - s, their product, i (i+1) lambda_i) is far below 2^53, so only
-# roundings err.  In the names of ``_low_tables`` and ``_screen``, the screen
-# sums terms to 2m (K - (n - 1)), divides by 2m and subtracts a second sum, of
-# the c_i / lambda_i <= 1.  A high position i gives (h - s_i) q_i / lambda_i and
+# roundings err.  In the names of ``_screen_tables`` and ``_screen``, the screen
+# sums terms to 2m (K - (n - 1)) - 2m C, C the sum of the c_i / lambda_i, and
+# divides by 2m = T + h.  A high position i gives (h - s_i) q_i / lambda_i and
 # T q_i / lambda_i, both of the sign of s_i since h - s_i >= 0, so their
 # moduli add up to |s_i| (2m - s_i) / (i (i+1) lambda_i) <= (1 + i (i-1) / 2m) 2m
 # <= (n/2) 2m, as |s_i| <= i (i-1), 2m - s_i <= 2m + i (i-1) and 2m >= 2 (n-1).
 # A low position p gives a_p S_p (T - S_p) and h a_p (T - S_p), with
 # T - S_p = 2m - s_p >= 0 and |S_p|, h <= p (p-1), so at most
-# 2 (1 + p (p-1) / 2m) 2m <= n 2m.  Each term meets at most n + 6 roundings:
-# at most seven in forming it, applying 1 / lambda and the last steps (the
-# factor T, the addition, the division, the subtraction), and at most n - 1
-# in the sums of the folded tables, the Python weights and the matrix
-# product.  So with u = 2^-53,
-# |float - exact| <= (n + 6) u (n - 1)(n + 1) < (n + 6) u n^2, under
-# 32 * 676 * 1.2e-16 < 3e-12 at n = 26.  An exact maximizer of a range
-# therefore screens at most 6e-12 below the range's float maximum, and below
-# its own block's; the window keeps a margin of over 150x.
+# 2 (1 + p (p-1) / 2m) 2m <= n 2m.  Each position also carries
+# -(T + h) c_p / lambda_p, of modulus at most 2m as c_p <= 1 <= lambda_p, so the
+# moduli of the n - 1 positions' terms sum to at most (n - 1)(n + 1) 2m.  A
+# term meets at most six roundings in being formed, scaled and divided (q_i,
+# the folded weight (h - s_i) q_i - h c_i or q_i - c_i, 1 / lambda, the factor
+# T of the table's lower half, the product, the division by T + h), at most k
+# additions in a low table's sum over the k + 1 low positions or in one weight
+# entry's sum over high positions (first - 2 <= k for n <= MAX_ORDER), and at
+# most 2 first + 5 in the matrix product, whose weight row has at most
+# 2 (first + 1) + 4 nonzero entries.  That is 2 first + k + 11 = 2n - k + 9
+# <= 49 roundings, so with u = 2^-53,
+# |float - exact| <= 49 u (n - 1)(n + 1) < 49 * 675 * 1.111e-16 < 3.7e-12 at
+# n = 26.  An exact maximizer of a range therefore screens at most 7.4e-12
+# below the range's float maximum, and below its own slab's; the window keeps a
+# margin of over 130x.
 SCREEN_WINDOW = 1e-9
 
 
@@ -96,17 +111,26 @@ class SearchReport:
 
 
 @functools.lru_cache(maxsize=1)
-def _low_tables(n: int):
-    """Per-order tables of the screen: the low positions folded, and the 1 / lambda rows.
+def _screen_tables(n: int):
+    """Per-order tables of the screen: the low positions folded, and one weight row per block.
 
     A low part L of an index is its last k = min(LOW_BITS, n - 2) bits, at positions
     first .. n - 2, plus the final 1 at n - 1.  ``_positions`` from first gives lambda_p
     and S_p = s_p - h, h the high part's share of 2m; with T the low share, 2m - s_p is
     T - S_p, all of L alone.  So the low terms of ``kemeny_from_code`` sum to A0 + h A1,
     A0 = sum a_p S_p (T - S_p), A1 = sum a_p (T - S_p), a_p = 1 / (p (p+1) lambda_p).
-    Returns k, first, T and one table with a column per low part: rows 1 / (ones + t) for
-    t = 1 .. first + 1, all the high positions need (see ``_screen``), then A0, A1 and the
-    sum of c_p / lambda_p.
+    The table has a column per low part: rows 1 / (ones + t) for t = 1 .. first + 1, then
+    A0, A1 and C, the sum of c_p / lambda_p; below them the same rows times T.
+
+    A block shares its high part, the bits at positions 1 .. first - 1, walked by
+    ``_positions`` for every block of the order at once with the final 1 as the one later
+    bit: lambda_i lacks only the low ones, so 1 / lambda_i is row lambda_i - 1 <= first of
+    the table (at most first - i high ones, the final 1 and i c_i).  Position i adds
+    (T + h - s_i) q_i / lambda_i to 2m (K - (n - 1)), q_i = s_i / (i (i+1)), and
+    c_i / lambda_i to C.  Over 2m = T + h, a block's values are
+    [A | B] . [column ; T column] / (T + h), its folded weight row [A | B] having
+    A = (terms without T) - h (C's weights) and B = (factors of T) - (C's weights).
+    Returns k, T, the stacked table, the weight rows and h, one row and one h per block.
     """
     k = min(LOW_BITS, n - 2)
     first = n - 1 - k
@@ -121,62 +145,79 @@ def _low_tables(n: int):
         a1 += a * (two_m - s)
         c_sum += c / lam
     inv_ones = 1.0 / (ones + np.arange(1, first + 2, dtype=float)[:, None])
-    return k, first, two_m.astype(float), np.vstack([inv_ones, a0, a1, c_sum])
+    table, t = np.vstack([inv_ones, a0, a1, c_sum]), two_m.astype(float)
+
+    high = np.arange(1 << (first - 1))
+    bits = [(high >> (first - 1 - i)) & 1 for i in range(1, first)]
+    h = sum((2 * i * c for i, c in enumerate(bits, 1)), np.zeros_like(high))
+    rows = len(table)
+    weights = np.zeros((len(high), 2 * rows))
+    weights[:, first + 1] = 1  # A0
+    weights[:, first + 2] = h  # h A1
+    weights[:, first + 3] = -h  # -h C
+    weights[:, -1] = -1  # -T C
+    for i, c, s, lam in _positions(bits, later=1):
+        q = s / (i * (i + 1))
+        weights[high, lam - 1] += (h - s) * q - h * c
+        weights[high, rows + lam - 1] += q - c
+    return k, t, np.vstack([table, t * table]), weights, h
+
+
+# Each thread's buffer for one slab of screen values.  Reusing it spares a slab's
+# 512 KB of fresh pages per call; keeping one per thread keeps threads that search
+# at once from writing into each other's values.
+_scratch = threading.local()
 
 
 def _screen(n: int, start: int, stop: int) -> np.ndarray:
-    """Float K - (n - 1) of the codes with index in [start, stop), all in one block.
+    """Float K - (n - 1) of the codes with index in [start, stop), all in one slab.
 
-    Evaluates the term of ``kemeny_from_code``.  The high positions 1 .. first - 1 take the
-    block's common bits as scalars, walked by ``_positions`` with the final 1 as the one later
-    bit: lambda_i lacks only the low ones, so 1 / lambda_i is row lambda_i - 1 <= first of
-    the table (at most first - i high ones, the final 1 and i c_i).  Position i adds
-    (T + h - s_i) q_i / lambda_i to 2m (K - (n - 1)), q_i = s_i / (i (i+1)), and
-    c_i / lambda_i to the sum subtracted.  Three weight rows over the table, summed per row
-    in Python, give the terms without T, the factor of T and the subtracted sum in one
-    matrix product with the block's columns.
+    Evaluates the term of ``kemeny_from_code`` as ``_screen_tables`` folds it: the weight rows
+    of the slab's blocks times the table's columns, over T + h, in one matrix product and
+    one division, both in column chunks of at most BLAS_ONE_THREAD multiply-adds, so
+    OpenBLAS keeps to one thread and no temporary exceeds 128 KB.  The values are written
+    into this thread's buffer: the view returned is overwritten by the thread's next call.
     """
-    k, first, two_m_low, table = _low_tables(n)
-    high = start >> k
-    lo, hi = start - (high << k), stop - (high << k)
-    bits = [(high >> (first - 1 - i)) & 1 for i in range(1, first)]
-    h = sum(2 * i * c for i, c in enumerate(bits, 1))
-    free = [0.0] * (first + 1) + [1, h, 0]  # A0 + h A1
-    t_factor = [0.0] * len(free)
-    minus = [0] * (len(free) - 1) + [1]  # the low sum of c_p / lambda_p
-    for i, c, s, lam in _positions(bits, later=1):
-        q = s / (i * (i + 1))
-        free[lam - 1] += (h - s) * q
-        t_factor[lam - 1] += q
-        minus[lam - 1] += c
-    free, t_factor, minus = np.array([free, t_factor, minus], dtype=float) @ table[:, lo:hi]
-    t = two_m_low[lo:hi]
-    return (free + t * t_factor) / (t + h) - minus
+    k, two_m_low, table, all_weights, all_h = _screen_tables(n)
+    b0, b1 = start >> k, ((stop - 1) >> k) + 1  # the slab's blocks
+    lo, hi = start - (b0 << k), stop - (b0 << k)
+    c0, width = (lo, hi - lo) if b1 - b0 == 1 else (0, 1 << k)
+    weights, h = all_weights[b0:b1], all_h[b0:b1]
+    if not hasattr(_scratch, "values"):
+        _scratch.values = np.empty(SCREEN_SLAB)
+    out = _scratch.values[: (b1 - b0) * width].reshape(b1 - b0, width)
+    columns, t = table[:, c0 : c0 + width], two_m_low[c0 : c0 + width]
+    step = BLAS_ONE_THREAD // weights.size
+    for j in range(0, width, step):
+        chunk = out[:, j : j + step]
+        np.matmul(weights, columns[:, j : j + step], out=chunk)
+        chunk /= t[j : j + step] + h[:, None]
+    return out.reshape(-1)[lo - c0 : hi - c0]
 
 
 def _chunk_best(task: tuple[int, int, int]) -> tuple[int, int, tuple[str, ...]]:
     """Exact maximum over the index window [start, stop); ties kept in code order.
 
-    The window is screened by ``_screen`` in blocks, the aligned runs of
-    SCREEN_BLOCK indices that share their high bits.  A block keeps the codes
-    within SCREEN_WINDOW of its float maximum, unless that maximum is already
-    more than SCREEN_WINDOW below the window's running float maximum.  Once
-    the window is screened, the kept codes within SCREEN_WINDOW of its float
-    maximum are confirmed with exact ``kemeny_from_code``; the derivation at
-    SCREEN_WINDOW shows no exact maximizer of the window lies outside it.
-    Confirmed values are reduced exactly in code order by ``max_with_ties``.
+    The window is screened by ``_screen`` in slabs, the aligned runs of
+    SCREEN_SLAB indices.  A slab keeps the codes within SCREEN_WINDOW of its
+    float maximum, unless that maximum is already more than SCREEN_WINDOW
+    below the window's running float maximum.  Once the window is screened,
+    the kept codes within SCREEN_WINDOW of its float maximum are confirmed
+    with exact ``kemeny_from_code``; the derivation at SCREEN_WINDOW shows no
+    exact maximizer of the window lies outside it.  Confirmed values are
+    reduced exactly in code order by ``max_with_ties``.
     """
     n, start, stop = task
-    top = -math.inf  # float maximum of the blocks screened so far
+    top = -math.inf  # float maximum of the slabs screened so far
     kept: list[tuple[int, float]] = []  # (index, float value), in code order
     lo = start
     while lo < stop:
-        hi = min((lo // SCREEN_BLOCK + 1) * SCREEN_BLOCK, stop)
+        hi = min((lo // SCREEN_SLAB + 1) * SCREEN_SLAB, stop)
         approx = _screen(n, lo, hi)
-        block_top = float(approx.max())
-        if block_top >= top - SCREEN_WINDOW:
-            top = max(top, block_top)
-            offsets = np.flatnonzero(approx >= block_top - SCREEN_WINDOW)
+        slab_top = float(approx.max())
+        if slab_top >= top - SCREEN_WINDOW:
+            top = max(top, slab_top)
+            offsets = np.flatnonzero(approx >= slab_top - SCREEN_WINDOW)
             kept.extend(zip((lo + offsets).tolist(), approx[offsets].tolist()))
         lo = hi
     confirmed = (code_from_index(n, index) for index, estimate in kept if estimate >= top - SCREEN_WINDOW)

@@ -182,6 +182,19 @@ class TestDegreeProfile:
                 assert prof.degrees[i - 1] == (i - 1) * code.bit(i) + theta
             assert sum(prof.degrees) == 2 * prof.m
 
+    def test_equals_running_sum_loop(self):
+        # theta_i counts the ones after position i, as the per-position loop summed them
+        rng = random.Random(2500)
+        seeded = ("0" + "".join(rng.choice("01") for _ in range(n - 1)) for n in (3, 50, 2500))
+        texts = ["0", "01", "0 1^2000 0^7998 1", *seeded]
+        for code in map(parse_code, texts):
+            theta = [0] * code.n
+            for i in range(code.n - 2, -1, -1):
+                theta[i] = theta[i + 1] + code.bits[i + 1]
+            prof = degree_profile(code)
+            assert prof.theta == tuple(theta)
+            assert prof.degrees == tuple(i * code.bits[i] + theta[i] for i in range(code.n))
+
     def test_connected_theta_positive(self):
         for code in connected_codes(7):
             prof = degree_profile(code)

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import random
+import sys
 import tempfile
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -39,13 +40,13 @@ def exact_kemeny(n, index):
     return kemeny_from_code(code_from_index(n, index)).exact
 
 
-def exact_chunk_best(task):
+def exact_chunk_best(task, kemeny=exact_kemeny):
     """The exact per-code loop the float screen replaced: the reference for _chunk_best."""
     n, start, stop = task
     best = None
     ties = []
     for index in range(start, stop):
-        value = exact_kemeny(n, index)
+        value = kemeny(n, index)
         if best is None or value > best:
             best, ties = value, [str(code_from_index(n, index))]
         elif value == best:
@@ -74,9 +75,9 @@ class TestScreen:
     @pytest.mark.parametrize("n", (13, 14))
     def test_every_code_in_window_reduces_in_code_order(self, n, monkeypatch):
         # a screen that cannot tell codes apart sends every code of the range
-        # to exact confirmation, across 8 or 16 blocks of 256
+        # to exact confirmation, across 8 or 16 slabs of 256
         monkeypatch.setattr(search, "_screen", lambda n, lo, hi: np.zeros(hi - lo))
-        monkeypatch.setattr(search, "SCREEN_BLOCK", 256)
+        monkeypatch.setattr(search, "SCREEN_SLAB", 256)
         task = (n, 0, 1 << (n - 2))
         assert search._chunk_best(task) == exact_chunk_best(task)
 
@@ -86,6 +87,14 @@ class TestScreen:
         for start, stop in ((block - 3, block + 5), (5, 3 * block - 7)):
             task = (n, start, min(stop, total))
             assert search._chunk_best(task) == exact_chunk_best(task), task
+
+    @pytest.mark.parametrize("n", (19, 20))
+    def test_windows_straddling_slabs_equal_exact_reference(self, n):
+        # up to 196,601 codes: the reference runs uncached, so memory stays flat
+        slab, total = search.SCREEN_SLAB, 1 << (n - 2)
+        for start, stop in ((slab - 3, slab + 5), (5, 3 * slab - 7)):
+            task = (n, start, min(stop, total))
+            assert search._chunk_best(task) == exact_chunk_best(task, exact_kemeny.__wrapped__), task
 
     def test_one_exact_confirmation_per_range(self, monkeypatch):
         # n = 20 has 4 ranges with one float maximum each; confirming each
@@ -104,8 +113,9 @@ class TestScreen:
     def test_table_rows_reach_exactly_first(self, n):
         # a high position's 1 / lambda row is lambda - 1, walked with the final
         # 1 as the one later bit: the table holds rows 0 .. first, all needed
-        k, first, _, table = search._low_tables(n)
-        assert len(table) - 3 == first + 1
+        k, _, stacked, _, _ = search._screen_tables(n)
+        first = n - 1 - k
+        assert len(stacked) // 2 - 3 == first + 1  # the upper half; the lower is it times T
         top = 0
         for high in range(1 << (first - 1)):
             bits = [(high >> (first - 1 - i)) & 1 for i in range(1, first)]
@@ -113,19 +123,55 @@ class TestScreen:
         assert top == first
 
     def test_float_error_far_inside_window(self):
+        # every code through n = 16, whose whole order is one slab, then 1500 sampled
+        # codes at each larger order, each read from the screen of its whole slab
         rng = random.Random(2026)
         worst = 0
-        for n in (*range(3, 17), 20, 26):
+        for n in (*range(3, 17), 20, 23, 26):
             total = 1 << (n - 2)
-            if n <= 16:
-                starts = range(0, total, search.SCREEN_BLOCK)
-                blocks = [(lo, min(lo + search.SCREEN_BLOCK, total)) for lo in starts]
-            else:
-                blocks = [(index, index + 1) for index in rng.sample(range(total), 1500)]
-            for lo, hi in blocks:
-                for index, value in zip(range(lo, hi), search._screen(n, lo, hi)):
-                    worst = max(worst, abs(Fraction(float(value)) - (exact_kemeny(n, index) - (n - 1))))
+            indices = range(total) if n <= 16 else sorted(rng.sample(range(total), 1500))
+            slab = None
+            for index in indices:
+                if index // search.SCREEN_SLAB != slab:
+                    slab = index // search.SCREEN_SLAB
+                    lo = slab * search.SCREEN_SLAB
+                    approx = search._screen(n, lo, min(lo + search.SCREEN_SLAB, total))
+                value = approx[index - lo]
+                worst = max(worst, abs(Fraction(float(value)) - (exact_kemeny(n, index) - (n - 1))))
         assert worst <= search.SCREEN_WINDOW / 1e3
+
+    def test_blas_products_stay_on_one_thread(self, monkeypatch):
+        # OpenBLAS threads a product past 65536 * 4 multiply-adds, and the threads of
+        # two pool workers then oversubscribe the cores
+        matmul, sizes = np.matmul, []
+
+        def recording(a, b, **kwargs):
+            sizes.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        for n in range(3, 27):
+            total = 1 << (n - 2)
+            for lo, hi in ((0, min(search.SCREEN_SLAB, total)), (total - 1, total)):
+                sizes.clear()
+                search._screen(n, lo, hi)
+                assert sizes and max(sizes) <= 1 << 18, (n, lo, hi, sizes)
+
+    @pytest.mark.parametrize("n", (14, 20, 26))
+    def test_consecutive_screens_read_no_stale_values(self, n):
+        # each call overwrites the thread's one buffer; poisoning it between
+        # calls shows every value returned was written by that call
+        slab, total = search.SCREEN_SLAB, 1 << (n - 2)
+        rng = random.Random(n)
+        windows = [(0, min(slab, total)), (5, 6), (max(0, total - 5000), total), (total // 2 + 7, total // 2 + 300)]
+        search._screen(n, 0, 1)  # makes the buffer
+        for lo, hi in windows:
+            search._scratch.values.fill(np.nan)
+            approx = search._screen(n, lo, hi)
+            assert len(approx) == hi - lo and not np.isnan(approx).any()
+            for index in rng.sample(range(lo, hi), min(hi - lo, 40)):
+                exact = exact_kemeny(n, index) - (n - 1)
+                assert abs(Fraction(float(approx[index - lo])) - exact) <= search.SCREEN_WINDOW / 1e3
 
     @pytest.mark.parametrize("n", range(19, 23))
     def test_matches_pineapple_argmax(self, n):
@@ -222,6 +268,20 @@ class TestSearch:
 
         monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
         return created
+
+    def test_threads_of_one_process_search_at_once(self):
+        # each thread screens into its own buffer: with one buffer shared by the
+        # threads, a screen read values another thread had just written
+        want = report_key(max_kemeny_search(19))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(max_kemeny_search, 19) for _ in range(64)]
+                reports = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [report_key(report) for report in reports] == [want] * 64
 
     def test_pool_capped_at_pending_ranges(self, tmp_path, monkeypatch, pools):
         monkeypatch.setattr(search, "POOL_MIN_CODES", 1)

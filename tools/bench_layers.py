@@ -1,15 +1,17 @@
 """Per-layer timings of thresholdwalk, written to BENCH_<label>.json.
 
 Times each layer of the ROADMAP layer table at fixed orders on codes drawn
-from ``random.Random(n)``, plus ``spanning_tree_oracle`` on the complete graph
-of order 200, ``parse_code`` at n = 4000, both exact Kemeny routes at n = 4000
-on the seeded code and on ``(01)^2000`` (every run of equal bits of length one,
-the most runs an order-4000 code has), ``two_forest_matrix``
-at n = 9 (its bipartition cache cleared in every call), ``enumerate --n 20
---json`` and the tier-1 pytest wall time.  Each layer is set up once
-and then timed K = 3 times; the file records every run and their median, with
-``nproc``, the CPU, the Python and numpy versions and the git SHA of the
-measured tree.  Needs only the standard library and numpy.
+from ``random.Random(n)``, plus the search at n = 20 in one process with a
+checkpoint (the shape of the benchmark's search workload, 20 calls per run),
+``spanning_tree_oracle`` on the complete graph of order 200, ``parse_code``
+at n = 4000, both exact Kemeny routes at n = 4000 on the seeded code and on
+``(01)^2000`` (every run of equal bits of length one, the most runs an
+order-4000 code has), ``two_forest_matrix`` at n = 9 (its bipartition cache
+cleared in every call), ``enumerate --n 20 --json`` and the tier-1 pytest
+wall time.  Each layer is set up once and then timed K = 3 times; the file
+records every run and their median, with ``nproc``, the CPU, the Python and
+numpy versions and the git SHA of the measured tree.  Needs only the
+standard library and numpy.
 
     python3 tools/bench_layers.py --label baseline                 # this checkout
     python3 tools/bench_layers.py --label parent --root OTHER_CHECKOUT
@@ -30,6 +32,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from functools import partial
 
@@ -38,6 +41,7 @@ K = 3  # timed runs per layer; the file records their median
 PARSE_CALLS = 100  # parse_code is timed over this many calls per run
 FOREST_CALLS = 20  # two_forest_matrix is timed over this many cold calls per run
 KEMENY_CALLS = 20  # each exact Kemeny route is timed over this many calls per run
+SEARCH_CALLS = 20  # the n = 20 search takes a few ms, so it is timed over this many calls per run
 
 
 def seeded_code(n: int) -> str:
@@ -78,6 +82,14 @@ def layers():
 
     def search(n):
         return partial(max_kemeny_search, n, threads=2)
+
+    def search_checkpointed(n):
+        def call():
+            for _ in range(SEARCH_CALLS):
+                with tempfile.TemporaryDirectory() as scratch:
+                    max_kemeny_search(n, threads=1, checkpoint=os.path.join(scratch, "search.checkpoint"))
+
+        return call
 
     def core(n):
         return partial(resistance_matrix, code(n))
@@ -126,6 +138,7 @@ def layers():
     return [
         ("max_kemeny_search_2threads", 24, search),
         ("max_kemeny_search_2threads", 26, search),
+        (f"max_kemeny_search_1thread_x{SEARCH_CALLS}", 20, search_checkpointed),
         ("resistance_matrix", 1000, core),
         ("resistance_matrix", 5000, core),
         ("resistance_matrix_plus_verify_orderings", 10_000, core_and_orderings),
