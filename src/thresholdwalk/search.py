@@ -1,11 +1,12 @@
 """Exhaustive extremal search for Kemeny's constant over all connected codes of one order.
 
-The code space splits into contiguous index ranges whose size depends only
-on n and ``chunk_codes``.  Inside a range a numpy float screen sums the
-terms of ``kemeny_from_code`` along ``spectral._positions`` for a slab of up
-to SLAB_BLOCKS blocks of codes at once, with one folded weight row per block
-and one matrix product per slab, and only the codes within ``SCREEN_WINDOW`` of
-their range's float maximum are evaluated exactly with ``kemeny_from_code``; every
+The code space splits into ranges of SCREEN_SLAB consecutive indices, or one
+range when the order has fewer codes, so the range size depends only on n.
+Each range is one slab: a numpy float screen sums the terms of
+``kemeny_from_code`` along ``spectral._positions`` for its up to
+SLAB_BLOCKS blocks of codes at once, with one folded weight row per block
+and one matrix product, and only the codes within ``SCREEN_WINDOW`` of the
+range's float maximum are evaluated exactly with ``kemeny_from_code``; every
 comparison that decides the result is between exact rationals.  Each range
 keeps its exact maximum with its ties in code order, and the reduction
 compares rationals exactly, then range order, so the result is bitwise
@@ -41,23 +42,21 @@ from .spectral import _positions
 
 MIN_ORDER = 3
 MAX_ORDER = 26
-CHECKPOINT_INTERVAL = 1 << 16  # codes per checkpointed range
 CHECKPOINT_VERSION = 2  # version 1 was the header-less format with one line per tie
-LOW_BITS = 12  # index bits that vary inside one screened block
-SCREEN_BLOCK = 1 << LOW_BITS  # codes that share their high bits, one column of the table each
-SLAB_BLOCKS = 16  # blocks per float pass: a default checkpointed range is one slab
-SCREEN_SLAB = SLAB_BLOCKS * SCREEN_BLOCK
+LOW_BITS = 12  # index bits that vary inside a block, whose codes share their high bits
+SLAB_BLOCKS = 16  # blocks per float pass
+SCREEN_SLAB = SLAB_BLOCKS << LOW_BITS  # codes per slab, and per checkpointed range
 # OpenBLAS runs a product of up to 65536 * 4 multiply-adds on one thread and threads
 # larger ones, which oversubscribes the cores when pool workers each do so.
 BLAS_ONE_THREAD = 1 << 18
 # Starting two worker processes costs about 20-30 ms, and each worker must
-# get at least this many codes to pay for it.  On 2 cores (medians of 5,
-# alternating) one process beat two workers at n = 23 (2^21 codes), n = 24
-# went either way from one session to the next, and two workers won from
-# n = 25 (2^23 codes, about 260 against 220 ms) on.  That was with the
-# per-block screen; with the slab screen one process also won at n = 25 and
-# 26 (medians of 3: 78 against 97 ms, and 144 against 192 ms).
-POOL_MIN_CODES = 1 << 22
+# get at least this many codes to pay for it, so only n = 26 starts a pool.
+# On 2 cores, with the CLI in fresh processes, BLAS pinned to one thread and
+# 10 alternating rounds (medians), one process took 83.4 ms at n = 25
+# against 157.9 ms on two workers, and 163.1 against 288.6 ms at n = 26,
+# faster in 10 of 10 rounds at both; an earlier set of 10 read 69.3 against
+# 78.1 ms (9 of 10) and 157.0 against 145.7 ms (two workers faster in 6).
+POOL_MIN_CODES = 1 << 23
 # With s_i and lambda_i from ``spectral._positions`` and the term of
 # ``kemeny_from_code``'s docstring, for n <= MAX_ORDER every integer of a term
 # (s, 2m - s, their product, i (i+1) lambda_i) is far below 2^53, so only
@@ -82,8 +81,7 @@ POOL_MIN_CODES = 1 << 22
 # <= 49 roundings, so with u = 2^-53,
 # |float - exact| <= 49 u (n - 1)(n + 1) < 49 * 675 * 1.111e-16 < 3.7e-12 at
 # n = 26.  An exact maximizer of a range therefore screens at most 7.4e-12
-# below the range's float maximum, and below its own slab's; the window keeps a
-# margin of over 130x.
+# below the range's float maximum; the window keeps a margin of over 130x.
 SCREEN_WINDOW = 1e-9
 
 
@@ -169,8 +167,8 @@ def _screen_tables(n: int):
 _scratch = threading.local()
 
 
-def _screen(n: int, start: int, stop: int) -> np.ndarray:
-    """Float K - (n - 1) of the codes with index in [start, stop), all in one slab.
+def _screen(n: int, slab: int) -> np.ndarray:
+    """Float K - (n - 1) of every code of slab number slab, in index order from slab * SCREEN_SLAB.
 
     Evaluates the term of ``kemeny_from_code`` as ``_screen_tables`` folds it: the weight rows
     of the slab's blocks times the table's columns, over T + h, in one matrix product and
@@ -179,84 +177,56 @@ def _screen(n: int, start: int, stop: int) -> np.ndarray:
     into this thread's buffer: the view returned is overwritten by the thread's next call.
     """
     k, two_m_low, table, all_weights, all_h = _screen_tables(n)
-    b0, b1 = start >> k, ((stop - 1) >> k) + 1  # the slab's blocks
-    lo, hi = start - (b0 << k), stop - (b0 << k)
-    c0, width = (lo, hi - lo) if b1 - b0 == 1 else (0, 1 << k)
-    weights, h = all_weights[b0:b1], all_h[b0:b1]
+    blocks = slice(slab * SLAB_BLOCKS, (slab + 1) * SLAB_BLOCKS)
+    weights, h = all_weights[blocks], all_h[blocks]
     if not hasattr(_scratch, "values"):
         _scratch.values = np.empty(SCREEN_SLAB)
-    out = _scratch.values[: (b1 - b0) * width].reshape(b1 - b0, width)
-    columns, t = table[:, c0 : c0 + width], two_m_low[c0 : c0 + width]
+    out = _scratch.values[: len(weights) << k].reshape(len(weights), 1 << k)
     step = BLAS_ONE_THREAD // weights.size
-    for j in range(0, width, step):
+    for j in range(0, 1 << k, step):
         chunk = out[:, j : j + step]
-        np.matmul(weights, columns[:, j : j + step], out=chunk)
-        chunk /= t[j : j + step] + h[:, None]
-    return out.reshape(-1)[lo - c0 : hi - c0]
+        np.matmul(weights, table[:, j : j + step], out=chunk)
+        chunk /= two_m_low[j : j + step] + h[:, None]
+    return out.reshape(-1)
 
 
-def _chunk_best(task: tuple[int, int, int]) -> tuple[int, int, tuple[str, ...]]:
-    """Exact maximum over the index window [start, stop); ties kept in code order.
+def _chunk_best(task: tuple[int, int]) -> tuple[int, int, tuple[str, ...]]:
+    """Exact maximum over the codes of one slab; ties kept in code order.
 
-    The window is screened by ``_screen`` in slabs, the aligned runs of
-    SCREEN_SLAB indices.  A slab keeps the codes within SCREEN_WINDOW of its
-    float maximum, unless that maximum is already more than SCREEN_WINDOW
-    below the window's running float maximum.  Once the window is screened,
-    the kept codes within SCREEN_WINDOW of its float maximum are confirmed
-    with exact ``kemeny_from_code``; the derivation at SCREEN_WINDOW shows no
-    exact maximizer of the window lies outside it.  Confirmed values are
-    reduced exactly in code order by ``max_with_ties``.
+    The slab is screened once by ``_screen``, and the codes within SCREEN_WINDOW
+    of its float maximum are confirmed with exact ``kemeny_from_code``; the
+    derivation at SCREEN_WINDOW shows no exact maximizer of the slab lies
+    outside them.  Confirmed values are reduced exactly in code order by
+    ``max_with_ties``.
     """
-    n, start, stop = task
-    top = -math.inf  # float maximum of the slabs screened so far
-    kept: list[tuple[int, float]] = []  # (index, float value), in code order
-    lo = start
-    while lo < stop:
-        hi = min((lo // SCREEN_SLAB + 1) * SCREEN_SLAB, stop)
-        approx = _screen(n, lo, hi)
-        slab_top = float(approx.max())
-        if slab_top >= top - SCREEN_WINDOW:
-            top = max(top, slab_top)
-            offsets = np.flatnonzero(approx >= slab_top - SCREEN_WINDOW)
-            kept.extend(zip((lo + offsets).tolist(), approx[offsets].tolist()))
-        lo = hi
-    confirmed = (code_from_index(n, index) for index, estimate in kept if estimate >= top - SCREEN_WINDOW)
+    n, slab = task
+    approx = _screen(n, slab)
+    offsets = np.flatnonzero(approx >= approx.max() - SCREEN_WINDOW)
+    confirmed = (code_from_index(n, index) for index in (slab * SCREEN_SLAB + offsets).tolist())
     best, ties = max_with_ties((str(code), kemeny_from_code(code).exact) for code in confirmed)
     return best.numerator, best.denominator, tuple(ties)
 
 
-def _plan_chunks(total: int, chunk_codes: int) -> list[tuple[int, int]]:
-    """Index ranges of equal power-of-two size, at most chunk_codes each where possible."""
-    want = -(-total // chunk_codes)
-    chunks = 1
-    while chunks < want:
-        chunks <<= 1
-    chunks = min(chunks, total)
-    span = total // chunks  # both are powers of two
-    return [(c * span, (c + 1) * span) for c in range(chunks)]
-
-
-def _parse_record(line: str, n: int, ranges: list[tuple[int, int]]):
+def _parse_record(line: str, n: int, span: int):
     """(range id, (num, den, ties)) from one checkpoint record, or None when malformed."""
     fields = line.split()
     if len(fields) < 4 or not all(field.isdigit() for field in fields[:3]):
         return None
     chunk_id, num, den = (int(field) for field in fields[:3])
     ties = tuple(fields[3:])
-    if chunk_id >= len(ranges) or den == 0:
+    if den == 0:
         return None
-    lo, hi = ranges[chunk_id]
-    for code_str in ties:
+    for code_str in ties:  # at least one, and each in range chunk_id, which therefore exists
         if len(code_str) != n or code_str[0] != "0" or code_str[-1] != "1" or set(code_str) - {"0", "1"}:
             return None
-        if not lo <= int(code_str[1:-1], 2) < hi:
+        if int(code_str[1:-1], 2) // span != chunk_id:
             return None
     return chunk_id, (num, den, ties)
 
 
-def _read_checkpoint(path: str, n: int, ranges: list[tuple[int, int]]):
-    """Completed ranges recorded at path; creates the file or cuts it back to whole records."""
-    header = f"thresholdwalk-search {CHECKPOINT_VERSION} {n} {ranges[0][1] - ranges[0][0]}\n"
+def _read_checkpoint(path: str, n: int, span: int):
+    """Completed ranges of span codes recorded at path; creates the file or cuts it back to whole records."""
+    header = f"thresholdwalk-search {CHECKPOINT_VERSION} {n} {span}\n"
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -273,7 +243,7 @@ def _read_checkpoint(path: str, n: int, ranges: list[tuple[int, int]]):
         )
     done = {}
     for number, line in enumerate(lines[1:], start=2):
-        record = _parse_record(line, n, ranges)
+        record = _parse_record(line, n, span)
         if record is None or record[0] in done:
             raise CheckpointMismatch(f"checkpoint {path} line {number} is malformed: {line.strip()!r}")
         done[record[0]] = record[1]
@@ -294,17 +264,12 @@ def _append_checkpoint(path: str | None, chunk_id: int, result) -> None:
         handle.flush()
 
 
-def max_kemeny_search(
-    n: int,
-    threads: int = 1,
-    checkpoint: str | None = None,
-    chunk_codes: int = CHECKPOINT_INTERVAL,
-) -> SearchReport:
+def max_kemeny_search(n: int, threads: int = 1, checkpoint: str | None = None) -> SearchReport:
     """Exact argmax of Kemeny's constant over every connected code of order n.
 
-    Deterministic for any thread count: ranges are fixed by the interior-bit
-    prefix and ``chunk_codes``, reduction runs in range order, and ties
-    resolve to the smallest code.  ``checkpoint`` names a line-oriented
+    Deterministic for any thread count: each range is one slab, the codes
+    whose interior-bit prefix is its number, reduction runs in range order,
+    and ties resolve to the smallest code.  ``checkpoint`` names a line-oriented
     progress file; completed ranges found there are not recomputed, and a
     file written for another order or range size raises CheckpointMismatch.
     Worker processes are started only when each gets a pending range and
@@ -316,19 +281,18 @@ def max_kemeny_search(
         raise OrderOutOfRange(f"exhaustive search supports {MIN_ORDER} <= n <= {MAX_ORDER}, got {n}")
     if threads < 1:
         raise ParameterOutOfRange(f"threads must be >= 1, got {threads}")
-    if chunk_codes < 1:
-        raise ParameterOutOfRange(f"chunk_codes must be >= 1, got {chunk_codes}")
     started = time.perf_counter()
     total = code_count(n)
-    ranges = _plan_chunks(total, chunk_codes)
-    results = _read_checkpoint(checkpoint, n, ranges) if checkpoint else {}
-    pending = [(cid, (n, lo, hi)) for cid, (lo, hi) in enumerate(ranges) if cid not in results]
+    span = min(total, SCREEN_SLAB)
+    ranges = total // span
+    results = _read_checkpoint(checkpoint, n, span) if checkpoint else {}
+    pending = [slab for slab in range(ranges) if slab not in results]
 
-    workers = min(threads, len(pending), sum(hi - lo for _, (_, lo, hi) in pending) // POOL_MIN_CODES)
+    workers = min(threads, len(pending), len(pending) * span // POOL_MIN_CODES)
     if workers > 1:
         broken = None
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_chunk_best, task): cid for cid, task in pending}
+            futures = {pool.submit(_chunk_best, (n, slab)): slab for slab in pending}
             # record each range as it finishes: when a worker dies, every range
             # finished before it, in any order, stays in the checkpoint
             for future in as_completed(futures):
@@ -341,19 +305,19 @@ def max_kemeny_search(
                 _append_checkpoint(checkpoint, futures[future], outcome)
         if broken is not None:
             kept = (
-                f"{len(results)} of {len(ranges)} ranges are checkpointed in {checkpoint}; "
+                f"{len(results)} of {ranges} ranges are checkpointed in {checkpoint}; "
                 "a re-run resumes"
                 if checkpoint
                 else "no checkpoint was given; a re-run starts over"
             )
             raise WorkerFailure(f"a worker process died; {kept}") from broken
     else:
-        for cid, task in pending:
-            outcome = _chunk_best(task)
-            results[cid] = outcome
-            _append_checkpoint(checkpoint, cid, outcome)
+        for slab in pending:
+            outcome = _chunk_best((n, slab))
+            results[slab] = outcome
+            _append_checkpoint(checkpoint, slab, outcome)
 
-    in_order = [results[cid] for cid in range(len(ranges))]
+    in_order = [results[slab] for slab in range(ranges)]
     best, ties = max_with_ties((code_str, Fraction(num, den)) for num, den, chunk in in_order for code_str in chunk)
     shapes = (pineapple_r(parse_code(code_str)) for code_str in ties)
     r = next((shape for shape in shapes if shape is not None), None)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
 
-from thresholdwalk import enumerate_codes, parse_code
+from thresholdwalk import enumerate_codes, parse_code, search
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 
@@ -38,6 +39,30 @@ def pseudoinverse_from_terms(den, diag, off):
     """Reference: the n x n Fraction matrix with diag[a] / den on the diagonal and off[max(a, b)] / den off it."""
     n = len(diag)
     return [[Fraction(diag[a] if a == b else off[max(a, b)], den) for b in range(n)] for a in range(n)]
+
+
+@contextlib.contextmanager
+def small_slabs(low_bits=2, slab_blocks=4):
+    """Search with slabs, and so checkpointed ranges, of slab_blocks blocks of 2^low_bits codes.
+
+    The defaults give ranges of 16 codes: 8 at n = 9 and 64 at n = 12.  The per-order
+    tables and this thread's screen buffer are sized by these constants, so both are
+    dropped on entry and on exit.
+    """
+    saved = {name: getattr(search, name) for name in ("LOW_BITS", "SLAB_BLOCKS", "SCREEN_SLAB")}
+
+    def drop_sized_state():
+        search._screen_tables.cache_clear()
+        vars(search._scratch).pop("values", None)
+
+    drop_sized_state()
+    search.LOW_BITS, search.SLAB_BLOCKS, search.SCREEN_SLAB = low_bits, slab_blocks, slab_blocks << low_bits
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(search, name, value)
+        drop_sized_state()
 
 
 def pytest_runtest_logreport(report):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import connected_codes_upto, seeded_codes
+from conftest import connected_codes_upto, seeded_codes, small_slabs
 from thresholdwalk import (
     ConstructionCode,
     commuting_check,
@@ -27,6 +27,7 @@ from thresholdwalk import (
     pineapple_argmax,
     pineapple_kemeny,
     resistance_matrix,
+    search,
     upper_bounds,
     verify_conjecture_range,
     verify_code,
@@ -130,7 +131,7 @@ def test_criterion_09_accessibility_identities():
     print("criterion 9: weighted-alpha identity exact; oracle within 1e-8, n <= 9")
 
 
-def test_criterion_10_extremal_search_reproduction(tmp_path):
+def test_criterion_10_extremal_search_reproduction(tmp_path, monkeypatch):
     started = time.perf_counter()
     reports = verify_conjecture_range(3, 18, threads=2)
     for report in reports:
@@ -141,18 +142,22 @@ def test_criterion_10_extremal_search_reproduction(tmp_path):
     assert by_n[10].r == 2
     assert pineapple_argmax(10).predicted_set == (3, 4)  # recorded, not asserted as containing r
 
-    # identical reports for any worker count, with parallel ranges engaged
+    # identical reports for any worker count, with real pools of 4 and 8 workers:
+    # in slabs of 16 codes n = 12 has 64 ranges, and no minimum of codes per worker
     key = lambda r: (r.n, r.argmax_code, r.k_exact, r.ties, r.codes_examined)
-    variants = [max_kemeny_search(12, threads=t, chunk_codes=64) for t in (1, 4, 8)]
-    assert len({key(r) for r in variants}) == 1
-    assert key(variants[0]) == key(by_n[12])
-
-    # checkpoint resume reproduces the identical report
+    monkeypatch.setattr(search, "POOL_MIN_CODES", 1)
     path = tmp_path / "n12.checkpoint"
-    fresh = max_kemeny_search(12, checkpoint=str(path), chunk_codes=64)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
-    resumed = max_kemeny_search(12, checkpoint=str(path), chunk_codes=64)
+    with small_slabs():
+        variants = [max_kemeny_search(12, threads=t) for t in (1, 4, 8)]
+        assert len({key(r) for r in variants}) == 1
+        assert key(variants[0]) == key(by_n[12])
+
+        # checkpoint resume reproduces the identical report
+        fresh = max_kemeny_search(12, checkpoint=str(path))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "thresholdwalk-search 2 12 16" and len(lines) == 65
+        path.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
+        resumed = max_kemeny_search(12, checkpoint=str(path))
     assert key(resumed) == key(fresh) == key(by_n[12])
 
     elapsed = time.perf_counter() - started

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_slabs
 from thresholdwalk import (
     code_from_index,
     kemeny_from_code,
@@ -40,13 +41,13 @@ def exact_kemeny(n, index):
     return kemeny_from_code(code_from_index(n, index)).exact
 
 
-def exact_chunk_best(task, kemeny=exact_kemeny):
+def exact_chunk_best(task):
     """The exact per-code loop the float screen replaced: the reference for _chunk_best."""
     n, start, stop = task
     best = None
     ties = []
     for index in range(start, stop):
-        value = kemeny(n, index)
+        value = exact_kemeny(n, index)
         if best is None or value > best:
             best, ties = value, [str(code_from_index(n, index))]
         elif value == best:
@@ -57,44 +58,32 @@ def exact_chunk_best(task, kemeny=exact_kemeny):
 class TestScreen:
     @pytest.mark.parametrize("n", range(3, 17))
     def test_chunk_best_equals_exact_reference(self, n):
+        # the whole order is one slab; in slabs of 4 blocks of 4 codes it is
+        # many, each with its own offset and blocks
         total = 1 << (n - 2)
-        rng = random.Random(n)
-        for size in (1, 2, 8, search.SCREEN_BLOCK, total):
-            size = min(size, total)
-            starts = range(0, total, size)
-            if size <= 2 and n > 14:
-                # a size-1 call costs ~57-69 us at n = 12..16 with its exact
-                # confirmation, and the reference more, so every tiny range is
-                # checked through n = 14 and sampled above; the error bound in
-                # search.py covers every code of these orders
-                starts = sorted(rng.sample(starts, 256))
-            for start in starts:
-                task = (n, start, start + size)
-                assert search._chunk_best(task) == exact_chunk_best(task), task
+        assert search._chunk_best((n, 0)) == exact_chunk_best((n, 0, total))
+        with small_slabs():
+            span = min(total, search.SCREEN_SLAB)
+            for slab in range(total // span):
+                task = (n, slab * span, (slab + 1) * span)
+                assert search._chunk_best((n, slab)) == exact_chunk_best(task), task
 
     @pytest.mark.parametrize("n", (13, 14))
     def test_every_code_in_window_reduces_in_code_order(self, n, monkeypatch):
         # a screen that cannot tell codes apart sends every code of the range
-        # to exact confirmation, across 8 or 16 slabs of 256
-        monkeypatch.setattr(search, "_screen", lambda n, lo, hi: np.zeros(hi - lo))
-        monkeypatch.setattr(search, "SCREEN_SLAB", 256)
-        task = (n, 0, 1 << (n - 2))
-        assert search._chunk_best(task) == exact_chunk_best(task)
+        # to exact confirmation
+        monkeypatch.setattr(search, "_screen", lambda n, slab: np.zeros(1 << (n - 2)))
+        assert search._chunk_best((n, 0)) == exact_chunk_best((n, 0, 1 << (n - 2)))
 
-    @pytest.mark.parametrize("n", (14, 15, 16))
-    def test_windows_straddling_blocks_equal_exact_reference(self, n):
-        block, total = search.SCREEN_BLOCK, 1 << (n - 2)
-        for start, stop in ((block - 3, block + 5), (5, 3 * block - 7)):
-            task = (n, start, min(stop, total))
-            assert search._chunk_best(task) == exact_chunk_best(task), task
-
-    @pytest.mark.parametrize("n", (19, 20))
-    def test_windows_straddling_slabs_equal_exact_reference(self, n):
-        # up to 196,601 codes: the reference runs uncached, so memory stays flat
-        slab, total = search.SCREEN_SLAB, 1 << (n - 2)
-        for start, stop in ((slab - 3, slab + 5), (5, 3 * slab - 7)):
-            task = (n, start, min(stop, total))
-            assert search._chunk_best(task) == exact_chunk_best(task, exact_kemeny.__wrapped__), task
+    def test_screen_error_within_its_bound_keeps_every_tie(self, monkeypatch):
+        # the two order-21 maximizers share range 7; a screen off by up to the
+        # proven 3.7e-12 still sends both to exact confirmation
+        screen, rng = search._screen, np.random.default_rng(21)
+        noisy = lambda n, slab: screen(n, slab) + rng.uniform(-3.7e-12, 3.7e-12, 1 << 16)
+        monkeypatch.setattr(search, "_screen", noisy)
+        ties = ("011110000000000000001", "011111000000000000001")
+        assert {int(code[1:-1], 2) >> 16 for code in ties} == {7}
+        assert search._chunk_best((21, 7))[2] == ties
 
     def test_one_exact_confirmation_per_range(self, monkeypatch):
         # n = 20 has 4 ranges with one float maximum each; confirming each
@@ -123,21 +112,20 @@ class TestScreen:
         assert top == first
 
     def test_float_error_far_inside_window(self):
-        # every code through n = 16, whose whole order is one slab, then 1500 sampled
-        # codes at each larger order, each read from the screen of its whole slab
+        # the first and last slab of every order: each code through n = 16, whose
+        # whole order is one slab, then 300 sampled codes of each slab
         rng = random.Random(2026)
         worst = 0
-        for n in (*range(3, 17), 20, 23, 26):
+        for n in range(3, 27):
             total = 1 << (n - 2)
-            indices = range(total) if n <= 16 else sorted(rng.sample(range(total), 1500))
-            slab = None
-            for index in indices:
-                if index // search.SCREEN_SLAB != slab:
-                    slab = index // search.SCREEN_SLAB
-                    lo = slab * search.SCREEN_SLAB
-                    approx = search._screen(n, lo, min(lo + search.SCREEN_SLAB, total))
-                value = approx[index - lo]
-                worst = max(worst, abs(Fraction(float(value)) - (exact_kemeny(n, index) - (n - 1))))
+            span = min(total, search.SCREEN_SLAB)
+            for slab in {0, total // span - 1}:
+                approx = search._screen(n, slab)
+                assert len(approx) == span
+                offsets = range(span) if n <= 16 else rng.sample(range(span), 300)
+                for offset in offsets:
+                    exact = exact_kemeny(n, slab * span + offset) - (n - 1)
+                    worst = max(worst, abs(Fraction(float(approx[offset])) - exact))
         assert worst <= search.SCREEN_WINDOW / 1e3
 
     def test_blas_products_stay_on_one_thread(self, monkeypatch):
@@ -152,26 +140,29 @@ class TestScreen:
         monkeypatch.setattr(np, "matmul", recording)
         for n in range(3, 27):
             total = 1 << (n - 2)
-            for lo, hi in ((0, min(search.SCREEN_SLAB, total)), (total - 1, total)):
+            for slab in {0, total // min(total, search.SCREEN_SLAB) - 1}:
                 sizes.clear()
-                search._screen(n, lo, hi)
-                assert sizes and max(sizes) <= 1 << 18, (n, lo, hi, sizes)
+                search._screen(n, slab)
+                assert sizes and max(sizes) <= 1 << 18, (n, slab, sizes)
 
     @pytest.mark.parametrize("n", (14, 20, 26))
     def test_consecutive_screens_read_no_stale_values(self, n):
-        # each call overwrites the thread's one buffer; poisoning it between
-        # calls shows every value returned was written by that call
-        slab, total = search.SCREEN_SLAB, 1 << (n - 2)
+        # each call overwrites the thread's one buffer; poisoning it between calls,
+        # which alternate with the other orders so that the buffer's shape changes,
+        # shows every value returned was written by that call
         rng = random.Random(n)
-        windows = [(0, min(slab, total)), (5, 6), (max(0, total - 5000), total), (total // 2 + 7, total // 2 + 300)]
-        search._screen(n, 0, 1)  # makes the buffer
-        for lo, hi in windows:
+        others = [order for order in (14, 17, 20, 26) if order != n]
+        search._screen(n, 0)  # makes the buffer
+        for order in (n, others[0], n, others[1], n, others[2], n):
+            total = 1 << (order - 2)
+            span = min(total, search.SCREEN_SLAB)
+            slab = rng.randrange(total // span)
             search._scratch.values.fill(np.nan)
-            approx = search._screen(n, lo, hi)
-            assert len(approx) == hi - lo and not np.isnan(approx).any()
-            for index in rng.sample(range(lo, hi), min(hi - lo, 40)):
-                exact = exact_kemeny(n, index) - (n - 1)
-                assert abs(Fraction(float(approx[index - lo])) - exact) <= search.SCREEN_WINDOW / 1e3
+            approx = search._screen(order, slab)
+            assert len(approx) == span and not np.isnan(approx).any()
+            for offset in rng.sample(range(span), 40):
+                exact = exact_kemeny(order, slab * span + offset) - (order - 1)
+                assert abs(Fraction(float(approx[offset])) - exact) <= search.SCREEN_WINDOW / 1e3
 
     @pytest.mark.parametrize("n", range(19, 23))
     def test_matches_pineapple_argmax(self, n):
@@ -203,15 +194,16 @@ class TestSearch:
 
     def test_deterministic_across_thread_counts(self, monkeypatch):
         monkeypatch.setattr(search, "POOL_MIN_CODES", 1)  # real pools, even for 128 codes
-        reports = [
-            max_kemeny_search(9, threads=t, chunk_codes=16) for t in (1, 4, 8)
-        ]
+        with small_slabs():
+            reports = [max_kemeny_search(9, threads=t) for t in (1, 4, 8)]
         assert len({report_key(r) for r in reports}) == 1
+        assert report_key(reports[0]) == report_key(max_kemeny_search(9))
 
     def test_ties_in_different_ranges_join_in_range_order(self):
         # the two order-21 maximizers share a range of the default size; in
-        # ranges of 2^14 codes they fall in ranges 30 and 31
-        split = max_kemeny_search(21, threads=1, chunk_codes=1 << 14)
+        # slabs of 4 blocks, ranges of 2^14 codes, they fall in ranges 30 and 31
+        with small_slabs(low_bits=12):
+            split = max_kemeny_search(21, threads=1)
         assert split.ties == ("011110000000000000001", "011111000000000000001")
         assert [int(code[1:-1], 2) >> 14 for code in split.ties] == [30, 31]
         assert split.ties == tuple(str(pineapple_code(21, r)) for r in pineapple_argmax(21).tied_rs)
@@ -234,8 +226,6 @@ class TestSearch:
     def test_bad_threads(self):
         with pytest.raises(ParameterOutOfRange):
             max_kemeny_search(5, threads=0)
-        with pytest.raises(ParameterOutOfRange):
-            max_kemeny_search(5, chunk_codes=0)
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -286,18 +276,20 @@ class TestSearch:
     def test_pool_capped_at_pending_ranges(self, tmp_path, monkeypatch, pools):
         monkeypatch.setattr(search, "POOL_MIN_CODES", 1)
         path = tmp_path / "cap.checkpoint"
-        fresh = max_kemeny_search(9, threads=3, checkpoint=str(path), chunk_codes=16)  # 8 ranges
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:5]))  # header and 4 ranges: 4 pending
-        resumed = max_kemeny_search(9, threads=8, checkpoint=str(path), chunk_codes=16)
+        with small_slabs():
+            fresh = max_kemeny_search(9, threads=3, checkpoint=str(path))  # 8 ranges
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(lines[:5]))  # header and 4 ranges: 4 pending
+            resumed = max_kemeny_search(9, threads=8, checkpoint=str(path))
         assert pools == [3, 4]
         assert report_key(resumed) == report_key(fresh)
 
     def test_pool_needs_enough_codes_per_worker(self, monkeypatch, pools):
-        small = max_kemeny_search(9, threads=8, chunk_codes=16)  # 128 codes in 8 ranges
-        assert pools == []
-        monkeypatch.setattr(search, "POOL_MIN_CODES", 32)
-        pooled = max_kemeny_search(9, threads=8, chunk_codes=16)
+        with small_slabs():
+            small = max_kemeny_search(9, threads=8)  # 128 codes in 8 ranges
+            assert pools == []
+            monkeypatch.setattr(search, "POOL_MIN_CODES", 32)
+            pooled = max_kemeny_search(9, threads=8)
         assert pools == [4]
         assert report_key(pooled) == report_key(small)
 
@@ -313,12 +305,13 @@ class TestSearch:
         monkeypatch.setattr(search, "_chunk_best", dies_on_third_call)
         monkeypatch.setattr(search, "POOL_MIN_CODES", 1)
         path = tmp_path / "broken.checkpoint"
-        with pytest.raises(WorkerFailure, match="2 of 8 ranges are checkpointed .*; a re-run resumes"):
-            max_kemeny_search(9, threads=2, checkpoint=str(path), chunk_codes=16)
-        records = path.read_text().splitlines()[1:]
-        assert sorted(line.split()[0] for line in records) == ["0", "1"]  # records follow completion order
-        resumed = max_kemeny_search(9, threads=2, checkpoint=str(path), chunk_codes=16)
-        assert report_key(resumed) == report_key(max_kemeny_search(9, chunk_codes=16))
+        with small_slabs():
+            with pytest.raises(WorkerFailure, match="2 of 8 ranges are checkpointed .*; a re-run resumes"):
+                max_kemeny_search(9, threads=2, checkpoint=str(path))
+            records = path.read_text().splitlines()[1:]
+            assert sorted(line.split()[0] for line in records) == ["0", "1"]  # records follow completion order
+            resumed = max_kemeny_search(9, threads=2, checkpoint=str(path))
+            assert report_key(resumed) == report_key(max_kemeny_search(9))
         assert len(calls) == 3 + 6 + 8  # the re-run computed only the 6 missing ranges
 
         calls.clear()
@@ -336,7 +329,7 @@ class TestSearch:
                 assert range_1_done.wait(timeout=60)
                 raise BrokenProcessPool("a child process terminated abruptly")
             result = chunk_best(task)
-            if task[1] == 16:
+            if task[1] == 1:
                 range_1_done.set()
             return result
 
@@ -344,74 +337,84 @@ class TestSearch:
         monkeypatch.setattr(search, "_chunk_best", range_0_dies_after_range_1)
         monkeypatch.setattr(search, "POOL_MIN_CODES", 1)
         path = tmp_path / "order.checkpoint"
-        with pytest.raises(WorkerFailure, match="7 of 8 ranges are checkpointed"):
-            max_kemeny_search(9, threads=2, checkpoint=str(path), chunk_codes=16)
-        records = [line.split()[0] for line in path.read_text().splitlines()[1:]]
-        assert sorted(records) == [str(cid) for cid in range(1, 8)]
-        monkeypatch.setattr(search, "_chunk_best", chunk_best)
-        resumed = max_kemeny_search(9, threads=2, checkpoint=str(path), chunk_codes=16)
-        assert report_key(resumed) == report_key(max_kemeny_search(9, chunk_codes=16))
+        with small_slabs():
+            with pytest.raises(WorkerFailure, match="7 of 8 ranges are checkpointed"):
+                max_kemeny_search(9, threads=2, checkpoint=str(path))
+            records = [line.split()[0] for line in path.read_text().splitlines()[1:]]
+            assert sorted(records) == [str(cid) for cid in range(1, 8)]
+            monkeypatch.setattr(search, "_chunk_best", chunk_best)
+            resumed = max_kemeny_search(9, threads=2, checkpoint=str(path))
+            assert report_key(resumed) == report_key(max_kemeny_search(9))
 
 
 class TestCheckpoint:
     def test_resume_reproduces_report(self, tmp_path):
         path = tmp_path / "search.checkpoint"
-        fresh = max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
-        lines = path.read_text().splitlines()
-        assert len(lines) >= 8  # 128 codes in chunks of 16
-        # drop the last three completed ranges and resume
-        path.write_text("\n".join(lines[:-3]) + "\n")
-        resumed = max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
+        with small_slabs():
+            fresh = max_kemeny_search(9, checkpoint=str(path))
+            lines = path.read_text().splitlines()
+            assert len(lines) >= 8  # 128 codes in ranges of 16
+            # drop the last three completed ranges and resume
+            path.write_text("\n".join(lines[:-3]) + "\n")
+            resumed = max_kemeny_search(9, checkpoint=str(path))
         assert report_key(resumed) == report_key(fresh)
 
     def test_full_checkpoint_short_circuits(self, tmp_path):
         path = tmp_path / "done.checkpoint"
-        first = max_kemeny_search(8, checkpoint=str(path), chunk_codes=8)
-        again = max_kemeny_search(8, checkpoint=str(path), chunk_codes=8)
+        with small_slabs():
+            first = max_kemeny_search(8, checkpoint=str(path))
+            again = max_kemeny_search(8, checkpoint=str(path))
         assert report_key(first) == report_key(again)
 
     def test_line_format(self, tmp_path):
         path = tmp_path / "fmt.checkpoint"
-        max_kemeny_search(7, checkpoint=str(path), chunk_codes=8)
+        max_kemeny_search(7, checkpoint=str(path))
+        assert path.read_text().splitlines()[0] == "thresholdwalk-search 2 7 32"  # one range: the whole order
+        path.unlink()
+        with small_slabs():
+            max_kemeny_search(8, checkpoint=str(path))
         header, *records = path.read_text().splitlines()
-        assert header == "thresholdwalk-search 2 7 8"
-        assert len(records) == 4  # 32 codes in ranges of 8, one line each
+        assert header == "thresholdwalk-search 2 8 16"
+        assert len(records) == 4  # 64 codes in ranges of 16, one line each
         for line in records:
             chunk_id, num, den, *ties = line.split()
             assert chunk_id.isdigit()
             assert ties
             for code_str in ties:
-                assert set(code_str) <= {"0", "1"} and len(code_str) == 7
+                assert set(code_str) <= {"0", "1"} and len(code_str) == 8
             Fraction(int(num), int(den))
 
     def test_mismatched_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "bad.checkpoint"
         path.write_text("0 0101 61 24\n")
         with pytest.raises(ValueError):
-            max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
+            max_kemeny_search(9, checkpoint=str(path))
 
 
     def test_range_plan_change_rejected(self, tmp_path):
-        # cut after 4 of 8 ranges of 128, resumed with ranges of 256: this used to
-        # report 001100000001, K = 1799/160 instead of 011100000001, K = 1923/170
+        # cut after 4 of 64 ranges of 16, then resumed with the default plan, one
+        # range of 1024: read as that range, range 0's record would decide the order
         path = tmp_path / "plan.checkpoint"
-        max_kemeny_search(12, checkpoint=str(path), chunk_codes=128)
+        with small_slabs():
+            max_kemeny_search(12, checkpoint=str(path))
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:5]))
         with pytest.raises(CheckpointMismatch):
-            max_kemeny_search(12, checkpoint=str(path), chunk_codes=256)
-        resumed = max_kemeny_search(12, checkpoint=str(path), chunk_codes=128)
+            max_kemeny_search(12, checkpoint=str(path))
+        with small_slabs():
+            resumed = max_kemeny_search(12, checkpoint=str(path))
         assert (resumed.argmax_code, resumed.k_exact) == ("011100000001", Fraction(1923, 170))
 
     def test_resume_identical_across_thread_counts(self, tmp_path, monkeypatch):
         monkeypatch.setattr(search, "POOL_MIN_CODES", 1)  # real pools, even for 128 codes
         path = tmp_path / "threads.checkpoint"
-        fresh = max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
-        cut = "".join(path.read_text().splitlines(keepends=True)[:4])  # header and 3 of 8 ranges
-        for threads in (1, 2, 4, 8):
-            path.write_text(cut)
-            resumed = max_kemeny_search(9, threads=threads, checkpoint=str(path), chunk_codes=16)
-            assert report_key(resumed) == report_key(fresh), threads
+        with small_slabs():
+            fresh = max_kemeny_search(9, checkpoint=str(path))
+            cut = "".join(path.read_text().splitlines(keepends=True)[:4])  # header and 3 of 8 ranges
+            for threads in (1, 2, 4, 8):
+                path.write_text(cut)
+                resumed = max_kemeny_search(9, threads=threads, checkpoint=str(path))
+                assert report_key(resumed) == report_key(fresh), threads
 
     @pytest.mark.parametrize(
         "record",
@@ -431,21 +434,22 @@ class TestCheckpoint:
     def test_malformed_record_rejected(self, tmp_path, record):
         path = tmp_path / "bad.checkpoint"
         path.write_text(f"thresholdwalk-search 2 9 16\n{record}\n")
-        with pytest.raises(CheckpointMismatch):
-            max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
+        with small_slabs(), pytest.raises(CheckpointMismatch):
+            max_kemeny_search(9, checkpoint=str(path))
 
     def test_non_ascii_rejected(self, tmp_path):
         path = tmp_path / "binary.checkpoint"
         path.write_bytes(b"thresholdwalk-search 2 9 16\n\xff\n")
-        with pytest.raises(CheckpointMismatch):
-            max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
+        with small_slabs(), pytest.raises(CheckpointMismatch):
+            max_kemeny_search(9, checkpoint=str(path))
 
     def test_torn_record_recomputed(self, tmp_path):
         path = tmp_path / "torn.checkpoint"
-        fresh = max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
-        written = path.read_bytes()
-        path.write_bytes(written[:-5])  # the last record loses its tail and newline
-        resumed = max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
+        with small_slabs():
+            fresh = max_kemeny_search(9, checkpoint=str(path))
+            written = path.read_bytes()
+            path.write_bytes(written[:-5])  # the last record loses its tail and newline
+            resumed = max_kemeny_search(9, checkpoint=str(path))
         assert report_key(resumed) == report_key(fresh)
         assert path.read_bytes() == written
 
@@ -453,9 +457,9 @@ class TestCheckpoint:
 @functools.cache
 def fresh_checkpoint():
     """Bytes of a complete n = 9 checkpoint in ranges of 16, with the report's key."""
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as scratch, small_slabs():
         path = Path(scratch) / "fresh.checkpoint"
-        report = max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
+        report = max_kemeny_search(9, checkpoint=str(path))
         return path.read_bytes(), report_key(report)
 
 
@@ -464,10 +468,10 @@ def fresh_checkpoint():
 def test_truncated_checkpoint_resumes_identically(data):
     written, key = fresh_checkpoint()
     cut = data.draw(st.integers(0, len(written)), label="cut")
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as scratch, small_slabs():
         path = Path(scratch) / "cut.checkpoint"
         path.write_bytes(written[:cut])
-        resumed = max_kemeny_search(9, checkpoint=str(path), chunk_codes=16)
+        resumed = max_kemeny_search(9, checkpoint=str(path))
         assert report_key(resumed) == key
         assert path.read_bytes() == written  # one worker appends ranges in order
 
