@@ -4,10 +4,11 @@ The code space splits into ranges of SCREEN_SLAB consecutive indices, or one
 range when the order has fewer codes, so the range size depends only on n.
 Each range is one slab: a numpy float screen sums the terms of
 ``kemeny_from_code`` along ``spectral._positions`` for its up to
-SLAB_BLOCKS blocks of codes at once, with one folded weight row per block
-and one matrix product, and only the codes within ``SCREEN_WINDOW`` of the
-range's float maximum are evaluated exactly with ``kemeny_from_code``; every
-comparison that decides the result is between exact rationals.  Each range
+SLAB_BLOCKS blocks of codes at once, with one folded weight row per block,
+one matrix product and one cached row of reciprocals of 2m per block, and
+only the codes within ``SCREEN_WINDOW`` of the range's float maximum are
+evaluated exactly with ``kemeny_from_code``; every comparison that decides
+the result is between exact rationals.  Each range
 keeps its exact maximum with its ties in code order, and the reduction
 compares rationals exactly, then range order, so the result is bitwise
 reproducible for any worker count.
@@ -50,37 +51,37 @@ SCREEN_SLAB = SLAB_BLOCKS << LOW_BITS  # codes per slab, and per checkpointed ra
 # larger ones, which oversubscribes the cores when pool workers each do so.
 BLAS_ONE_THREAD = 1 << 18
 # Starting two worker processes costs about 20-30 ms, and each worker must
-# get at least this many codes to pay for it, so only n = 26 starts a pool.
-# On 2 cores, with the CLI in fresh processes, BLAS pinned to one thread and
-# 10 alternating rounds (medians), one process took 83.4 ms at n = 25
-# against 157.9 ms on two workers, and 163.1 against 288.6 ms at n = 26,
-# faster in 10 of 10 rounds at both; an earlier set of 10 read 69.3 against
-# 78.1 ms (9 of 10) and 157.0 against 145.7 ms (two workers faster in 6).
-POOL_MIN_CODES = 1 << 23
+# get at least this many codes to pay for it, so no order up to MAX_ORDER
+# starts a pool.  On 2 cores, in fresh processes with BLAS pinned to one
+# thread and 10 alternating rounds, max_kemeny_search(26, threads=2) took
+# 113-131 ms (median 116.3) in one process against 224-279 ms (median 232.9)
+# on two workers, one process faster in 10 of 10 rounds.
+POOL_MIN_CODES = 1 << 24
 # With s_i and lambda_i from ``spectral._positions`` and the term of
 # ``kemeny_from_code``'s docstring, for n <= MAX_ORDER every integer of a term
 # (s, 2m - s, their product, i (i+1) lambda_i) is far below 2^53, so only
 # roundings err.  In the names of ``_screen_tables`` and ``_screen``, the screen
 # sums terms to 2m (K - (n - 1)) - 2m C, C the sum of the c_i / lambda_i, and
-# divides by 2m = T + h.  A high position i gives (h - s_i) q_i / lambda_i and
-# T q_i / lambda_i, both of the sign of s_i since h - s_i >= 0, so their
-# moduli add up to |s_i| (2m - s_i) / (i (i+1) lambda_i) <= (1 + i (i-1) / 2m) 2m
+# multiplies the sums by 1 / 2m = 1 / (T + h).  A high position i gives
+# (h - s_i) q_i / lambda_i and T q_i / lambda_i, both of the sign of s_i since
+# h - s_i >= 0, so their moduli add up to
+# |s_i| (2m - s_i) / (i (i+1) lambda_i) <= (1 + i (i-1) / 2m) 2m
 # <= (n/2) 2m, as |s_i| <= i (i-1), 2m - s_i <= 2m + i (i-1) and 2m >= 2 (n-1).
 # A low position p gives a_p S_p (T - S_p) and h a_p (T - S_p), with
 # T - S_p = 2m - s_p >= 0 and |S_p|, h <= p (p-1), so at most
 # 2 (1 + p (p-1) / 2m) 2m <= n 2m.  Each position also carries
 # -(T + h) c_p / lambda_p, of modulus at most 2m as c_p <= 1 <= lambda_p, so the
 # moduli of the n - 1 positions' terms sum to at most (n - 1)(n + 1) 2m.  A
-# term meets at most six roundings in being formed, scaled and divided (q_i,
-# the folded weight (h - s_i) q_i - h c_i or q_i - c_i, 1 / lambda, the factor
-# T of the table's lower half, the product, the division by T + h), at most k
+# term meets at most seven roundings in being formed and scaled (q_i, the
+# folded weight (h - s_i) q_i - h c_i or q_i - c_i, 1 / lambda, the factor T of
+# the table's lower half, the product, 1 / (T + h), the product by it), at most k
 # additions in a low table's sum over the k + 1 low positions or in one weight
 # entry's sum over high positions (first - 2 <= k for n <= MAX_ORDER), and at
 # most 2 first + 5 in the matrix product, whose weight row has at most
-# 2 (first + 1) + 4 nonzero entries.  That is 2 first + k + 11 = 2n - k + 9
-# <= 49 roundings, so with u = 2^-53,
-# |float - exact| <= 49 u (n - 1)(n + 1) < 49 * 675 * 1.111e-16 < 3.7e-12 at
-# n = 26.  An exact maximizer of a range therefore screens at most 7.4e-12
+# 2 (first + 1) + 4 nonzero entries.  That is 2 first + k + 12 = 2n - k + 10
+# <= 50 roundings, so with u = 2^-53,
+# |float - exact| <= 50 u (n - 1)(n + 1) < 50 * 675 * 1.111e-16 < 3.8e-12 at
+# n = 26.  An exact maximizer of a range therefore screens at most 7.6e-12
 # below the range's float maximum; the window keeps a margin of over 130x.
 SCREEN_WINDOW = 1e-9
 
@@ -128,7 +129,9 @@ def _screen_tables(n: int):
     c_i / lambda_i to C.  Over 2m = T + h, a block's values are
     [A | B] . [column ; T column] / (T + h), its folded weight row [A | B] having
     A = (terms without T) - h (C's weights) and B = (factors of T) - (C's weights).
-    Returns k, T, the stacked table, the weight rows and h, one row and one h per block.
+    The shares h are the even numbers up to (first - 1) first (22 at n = 20, 79 at
+    n = 26), so 1 / (T + h) is row h / 2 of a table of reciprocals.  Returns k, the
+    stacked table, the weight rows, the reciprocal rows and h / 2 per block.
     """
     k = min(LOW_BITS, n - 2)
     first = n - 1 - k
@@ -158,7 +161,8 @@ def _screen_tables(n: int):
         q = s / (i * (i + 1))
         weights[high, lam - 1] += (h - s) * q - h * c
         weights[high, rows + lam - 1] += q - c
-    return k, t, np.vstack([table, t * table]), weights, h
+    reciprocals = 1.0 / (t + np.arange(0, h.max() + 1, 2)[:, None])
+    return k, np.vstack([table, t * table]), weights, reciprocals, h // 2
 
 
 # Each thread's buffer for one slab of screen values.  Reusing it spares a slab's
@@ -171,22 +175,23 @@ def _screen(n: int, slab: int) -> np.ndarray:
     """Float K - (n - 1) of every code of slab number slab, in index order from slab * SCREEN_SLAB.
 
     Evaluates the term of ``kemeny_from_code`` as ``_screen_tables`` folds it: the weight rows
-    of the slab's blocks times the table's columns, over T + h, in one matrix product and
-    one division, both in column chunks of at most BLAS_ONE_THREAD multiply-adds, so
-    OpenBLAS keeps to one thread and no temporary exceeds 128 KB.  The values are written
-    into this thread's buffer: the view returned is overwritten by the thread's next call.
+    of the slab's blocks times the table's columns in one matrix product, in column chunks
+    of at most BLAS_ONE_THREAD multiply-adds so that OpenBLAS keeps to one thread, then
+    each block's values scaled in place by its row of reciprocals of T + h.  The values are
+    written into this thread's buffer: the view returned is overwritten by the thread's
+    next call.
     """
-    k, two_m_low, table, all_weights, all_h = _screen_tables(n)
+    k, table, all_weights, reciprocals, half_h = _screen_tables(n)
     blocks = slice(slab * SLAB_BLOCKS, (slab + 1) * SLAB_BLOCKS)
-    weights, h = all_weights[blocks], all_h[blocks]
+    weights = all_weights[blocks]
     if not hasattr(_scratch, "values"):
         _scratch.values = np.empty(SCREEN_SLAB)
     out = _scratch.values[: len(weights) << k].reshape(len(weights), 1 << k)
     step = BLAS_ONE_THREAD // weights.size
     for j in range(0, 1 << k, step):
-        chunk = out[:, j : j + step]
-        np.matmul(weights, table[:, j : j + step], out=chunk)
-        chunk /= two_m_low[j : j + step] + h[:, None]
+        np.matmul(weights, table[:, j : j + step], out=out[:, j : j + step])
+    for row, half in zip(out, half_h[blocks].tolist()):
+        row *= reciprocals[half]
     return out.reshape(-1)
 
 

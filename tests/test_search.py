@@ -44,9 +44,14 @@ def exact_kemeny(n, index):
 def exact_chunk_best(task):
     """The exact per-code loop the float screen replaced: the reference for _chunk_best."""
     n, start, stop = task
+    return exact_best_of(n, range(start, stop))
+
+
+def exact_best_of(n, indices):
+    """Exact maximum over the codes of the given indices, ascending; ties kept in code order."""
     best = None
     ties = []
-    for index in range(start, stop):
+    for index in indices:
         value = exact_kemeny(n, index)
         if best is None or value > best:
             best, ties = value, [str(code_from_index(n, index))]
@@ -77,9 +82,9 @@ class TestScreen:
 
     def test_screen_error_within_its_bound_keeps_every_tie(self, monkeypatch):
         # the two order-21 maximizers share range 7; a screen off by up to the
-        # proven 3.7e-12 still sends both to exact confirmation
+        # proven 3.8e-12 still sends both to exact confirmation
         screen, rng = search._screen, np.random.default_rng(21)
-        noisy = lambda n, slab: screen(n, slab) + rng.uniform(-3.7e-12, 3.7e-12, 1 << 16)
+        noisy = lambda n, slab: screen(n, slab) + rng.uniform(-3.8e-12, 3.8e-12, 1 << 16)
         monkeypatch.setattr(search, "_screen", noisy)
         ties = ("011110000000000000001", "011111000000000000001")
         assert {int(code[1:-1], 2) >> 16 for code in ties} == {7}
@@ -102,7 +107,7 @@ class TestScreen:
     def test_table_rows_reach_exactly_first(self, n):
         # a high position's 1 / lambda row is lambda - 1, walked with the final
         # 1 as the one later bit: the table holds rows 0 .. first, all needed
-        k, _, stacked, _, _ = search._screen_tables(n)
+        k, stacked, _, _, _ = search._screen_tables(n)
         first = n - 1 - k
         assert len(stacked) // 2 - 3 == first + 1  # the upper half; the lower is it times T
         top = 0
@@ -110,6 +115,35 @@ class TestScreen:
             bits = [(high >> (first - 1 - i)) & 1 for i in range(1, first)]
             top = max(top, max(lam - 1 for _, _, _, lam in _positions(bits, later=1)))
         assert top == first
+
+    def test_reciprocal_rows_are_one_over_each_blocks_2m(self):
+        # the first and last slab of every order: 2m = sum of 2 i c_i from each
+        # code's own bits, and every code of a block reads its block's row
+        for n in range(3, 27):
+            k, _, _, reciprocals, half_h = search._screen_tables(n)
+            total = 1 << (n - 2)
+            span = min(total, search.SCREEN_SLAB)
+            for slab in {0, total // span - 1}:
+                index = np.arange(slab * span, (slab + 1) * span, dtype=np.int64)
+                two_m = 2 * (n - 1) + sum(2 * i * ((index >> (n - 2 - i)) & 1) for i in range(1, n - 1))
+                blocks = range(slab * span >> k, (slab + 1) * span >> k)
+                rows = np.concatenate([reciprocals[half_h[block]] for block in blocks])
+                assert np.array_equal(rows, 1.0 / two_m.astype(float)), (n, slab)
+                for offset in (0, span - 1):
+                    code = str(code_from_index(n, slab * span + offset))
+                    assert two_m[offset] == sum(2 * i for i, bit in enumerate(code) if bit == "1")
+
+    @pytest.mark.parametrize("n", (21, 22))
+    def test_chunk_best_equals_confirming_a_wider_window(self, n):
+        # every slab of orders too large for the per-code exact reference: the
+        # codes within 1e-6 of the slab's float maximum, confirmed exactly in
+        # code order, hold the same maximum and ties as the 1e-9 window
+        span = search.SCREEN_SLAB
+        for slab in range((1 << (n - 2)) // span):
+            approx = search._screen(n, slab)
+            offsets = np.flatnonzero(approx >= approx.max() - 1e-6)
+            wide = exact_best_of(n, (slab * span + offsets).tolist())
+            assert search._chunk_best((n, slab)) == wide, (n, slab, len(offsets))
 
     def test_float_error_far_inside_window(self):
         # the first and last slab of every order: each code through n = 16, whose

@@ -3,15 +3,16 @@
 Times each layer of the ROADMAP layer table at fixed orders on codes drawn
 from ``random.Random(n)``, plus the search at n = 20 in one process with a
 checkpoint (the shape of the benchmark's search workload, 20 calls per run),
-``spanning_tree_oracle`` on the complete graph of order 200, ``parse_code``
-at n = 4000, both exact Kemeny routes at n = 4000 on the seeded code and on
-``(01)^2000`` (every run of equal bits of length one, the most runs an
-order-4000 code has), ``two_forest_matrix`` at n = 9 (its bipartition cache
-cleared in every call), ``enumerate --n 20 --json`` and the tier-1 pytest
-wall time.  Each layer is set up once and then timed K = 3 times; the file
-records every run and their median, with ``nproc``, the CPU, the Python and
-numpy versions and the git SHA of the measured tree.  Needs only the
-standard library and numpy.
+64 consecutive slabs of the search's float screen at n = 26 with its tables
+built beforehand, ``spanning_tree_oracle`` on the complete graph of order
+200, ``parse_code`` at n = 4000, both exact Kemeny routes at n = 4000 on the
+seeded code and on ``(01)^2000`` (every run of equal bits of length one, the
+most runs an order-4000 code has), ``two_forest_matrix`` at n = 9 (its
+bipartition cache cleared in every call), ``enumerate --n 20 --json`` and the
+tier-1 pytest wall time.  Each layer is set up once and then timed K = 3
+times; the file records every run and their median, with ``nproc``, the CPU,
+the Python and numpy versions and the git SHA of the measured tree.  Needs
+only the standard library and numpy.
 
     python3 tools/bench_layers.py --label baseline                 # this checkout
     python3 tools/bench_layers.py --label parent --root OTHER_CHECKOUT
@@ -42,6 +43,7 @@ PARSE_CALLS = 100  # parse_code is timed over this many calls per run
 FOREST_CALLS = 20  # two_forest_matrix is timed over this many cold calls per run
 KEMENY_CALLS = 20  # each exact Kemeny route is timed over this many calls per run
 SEARCH_CALLS = 20  # the n = 20 search takes a few ms, so it is timed over this many calls per run
+SCREEN_SLABS = 64  # consecutive screen slabs timed per run; one takes well under a millisecond
 
 
 def seeded_code(n: int) -> str:
@@ -75,7 +77,7 @@ def layers():
     from thresholdwalk.cli import main
     from thresholdwalk.oracle import _forest_bipartitions, spanning_tree_oracle, two_forest_matrix
     from thresholdwalk.resistance import _verify_orderings
-    from thresholdwalk.search import max_kemeny_search
+    from thresholdwalk.search import _screen, max_kemeny_search
 
     def code(n):
         return parse_code(seeded_code(n))
@@ -88,6 +90,15 @@ def layers():
             for _ in range(SEARCH_CALLS):
                 with tempfile.TemporaryDirectory() as scratch:
                     max_kemeny_search(n, threads=1, checkpoint=os.path.join(scratch, "search.checkpoint"))
+
+        return call
+
+    def screen(n):
+        _screen(n, 0)  # builds the order's tables and this thread's buffer
+
+        def call():
+            for slab in range(SCREEN_SLABS):
+                _screen(n, slab)
 
         return call
 
@@ -139,6 +150,7 @@ def layers():
         ("max_kemeny_search_2threads", 24, search),
         ("max_kemeny_search_2threads", 26, search),
         (f"max_kemeny_search_1thread_x{SEARCH_CALLS}", 20, search_checkpointed),
+        (f"search_screen_x{SCREEN_SLABS}", 26, screen),
         ("resistance_matrix", 1000, core),
         ("resistance_matrix", 5000, core),
         ("resistance_matrix_plus_verify_orderings", 10_000, core_and_orderings),
