@@ -234,7 +234,8 @@ def _psd_determinants(stack: np.ndarray) -> np.ndarray:
         rest = stack[k + 1 :, k + 1 :]
         rest *= pivot
         rest -= stack[k + 1 :, k, None] * stack[None, k, k + 1 :]
-        rest //= prev
+        if k:  # prev is all ones at k = 0
+            rest //= prev
         prev = pivot
     return np.where(singular, 0, stack[-1, -1])
 
@@ -388,13 +389,15 @@ def _forest_guard(graph: AdjacencyStructure) -> None:
 
 
 @lru_cache(maxsize=16)
-def _forest_bipartitions(graph: AdjacencyStructure) -> tuple[np.ndarray, np.ndarray]:
+def _forest_bipartitions(graph: AdjacencyStructure) -> tuple[np.ndarray, np.ndarray, int]:
     """Vertex 1's component over all spanning 2-forests, as distinct bitmasks
-    and the number of forests giving each.
+    and the number of forests giving each, and the spanning-tree count tau.
 
     A spanning 2-forest is a spanning tree on each side of a vertex
     bipartition (S, V-S), so the side S holding vertex 1 is reached by
     tau(G[S]) * tau(G[V-S]) forests; every S with a nonzero count is kept.
+    The tree counts are taken over every nonempty vertex set, the last of
+    them V itself, so tau comes from the same elimination.
     """
     n = graph.n
     masks = np.arange(1, 1 << n, dtype=np.uint32)
@@ -403,7 +406,7 @@ def _forest_bipartitions(graph: AdjacencyStructure) -> tuple[np.ndarray, np.ndar
     inside = masks[: -1 : 2]
     counts = (trees[inside - 1] * trees[masks[-1] - inside - 1]).astype(np.int64)
     forested = counts != 0
-    return inside[forested], counts[forested]
+    return inside[forested], counts[forested], int(trees[-1])
 
 
 def _vertex_bits(graph: AdjacencyStructure, masks: np.ndarray, v: int) -> np.ndarray:
@@ -417,7 +420,7 @@ def two_forest_enumeration(graph: AdjacencyStructure, i: int, j: int) -> int:
     _forest_guard(graph)
     if i == j:
         raise SameVertex(f"vertices must differ, both are {i}")
-    masks, weights = _forest_bipartitions(graph)
+    masks, weights, _ = _forest_bipartitions(graph)
     return int(weights[_vertex_bits(graph, masks, i) != _vertex_bits(graph, masks, j)].sum())
 
 
@@ -426,7 +429,7 @@ def two_forest_refinement(graph: AdjacencyStructure, z: int, x: int, y: int) -> 
     _forest_guard(graph)
     if len({z, x, y}) != 3:
         raise SameVertex(f"vertices must be pairwise distinct, got {z}, {x}, {y}")
-    masks, weights = _forest_bipartitions(graph)
+    masks, weights, _ = _forest_bipartitions(graph)
     bz = _vertex_bits(graph, masks, z)
     bx = _vertex_bits(graph, masks, x)
     by = _vertex_bits(graph, masks, y)
@@ -436,6 +439,6 @@ def two_forest_refinement(graph: AdjacencyStructure, z: int, x: int, y: int) -> 
 def two_forest_matrix(graph: AdjacencyStructure) -> list[list[int]]:
     """All pairwise separating-forest counts from one pass over the bipartitions."""
     _forest_guard(graph)
-    masks, weights = _forest_bipartitions(graph)
+    masks, weights, _ = _forest_bipartitions(graph)
     bits = (masks >> np.arange(graph.n, dtype=np.uint32)[:, None]) & 1
     return ((bits[:, None, :] != bits[None, :, :]) @ weights).tolist()

@@ -14,11 +14,12 @@ passes:
   the row and column terms as integer numerators mu_num over den;
   accessibility is moment minus Kemeny's constant;
 - every ordering check compares den * R[i][p] = row[min] + col[max], a
-  positive multiple of F[i][p], and F[i][p] against F[i][q] depends on i
-  only through which of p and q it precedes, so a few probes decide all i
-  (see ``_verify_orderings``).  A failing comparison walks the rows once to
-  name them, and those rows are the witnesses: every check is decided and
-  witnessed by the same link comparisons, with no second walk.
+  positive multiple of F[i][p], and F[i][p] against F[i][q] differs by a
+  constant over the rows before both positions and over the rows after
+  both, and by a constant minus row[i] - col[i] between them, so each link
+  is decided in a few integer comparisons, with no row probed (see
+  ``_verify_orderings``).  Only a failing link walks the rows, once, to name
+  them, and those rows are its witnesses.
 
 The n x n matrices R and F, and the Fraction tuples mu and alpha, are
 built only when a caller reads them.  All of it is exact, so the ordering
@@ -246,13 +247,25 @@ def verify_orderings(code: ConstructionCode) -> OrderingReport:
     return _verify_orderings(code, resistance_matrix(code))
 
 
+def _walk_rows(n: int, x: int, y: int, holds: Callable[[int], bool]) -> list[int]:
+    """Every row i of n other than x and y, ascending, where holds(i) is false.
+
+    The one walk over the rows in the ordering checks, taken only for a check
+    that fails, to name its witnesses.
+    """
+    return [i for i in range(n) if i != x and i != y and not holds(i)]
+
+
 def _verify_orderings(code: ConstructionCode, profile: ResistanceProfile) -> OrderingReport:
     """verify_orderings on an already built profile of the same code.
 
     In place of each F entry it compares f(i, p) = row[min(i, p)] +
     col[max(i, p)] = den * R[i][p], which is F[i][p] times the positive
     den / tau, so every verdict and witness is that of F; F itself is never
-    built.
+    built.  Each check is a chain of links, a relation between the entries
+    of two positions in every row, and ``failing`` decides a link for all
+    rows at once in a few integer comparisons.  Only a failing link walks
+    the rows, and only its witnesses are formatted.
     """
     row, col = profile.row, profile.col
     bits = code.bits
@@ -268,57 +281,61 @@ def _verify_orderings(code: ConstructionCode, profile: ResistanceProfile) -> Ord
         """Every i other than x and y, ascending, where before(f(i, x), f(i, y)) fails.
 
         ``after`` (default ``before``) replaces ``before`` for i > min(x, y).
-        f(i, x) - f(i, y) is col[x] - col[y] for every i before both
-        positions, row[x] - row[y] for every i after both, and
-        +-(row[lo] - col[hi] - E[i]) for lo < i < hi.  Each relation used here (==, <, <=, >=) holds on an
-        interval of that difference, so one probe before, one after and the
-        least and greatest E[i] between decide every i; only a failure walks
-        all of them.
+        With lo < hi the two positions, f(i, x) - f(i, y) is col[x] - col[y]
+        for every i < lo, row[x] - row[y] for every i > hi, and +-(c - E[i])
+        with c = row[lo] - col[hi] and E[i] = row[i] - col[i] for lo < i < hi,
+        the sign + when x = lo.  Each relation used here (==, <, <=, >=) holds
+        on an interval of that difference, so one comparison decides the rows
+        before, one the rows after, and c against the least and the greatest
+        E[i] the rows between.  Only a failing link walks the rows, to name
+        them.
         """
         after = after or before
-        lo, hi = min(x, y), max(x, y)
+        lo, hi = (x, y) if x < y else (y, x)
+        if (lo == 0 or before(col[x], col[y])) and (hi == n - 1 or after(row[x], row[y])):
+            between = E[lo + 1 : hi]
+            if not between:
+                return []
+            c, least, most = row[lo] - col[hi], min(between), max(between)
+            if (after(c, least) and after(c, most)) if x < y else (after(least, c) and after(most, c)):
+                return []
+        return _walk_rows(n, x, y, lambda i: (before if i < lo else after)(f(i, x), f(i, y)))
 
-        def holds(i: int) -> bool:
-            return (before if i < lo else after)(f(i, x), f(i, y))
-
-        probes = [i for i in (0, n - 1) if i != x and i != y]
-        if hi - lo > 1:
-            between = range(lo + 1, hi)
-            probes += (min(between, key=E.__getitem__), max(between, key=E.__getitem__))
-        if all(map(holds, probes)):
-            return []
-        return [i for i in range(n) if i != x and i != y and not holds(i)]
-
-    # the four local cases, each a list of (x, y, relation before both,
-    # relation after the first, witness template), in one pass over the bits:
+    # the four local cases, each a list of links (x, y, relation before both,
+    # relation after the first), in one pass over the bits:
     # (i) equal adjacent bits: the two positions are twins;
     # (ii) mixed adjacent bits: the 1-position never beats the 0-position,
     # with equality exactly for the leading 01 pair;
     # (iii) zero, ones, zero: the earlier zero is strictly smaller;
     # (iv) one, zeros, one: the later one is at most the earlier one; equal
-    # exactly when the later one ends the code and i precedes the earlier one
+    # exactly when the later one ends the code and i precedes the earlier one.
+    # A witness is formatted from its case's template with i, x and y, 1-based.
     cases: dict[str, list] = {"i": [], "ii": [], "iii": [], "iv": []}
+    templates = {
+        "i": "f[{0},{1}] != f[{0},{2}]",
+        "ii": "pair ({1},{2}) fails at i={0}",
+        "iii": "pair ({1},{2}) fails at i={0}",
+        "iv": "pair ({2},{1}) fails at i={0}",
+    }
     latest = [None, None]  # the last position seen of each bit
     for p, bit in enumerate(bits):
         if p and bits[p - 1] == bit:
-            cases["i"].append((p - 1, p, eq, eq, f"f[{{0}},{p}] != f[{{0}},{p + 1}]"))
+            cases["i"].append((p - 1, p, eq, eq))
         elif p:
-            v, w = (p, p - 1) if bit else (p - 1, p)
             rel = eq if p == 1 else lt
-            cases["ii"].append((v, w, rel, rel, f"pair ({v + 1},{w + 1}) fails at i={{0}}"))
+            cases["ii"].append((p, p - 1, rel, rel) if bit else (p - 1, p, rel, rel))
         q = latest[bit]
         if q is not None and p - q > 1:
-            pair = f"pair ({q + 1},{p + 1}) fails at i={{0}}"
             if bit:
-                cases["iv"].append((p, q, eq if p == n - 1 else lt, lt, pair))
+                cases["iv"].append((p, q, eq if p == n - 1 else lt, lt))
             else:
-                cases["iii"].append((q, p, lt, lt, pair))
+                cases["iii"].append((q, p, lt, lt))
         latest[bit] = p
     ok_cases = []
     for case, checks in cases.items():
         found = [
-            f"case {case}: " + template.format(i + 1)
-            for x, y, before, after, template in checks
+            f"case {case}: " + templates[case].format(i + 1, x + 1, y + 1)
+            for x, y, before, after in checks
             for i in failing(x, y, before, after)
         ]
         ok_cases.append(not found)
@@ -347,7 +364,12 @@ def _verify_orderings(code: ConstructionCode, profile: ResistanceProfile) -> Ord
     runs = [*reversed(form.one_runs), *form.zero_runs]
     links = [le if ordinal in (0, k - 1) else lt for ordinal in range(k)]
     links += [lt] * k
-    failed = {i for i in range(n) if i != skeleton[0] and f(i, skeleton[0]) <= 0}
+    # 0 < f(i, w_k) for every row: the least is min(row[:w_k]) + col[w_k] over
+    # the rows before w_k and row[w_k] + min(col[w_k + 1:]) over those after
+    last = skeleton[0]
+    failed = set()
+    if (last and min(row[:last]) + col[last] <= 0) or (last < n - 1 and row[last] + min(col[last + 1 :]) <= 0):
+        failed.update(_walk_rows(n, last, last, lambda i: f(i, last) > 0))
     for x, y, rel in zip(skeleton, skeleton[1:], links):
         failed.update(failing(x, y, rel))
     for t, s in enumerate(skeleton):

@@ -21,6 +21,7 @@ from .codes import AdjacencyStructure, ConstructionCode, build_graph, degree_pro
 from .kemeny import _require_dense_order, kemeny_degree_form, kemeny_from_code, kemeny_spectral_form
 from .oracle import (
     FOREST_ORDER_CAP,
+    _forest_bipartitions,
     accessibility_oracle,
     kemeny_eigen_oracle,
     resistance_oracle,
@@ -102,18 +103,19 @@ def _suite_resistance(code: ConstructionCode, shared: _Shared) -> dict:
 
 def _suite_forest(code: ConstructionCode, shared: _Shared) -> dict:
     profile = shared.profile
-    tau_equal = profile.tau == spanning_tree_oracle(shared.graph)
-    result = {"pass": bool(tau_equal), "tau_equal": tau_equal, "max_deviation": None}
-    if code.n <= FOREST_ORDER_CAP:
-        counts = two_forest_matrix(shared.graph)
-        forest_equal = all(
-            profile.F[i][j] == counts[i][j] for i in range(code.n) for j in range(code.n)
-        )
-        result["enumeration_equal"] = forest_equal
-        result["pass"] = bool(tau_equal and forest_equal)
-    else:
-        result["enumeration_skipped"] = True
-    return result
+    if code.n > FOREST_ORDER_CAP:
+        tau_equal = profile.tau == spanning_tree_oracle(shared.graph)
+        return {"pass": bool(tau_equal), "tau_equal": tau_equal, "max_deviation": None, "enumeration_skipped": True}
+    counts = two_forest_matrix(shared.graph)
+    # the enumeration eliminated every vertex set, V last: tau with no second elimination
+    tau_equal = profile.tau == _forest_bipartitions(shared.graph)[2]
+    forest_equal = all(profile.F[i][j] == counts[i][j] for i in range(code.n) for j in range(code.n))
+    return {
+        "pass": bool(tau_equal and forest_equal),
+        "tau_equal": tau_equal,
+        "max_deviation": None,
+        "enumeration_equal": forest_equal,
+    }
 
 
 def _suite_ordering(code: ConstructionCode, shared: _Shared) -> dict:

@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import thresholdwalk.verify as verify_module
 from conftest import connected_codes, connected_codes_upto
 from thresholdwalk import (
     accessibility_oracle,
@@ -20,6 +21,7 @@ from thresholdwalk import (
     two_forest_enumeration,
     two_forest_matrix,
     two_forest_refinement,
+    verify_code,
 )
 from thresholdwalk import oracle, spanning_tree_count
 from thresholdwalk.errors import Disconnected, SameVertex, TooLarge
@@ -249,14 +251,35 @@ _ORDER9 = [str(c) for c in connected_codes(9) if math.comb(build_graph(c).m, 7) 
 REFERENCE_CODES = [str(c) for c in connected_codes_upto(8, n_min=3)] + random.Random(9).sample(_ORDER9, 4)
 
 
+class TestForestSuiteTau:
+    def test_batch_tau_is_the_tree_oracle_on_every_code(self, monkeypatch):
+        # the forest suite reads tau from the enumeration's batch, which ends with V itself
+        def unused(graph):
+            raise AssertionError("the forest suite ran a second elimination")
+
+        monkeypatch.setattr(verify_module, "spanning_tree_oracle", unused)
+        for code in connected_codes_upto(9):
+            graph = build_graph(code)
+            assert _forest_bipartitions(graph)[2] == spanning_tree_oracle(graph), str(code)
+            suite = verify_code(code, ("forest",))["forest"]
+            assert suite["tau_equal"] and suite["enumeration_equal"], str(code)
+
+    def test_past_the_cap_tau_is_the_tree_oracle(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify_module, "spanning_tree_oracle", lambda g: calls.append(g) or spanning_tree_oracle(g))
+        suite = verify_code(parse_code("0" + "01" * 5), ("forest",))["forest"]
+        assert suite["tau_equal"] and suite["enumeration_skipped"] and len(calls) == 1
+
+
 class TestForestReference:
     @pytest.mark.parametrize("text", REFERENCE_CODES)
     def test_equals_subset_enumeration(self, text):
         graph = build_graph(parse_code(text))
         n = graph.n
         reference = enumerated_bipartitions(text)
-        masks, weights = _forest_bipartitions(graph)
+        masks, weights, tau = _forest_bipartitions(graph)
         assert dict(zip(masks.tolist(), weights.tolist())) == reference
+        assert tau == spanning_tree_oracle(graph)
         counts = two_forest_matrix(graph)
         for i, j in itertools.combinations(range(1, n + 1), 2):
             expected = sum(c for mask, c in reference.items() if _bit(mask, i) != _bit(mask, j))

@@ -397,6 +397,36 @@ class TestOrderings:
             assert not {"R", "F", "mu", "alpha"} & set(vars(profile))
             assert report == reference_orderings(code, profile), str(code)
 
+    def test_passing_report_walks_no_row(self, monkeypatch):
+        walks = []
+        walk_rows = resistance_module._walk_rows
+        monkeypatch.setattr(resistance_module, "_walk_rows", lambda *args: walks.append(args) or walk_rows(*args))
+        for code in connected_codes_upto(10):
+            assert verify_orderings(code).all_pass, str(code)
+            assert not walks, str(code)
+        # a failing link walks the rows to name them
+        profile = resistance_matrix(PAW)
+        report = _verify_orderings(PAW, dataclasses.replace(profile, col=(0, profile.col[1] + 1, *profile.col[2:])))
+        assert not report.all_pass and walks
+
+    @pytest.mark.parametrize("field", ["row", "col"])
+    def test_matches_reference_with_end_terms_perturbed(self, field):
+        # at positions 0, 1, n - 2 and n - 1 the rows before or after a link's two positions are empty
+        codes = [*connected_codes_upto(7, n_min=3), *seeded_codes(27, 12, 8, 20)]
+        verdicts = set()
+        for code in codes:
+            profile = resistance_matrix(code)
+            n, values = code.n, getattr(profile, field)
+            for p in sorted({0, 1, n - 2, n - 1}):
+                neighbour = values[p + 1] if p < n - 1 else values[p - 1]
+                for value in (values[p] - 1, values[p] + 1, -values[p], neighbour):
+                    changed = (*values[:p], value, *values[p + 1 :])
+                    perturbed = dataclasses.replace(profile, **{field: changed})
+                    report = _verify_orderings(code, perturbed)
+                    assert report == reference_orderings(code, perturbed), (str(code), p, value)
+                    verdicts.add(report.all_pass)
+        assert verdicts == {True, False}
+
     def test_matches_f_based_reference_on_perturbed_terms(self):
         # real codes pass every check, so perturbed terms drive every witness branch
         rng = random.Random(20261018)

@@ -3,16 +3,18 @@
 Times each layer of the ROADMAP layer table at fixed orders on codes drawn
 from ``random.Random(n)``, plus the search at n = 20 in one process with a
 checkpoint (the shape of the benchmark's search workload, 20 calls per run),
-64 consecutive slabs of the search's float screen at n = 26 with its tables
-built beforehand, ``spanning_tree_oracle`` on the complete graph of order
-200, ``parse_code`` at n = 4000, both exact Kemeny routes at n = 4000 on the
-seeded code and on ``(01)^2000`` (every run of equal bits of length one, the
-most runs an order-4000 code has), ``two_forest_matrix`` at n = 9 (its
-bipartition cache cleared in every call), ``enumerate --n 20 --json`` and the
-tier-1 pytest wall time.  Each layer is set up once and then timed K = 3
-times; the file records every run and their median, with ``nproc``, the CPU,
-the Python and numpy versions and the git SHA of the measured tree.  Needs
-only the standard library and numpy.
+the ordering checks at n = 64 as well as at 3000 (64 is the order the
+profile and verify workloads draw; 100 calls per run), 64 consecutive slabs
+of the search's float screen at n = 26 with its tables built beforehand,
+``spanning_tree_oracle`` on the complete graph of order 200, ``parse_code``
+at n = 4000, both exact Kemeny routes at n = 4000 on the seeded code and on
+``(01)^2000`` (every run of equal bits of length one, the most runs an
+order-4000 code has), ``two_forest_matrix`` at n = 9 (its bipartition cache
+cleared in every call), ``enumerate --n 20 --json`` and the tier-1 pytest
+wall time.  Each layer is set up once and then timed K = 3 times; the file
+records every run and their median, with ``nproc``, the CPU, the Python and
+numpy versions and the git SHA of the measured tree.  Needs only the
+standard library and numpy.
 
     python3 tools/bench_layers.py --label baseline                 # this checkout
     python3 tools/bench_layers.py --label parent --root OTHER_CHECKOUT
@@ -44,6 +46,7 @@ FOREST_CALLS = 20  # two_forest_matrix is timed over this many cold calls per ru
 KEMENY_CALLS = 20  # each exact Kemeny route is timed over this many calls per run
 SEARCH_CALLS = 20  # the n = 20 search takes a few ms, so it is timed over this many calls per run
 SCREEN_SLABS = 64  # consecutive screen slabs timed per run; one takes well under a millisecond
+ORDERINGS_CALLS = 100  # the ordering checks at n = 64 take well under a millisecond, so they are timed over this many
 
 
 def seeded_code(n: int) -> str:
@@ -113,6 +116,11 @@ def layers():
         c = code(n)
         return partial(_verify_orderings, c, resistance_matrix(c))
 
+    def orderings_repeated(n):
+        c = code(n)
+        profile = resistance_matrix(c)
+        return lambda: [_verify_orderings(c, profile) for _ in range(ORDERINGS_CALLS)]
+
     def tree_oracle(n):
         return partial(spanning_tree_oracle, build_graph(code(n)))
 
@@ -155,6 +163,7 @@ def layers():
         ("resistance_matrix", 5000, core),
         ("resistance_matrix_plus_verify_orderings", 10_000, core_and_orderings),
         ("verify_orderings_profile_built", 3000, orderings),
+        (f"verify_orderings_profile_built_x{ORDERINGS_CALLS}", 64, orderings_repeated),
         ("pseudo_inverse", 1000, lambda n: partial(pseudo_inverse, code(n))),
         ("spanning_tree_oracle", 64, tree_oracle),
         ("spanning_tree_oracle", 200, tree_oracle),
