@@ -251,26 +251,13 @@ def _cmd_pineapple(args) -> CommandOutput:
     return CommandOutput({"rows": rows}, (",".join(line) for line in lines), [list(rows[0]), *lines])
 
 
-def _default_threads() -> int:
-    env = os.environ.get("THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"THREADS must be an integer, got {env!r}") from None
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))  # the cores this process may use, not the host's
-    return os.cpu_count() or 1
-
-
 def _cmd_search(args) -> CommandOutput:
-    threads = args.threads if args.threads is not None else _default_threads()
     checkpoint = args.checkpoint
     if checkpoint is None:
         checkpoint_dir = os.environ.get("CHECKPOINT_DIR")
         if checkpoint_dir:
             checkpoint = _checkpoint_in(checkpoint_dir, args.n)
-    report = max_kemeny_search(args.n, threads=threads, checkpoint=checkpoint)
+    report = max_kemeny_search(args.n, threads=1 if args.threads is None else args.threads, checkpoint=checkpoint)
     payload = {
         "n": report.n,
         "argmax_code": report.argmax_code,
@@ -371,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common], help="exhaustive Kemeny maximum at order n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None, help="defaults to THREADS or the cores this process may use")
+    p.add_argument("--threads", type=int, default=None, help="at least 1; changes neither result nor checkpoint")
     p.add_argument("--checkpoint", default=None, help="progress file (defaults under CHECKPOINT_DIR)")
     p.set_defaults(handler=_cmd_search)
 
@@ -420,8 +407,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ThresholdWalkError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
     elapsed = time.perf_counter() - started
     if not args.quiet:
         if args.json:

@@ -50,10 +50,6 @@ class CheckpointMismatch(ThresholdWalkError, ValueError):
     """A search checkpoint belongs to another search (order or range size) or holds a malformed record."""
 
 
-class WorkerFailure(ThresholdWalkError):
-    """A search worker process ended abruptly; the ranges recorded before it stay in the checkpoint."""
-
-
 class NonIntegralEntry(ThresholdWalkError):
     """An entry that must be an exact integer is not; signals an internal inconsistency."""
 

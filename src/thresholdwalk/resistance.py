@@ -39,7 +39,7 @@ from operator import eq, ge, le, lt
 from .codes import ConstructionCode, blocks, degree_profile, require_walk
 from .errors import IndexOutOfRange, NonIntegralEntry
 from .kemeny import kemeny_from_code
-from .spectral import _reciprocals, spanning_tree_count
+from .spectral import _reciprocals, laplacian_spectrum
 
 
 @dataclass(frozen=True)
@@ -169,12 +169,13 @@ def resistance_matrix(code: ConstructionCode) -> ResistanceProfile:
     #   prefix_i = sum_{t=1..i} 1 / (lambda_t t (t+1)), lambda_t = d_t + c_t.
     # Every term is a whole multiple of 1 / den: with s_t / den = 1 / (lambda_t t (t+1)),
     # a and b are the integer numerators row_p = p^2 s_p - prefix_p and col_v = (v+1)^2 s_v + prefix_{v-1}.
-    den, s = _reciprocals(code)
+    spectrum = laplacian_spectrum(code)
+    den, s = _reciprocals(spectrum.eigenvalues)
     prefix = list(accumulate(s))
     row = [0] + [p * p * s[p] - prefix[p] for p in range(1, n)]
     col = [0] + [(v + 1) * (v + 1) * s[v] + prefix[v - 1] for v in range(1, n)]
 
-    tau = spanning_tree_count(code)
+    tau = spectrum.tree_count()
     # F[0][v] = tau col[v] / den since row[0] = 0, and F[j][v] = (tau row[j] +
     # tau col[v]) / den: F is integral exactly when every paired term is, that
     # is when den' = den / gcd(tau, den) divides its numerator.  The first

@@ -8,16 +8,16 @@ SLAB_BLOCKS blocks of codes at once, with one folded weight row per block,
 one matrix product and one cached row of reciprocals of 2m per block, and
 only the codes within ``SCREEN_WINDOW`` of the range's float maximum are
 evaluated exactly with ``kemeny_from_code``; every comparison that decides
-the result is between exact rationals.  Each range
-keeps its exact maximum with its ties in code order, and the reduction
-compares rationals exactly, then range order, so the result is bitwise
-reproducible for any worker count.
+the result is between exact rationals.  The ranges run one after another
+in the calling process.  Each range keeps its exact maximum with its ties in
+code order, and the reduction compares rationals exactly, then range order,
+so the result is bitwise reproducible.
 
 Progress is checkpointed in a text file: a header line
 ``thresholdwalk-search <format version> <n> <range size>``, then one line
-per completed range, in the order the ranges finish,
-``<range> <num> <den> <code> [<code> ...]`` with all the range's
-maximizers.  A restart reproduces the identical report.  A last line
+per completed range, ``<range> <num> <den> <code> [<code> ...]`` with all
+the range's maximizers.  Ranges are written in range order, and read back in
+any order.  A restart reproduces the identical report.  A last line
 without its newline was cut by an interrupted write: it is dropped and its
 range recomputed.  Any other mismatch raises ``CheckpointMismatch``.
 """
@@ -29,15 +29,13 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .codes import code_count, code_from_index, parse_code, pineapple_r
-from .errors import CheckpointMismatch, OrderOutOfRange, ParameterOutOfRange, WorkerFailure
+from .errors import CheckpointMismatch, OrderOutOfRange, ParameterOutOfRange
 from .kemeny import kemeny_from_code, max_with_ties
 from .spectral import _positions
 
@@ -48,15 +46,9 @@ LOW_BITS = 12  # index bits that vary inside a block, whose codes share their hi
 SLAB_BLOCKS = 16  # blocks per float pass
 SCREEN_SLAB = SLAB_BLOCKS << LOW_BITS  # codes per slab, and per checkpointed range
 # OpenBLAS runs a product of up to 65536 * 4 multiply-adds on one thread and threads
-# larger ones, which oversubscribes the cores when pool workers each do so.
+# larger ones.  Keeping to one thread leaves the other cores to the caller: searches
+# run at once in threads or processes would otherwise oversubscribe them.
 BLAS_ONE_THREAD = 1 << 18
-# Starting two worker processes costs about 20-30 ms, and each worker must
-# get at least this many codes to pay for it, so no order up to MAX_ORDER
-# starts a pool.  On 2 cores, in fresh processes with BLAS pinned to one
-# thread and 10 alternating rounds, max_kemeny_search(26, threads=2) took
-# 113-131 ms (median 116.3) in one process against 224-279 ms (median 232.9)
-# on two workers, one process faster in 10 of 10 rounds.
-POOL_MIN_CODES = 1 << 24
 # With s_i and lambda_i from ``spectral._positions`` and the term of
 # ``kemeny_from_code``'s docstring, for n <= MAX_ORDER every integer of a term
 # (s, 2m - s, their product, i (i+1) lambda_i) is far below 2^53, so only
@@ -195,7 +187,7 @@ def _screen(n: int, slab: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _chunk_best(task: tuple[int, int]) -> tuple[int, int, tuple[str, ...]]:
+def _chunk_best(n: int, slab: int) -> tuple[int, int, tuple[str, ...]]:
     """Exact maximum over the codes of one slab; ties kept in code order.
 
     The slab is screened once by ``_screen``, and the codes within SCREEN_WINDOW
@@ -204,7 +196,6 @@ def _chunk_best(task: tuple[int, int]) -> tuple[int, int, tuple[str, ...]]:
     outside them.  Confirmed values are reduced exactly in code order by
     ``max_with_ties``.
     """
-    n, slab = task
     approx = _screen(n, slab)
     offsets = np.flatnonzero(approx >= approx.max() - SCREEN_WINDOW)
     confirmed = (code_from_index(n, index) for index in (slab * SCREEN_SLAB + offsets).tolist())
@@ -272,15 +263,13 @@ def _append_checkpoint(path: str | None, chunk_id: int, result) -> None:
 def max_kemeny_search(n: int, threads: int = 1, checkpoint: str | None = None) -> SearchReport:
     """Exact argmax of Kemeny's constant over every connected code of order n.
 
-    Deterministic for any thread count: each range is one slab, the codes
-    whose interior-bit prefix is its number, reduction runs in range order,
-    and ties resolve to the smallest code.  ``checkpoint`` names a line-oriented
+    Runs in the calling process: each range is one slab, the codes whose
+    interior-bit prefix is its number, reduction runs in range order, and
+    ties resolve to the smallest code.  ``checkpoint`` names a line-oriented
     progress file; completed ranges found there are not recomputed, and a
     file written for another order or range size raises CheckpointMismatch.
-    Worker processes are started only when each gets a pending range and
-    at least POOL_MIN_CODES codes; smaller searches run in this process.
-    A worker that dies raises WorkerFailure; every range that finished
-    before it stays in the checkpoint, and a re-run resumes from them.
+    ``threads`` must be at least 1 and changes neither the report nor the
+    checkpoint.
     """
     if not MIN_ORDER <= n <= MAX_ORDER:
         raise OrderOutOfRange(f"exhaustive search supports {MIN_ORDER} <= n <= {MAX_ORDER}, got {n}")
@@ -293,34 +282,10 @@ def max_kemeny_search(n: int, threads: int = 1, checkpoint: str | None = None) -
     results = _read_checkpoint(checkpoint, n, span) if checkpoint else {}
     pending = [slab for slab in range(ranges) if slab not in results]
 
-    workers = min(threads, len(pending), len(pending) * span // POOL_MIN_CODES)
-    if workers > 1:
-        broken = None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_chunk_best, (n, slab)): slab for slab in pending}
-            # record each range as it finishes: when a worker dies, every range
-            # finished before it, in any order, stays in the checkpoint
-            for future in as_completed(futures):
-                try:
-                    outcome = future.result()
-                except BrokenProcessPool as exc:
-                    broken = exc
-                    continue
-                results[futures[future]] = outcome
-                _append_checkpoint(checkpoint, futures[future], outcome)
-        if broken is not None:
-            kept = (
-                f"{len(results)} of {ranges} ranges are checkpointed in {checkpoint}; "
-                "a re-run resumes"
-                if checkpoint
-                else "no checkpoint was given; a re-run starts over"
-            )
-            raise WorkerFailure(f"a worker process died; {kept}") from broken
-    else:
-        for slab in pending:
-            outcome = _chunk_best((n, slab))
-            results[slab] = outcome
-            _append_checkpoint(checkpoint, slab, outcome)
+    for slab in pending:
+        outcome = _chunk_best(n, slab)
+        results[slab] = outcome
+        _append_checkpoint(checkpoint, slab, outcome)
 
     in_order = [results[slab] for slab in range(ranges)]
     best, ties = max_with_ties((code_str, Fraction(num, den)) for num, den, chunk in in_order for code_str in chunk)
@@ -355,7 +320,8 @@ def verify_conjecture_range(
 
     Flags (via ``is_pineapple``) any order whose maximizer is not of
     pineapple shape; the remainder against n + sqrt(n)/2 is derivable from
-    each report.
+    each report.  ``threads`` is passed to ``max_kemeny_search`` and changes
+    neither the reports nor the checkpoints.
     """
     if not (MIN_ORDER <= n_min <= n_max <= MAX_ORDER):
         raise OrderOutOfRange(

@@ -184,14 +184,14 @@ def spanning_tree_count(code: ConstructionCode) -> int:
     return laplacian_spectrum(code).tree_count()
 
 
-def _reciprocals(code: ConstructionCode) -> tuple[int, list[int]]:
+def _reciprocals(lam: tuple[int, ...]) -> tuple[int, list[int]]:
     """den = lcm of w_i = lambda_i i (i+1) over i = 1 .. n-1, and s = [0, den // w_1, ..., den // w_{n-1}].
 
-    s_i / den = 1 / w_i: 1 / lambda_i over the squared norm of integer_eigenvector(n, i).  The
-    pseudoinverse terms and the resistance row and column terms are sums of these over one den.
+    lam is a spectrum's eigenvalues.  s_i / den = 1 / w_i: 1 / lambda_i over the squared norm of
+    integer_eigenvector(n, i).  The pseudoinverse terms and the resistance row and column terms
+    are sums of these over one den.
     """
-    lam = laplacian_spectrum(code).eigenvalues
-    weights = [lam[i - 1] * i * (i + 1) for i in range(1, code.n)]
+    weights = [lam[i - 1] * i * (i + 1) for i in range(1, len(lam))]
     den = math.lcm(*weights)
     return den, [0] + [den // w for w in weights]
 
@@ -204,7 +204,7 @@ def pseudo_inverse_terms(code: ConstructionCode) -> tuple[int, list[int], list[i
     same den as ``resistance_matrix``'s.  off[0] is never read.
     """
     require_walk(code)
-    den, s = _reciprocals(code)
+    den, s = _reciprocals(laplacian_spectrum(code).eigenvalues)
     total = sum(s)
     tail = [total - prefix for prefix in accumulate(s)]
     off = [t - b * x for b, (t, x) in enumerate(zip(tail, s))]

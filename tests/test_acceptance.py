@@ -27,7 +27,6 @@ from thresholdwalk import (
     pineapple_argmax,
     pineapple_kemeny,
     resistance_matrix,
-    search,
     upper_bounds,
     verify_conjecture_range,
     verify_code,
@@ -131,7 +130,7 @@ def test_criterion_09_accessibility_identities():
     print("criterion 9: weighted-alpha identity exact; oracle within 1e-8, n <= 9")
 
 
-def test_criterion_10_extremal_search_reproduction(tmp_path, monkeypatch):
+def test_criterion_10_extremal_search_reproduction(tmp_path):
     started = time.perf_counter()
     reports = verify_conjecture_range(3, 18, threads=2)
     for report in reports:
@@ -142,10 +141,8 @@ def test_criterion_10_extremal_search_reproduction(tmp_path, monkeypatch):
     assert by_n[10].r == 2
     assert pineapple_argmax(10).predicted_set == (3, 4)  # recorded, not asserted as containing r
 
-    # identical reports for any worker count, with real pools of 4 and 8 workers:
-    # in slabs of 16 codes n = 12 has 64 ranges, and no minimum of codes per worker
+    # identical reports for any thread count: in slabs of 16 codes n = 12 has 64 ranges
     key = lambda r: (r.n, r.argmax_code, r.k_exact, r.ties, r.codes_examined)
-    monkeypatch.setattr(search, "POOL_MIN_CODES", 1)
     path = tmp_path / "n12.checkpoint"
     with small_slabs():
         variants = [max_kemeny_search(12, threads=t) for t in (1, 4, 8)]

@@ -5,7 +5,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import random
 import time
 from collections import Counter
@@ -15,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import thresholdwalk.resistance as resistance_module
 from conftest import connected_codes_upto, pseudoinverse_from_terms, seeded_codes
 from thresholdwalk import (
     build_graph,
@@ -375,6 +375,16 @@ class TestAccess:
         assert code == 0
         assert [_materialised(profile) for profile in profiles] == [built]
 
+    @pytest.mark.parametrize("command", ["access", "forest", "resistance"])
+    def test_one_spectrum_per_profile(self, capsys, monkeypatch, command):
+        # tau is the tree count of the spectrum the reciprocals came from, not of a second one
+        calls = {"laplacian_spectrum": 0}
+        counted = _counted(calls, "laplacian_spectrum", spectral.laplacian_spectrum)
+        for module in (cli, kemeny, resistance_module, spectral):
+            monkeypatch.setattr(module, "laplacian_spectrum", counted)
+        assert run_json(capsys, command, "0" + "01" * 31 + "1")[0] == 0
+        assert calls == {"laplacian_spectrum": 1}
+
     def test_star(self, capsys):
         _, envelope, _ = run_json(capsys, "access", "0001")
         payload = envelope["payload"]
@@ -449,40 +459,17 @@ class TestSearch:
         assert code == 0
         assert path.exists()
 
-    def test_threads_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("THREADS", "1")
-        code, envelope, _ = run_json(capsys, "search", "--n", "4")
-        assert code == 0
-        assert envelope["payload"]["argmax_code"] == "0101"
+    def test_threads_zero_exits_one(self, capsys):
+        code, out, err = run(capsys, "search", "--n", "5", "--threads", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ParameterOutOfRange: ") and "Traceback" not in err
 
-    def test_default_threads_follow_cpu_affinity(self, capsys, monkeypatch):
-        # a process pinned to 2 of the host's 64 cores must not start 64 workers
-        search, asked = cli.max_kemeny_search, []
-
-        def recording_search(n, threads, checkpoint):
-            asked.append(threads)
-            return search(n, threads=1, checkpoint=checkpoint)
-
-        monkeypatch.setattr(cli, "max_kemeny_search", recording_search)
-        monkeypatch.delenv("THREADS", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert run(capsys, "search", "--n", "6", "--quiet")[0] == 0
-        monkeypatch.setenv("THREADS", "3")  # THREADS keeps precedence
-        assert run(capsys, "search", "--n", "6", "--quiet")[0] == 0
-        monkeypatch.delenv("THREADS")
-        monkeypatch.delattr(os, "sched_getaffinity")  # platforms without affinity
-        assert run(capsys, "search", "--n", "6", "--quiet")[0] == 0
-        assert asked == [2, 3, 64]
-
-    def test_threads_env_not_integer_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("THREADS", "x")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["search", "--n", "5"])
-        assert excinfo.value.code == 2
-        captured = capsys.readouterr()
-        assert "usage:" in captured.err and "THREADS" in captured.err
-        assert captured.out == ""
+    def test_threads_echoed_but_payload_unchanged(self, capsys):
+        argvs = ([], ["--threads", "1"], ["--threads", "2"])
+        envelopes = [run_json(capsys, "search", "--n", "9", *argv)[1] for argv in argvs]
+        assert envelopes[0]["payload"] == envelopes[1]["payload"] == envelopes[2]["payload"]
+        inputs = [{"n": 9}, {"n": 9, "threads": 1}, {"n": 9, "threads": 2}]
+        assert [envelope["input"] for envelope in envelopes] == inputs
 
     def test_corrupt_checkpoint_exits_one(self, capsys, tmp_path):
         path = tmp_path / "corrupt.checkpoint"

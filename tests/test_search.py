@@ -1,13 +1,12 @@
 """Exhaustive search: float screen, determinism, checkpointing, conjecture flags."""
 
+import contextlib
 import dataclasses
 import functools
 import random
 import sys
 import tempfile
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,8 +26,7 @@ from thresholdwalk import (
     search,
     verify_conjecture_range,
 )
-from thresholdwalk.cli import main
-from thresholdwalk.errors import CheckpointMismatch, OrderOutOfRange, ParameterOutOfRange, WorkerFailure
+from thresholdwalk.errors import CheckpointMismatch, OrderOutOfRange, ParameterOutOfRange
 from thresholdwalk.spectral import _positions
 
 
@@ -66,19 +64,19 @@ class TestScreen:
         # the whole order is one slab; in slabs of 4 blocks of 4 codes it is
         # many, each with its own offset and blocks
         total = 1 << (n - 2)
-        assert search._chunk_best((n, 0)) == exact_chunk_best((n, 0, total))
+        assert search._chunk_best(n, 0) == exact_chunk_best((n, 0, total))
         with small_slabs():
             span = min(total, search.SCREEN_SLAB)
             for slab in range(total // span):
                 task = (n, slab * span, (slab + 1) * span)
-                assert search._chunk_best((n, slab)) == exact_chunk_best(task), task
+                assert search._chunk_best(n, slab) == exact_chunk_best(task), task
 
     @pytest.mark.parametrize("n", (13, 14))
     def test_every_code_in_window_reduces_in_code_order(self, n, monkeypatch):
         # a screen that cannot tell codes apart sends every code of the range
         # to exact confirmation
         monkeypatch.setattr(search, "_screen", lambda n, slab: np.zeros(1 << (n - 2)))
-        assert search._chunk_best((n, 0)) == exact_chunk_best((n, 0, 1 << (n - 2)))
+        assert search._chunk_best(n, 0) == exact_chunk_best((n, 0, 1 << (n - 2)))
 
     def test_screen_error_within_its_bound_keeps_every_tie(self, monkeypatch):
         # the two order-21 maximizers share range 7; a screen off by up to the
@@ -88,7 +86,7 @@ class TestScreen:
         monkeypatch.setattr(search, "_screen", noisy)
         ties = ("011110000000000000001", "011111000000000000001")
         assert {int(code[1:-1], 2) >> 16 for code in ties} == {7}
-        assert search._chunk_best((21, 7))[2] == ties
+        assert search._chunk_best(21, 7)[2] == ties
 
     def test_one_exact_confirmation_per_range(self, monkeypatch):
         # n = 20 has 4 ranges with one float maximum each; confirming each
@@ -143,7 +141,7 @@ class TestScreen:
             approx = search._screen(n, slab)
             offsets = np.flatnonzero(approx >= approx.max() - 1e-6)
             wide = exact_best_of(n, (slab * span + offsets).tolist())
-            assert search._chunk_best((n, slab)) == wide, (n, slab, len(offsets))
+            assert search._chunk_best(n, slab) == wide, (n, slab, len(offsets))
 
     def test_float_error_far_inside_window(self):
         # the first and last slab of every order: each code through n = 16, whose
@@ -226,8 +224,7 @@ class TestSearch:
         assert report.r == pineapple_argmax(10).r_star == 2
         assert report.argmax_code == str(pineapple_code(10, 2))
 
-    def test_deterministic_across_thread_counts(self, monkeypatch):
-        monkeypatch.setattr(search, "POOL_MIN_CODES", 1)  # real pools, even for 128 codes
+    def test_deterministic_across_thread_counts(self):
         with small_slabs():
             reports = [max_kemeny_search(9, threads=t) for t in (1, 4, 8)]
         assert len({report_key(r) for r in reports}) == 1
@@ -260,38 +257,8 @@ class TestSearch:
     def test_bad_threads(self):
         with pytest.raises(ParameterOutOfRange):
             max_kemeny_search(5, threads=0)
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """max_workers of every pool the search starts; the tasks run in this process."""
-        created = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                created.append(max_workers)
-                self.futures = []
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, task):
-                """A finished future; once a task raised BrokenProcessPool, later ones fail with it."""
-                future = Future()
-                failure = next((f.exception() for f in self.futures if f.exception()), None)
-                try:
-                    if failure:
-                        raise failure
-                    future.set_result(fn(task))
-                except BrokenProcessPool as exc:
-                    future.set_exception(exc)
-                self.futures.append(future)
-                return future
-
-        monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
-        return created
+        with pytest.raises(ParameterOutOfRange):
+            verify_conjecture_range(3, 5, threads=0)
 
     def test_threads_of_one_process_search_at_once(self):
         # each thread screens into its own buffer: with one buffer shared by the
@@ -306,79 +273,6 @@ class TestSearch:
         finally:
             sys.setswitchinterval(interval)
         assert [report_key(report) for report in reports] == [want] * 64
-
-    def test_pool_capped_at_pending_ranges(self, tmp_path, monkeypatch, pools):
-        monkeypatch.setattr(search, "POOL_MIN_CODES", 1)
-        path = tmp_path / "cap.checkpoint"
-        with small_slabs():
-            fresh = max_kemeny_search(9, threads=3, checkpoint=str(path))  # 8 ranges
-            lines = path.read_text().splitlines(keepends=True)
-            path.write_text("".join(lines[:5]))  # header and 4 ranges: 4 pending
-            resumed = max_kemeny_search(9, threads=8, checkpoint=str(path))
-        assert pools == [3, 4]
-        assert report_key(resumed) == report_key(fresh)
-
-    def test_pool_needs_enough_codes_per_worker(self, monkeypatch, pools):
-        with small_slabs():
-            small = max_kemeny_search(9, threads=8)  # 128 codes in 8 ranges
-            assert pools == []
-            monkeypatch.setattr(search, "POOL_MIN_CODES", 32)
-            pooled = max_kemeny_search(9, threads=8)
-        assert pools == [4]
-        assert report_key(pooled) == report_key(small)
-
-    def test_broken_pool_keeps_finished_ranges(self, tmp_path, monkeypatch, capsys, pools):
-        chunk_best, calls = search._chunk_best, []
-
-        def dies_on_third_call(task):  # the future of the third range raises, as a dead worker's does
-            calls.append(task)
-            if len(calls) == 3:
-                raise BrokenProcessPool("a child process terminated abruptly")
-            return chunk_best(task)
-
-        monkeypatch.setattr(search, "_chunk_best", dies_on_third_call)
-        monkeypatch.setattr(search, "POOL_MIN_CODES", 1)
-        path = tmp_path / "broken.checkpoint"
-        with small_slabs():
-            with pytest.raises(WorkerFailure, match="2 of 8 ranges are checkpointed .*; a re-run resumes"):
-                max_kemeny_search(9, threads=2, checkpoint=str(path))
-            records = path.read_text().splitlines()[1:]
-            assert sorted(line.split()[0] for line in records) == ["0", "1"]  # records follow completion order
-            resumed = max_kemeny_search(9, threads=2, checkpoint=str(path))
-            assert report_key(resumed) == report_key(max_kemeny_search(9))
-        assert len(calls) == 3 + 6 + 8  # the re-run computed only the 6 missing ranges
-
-        calls.clear()
-        assert main(["search", "--n", "20", "--threads", "2", "--quiet"]) == 1  # 4 ranges
-        assert capsys.readouterr().err.startswith("error: WorkerFailure: ")
-
-
-    def test_worker_death_keeps_ranges_finished_before_it(self, tmp_path, monkeypatch):
-        # range 1 finishes while range 0 is still running, then range 0's worker
-        # dies; reading results in submission order lost range 1
-        chunk_best, range_1_done = search._chunk_best, threading.Event()
-
-        def range_0_dies_after_range_1(task):
-            if task[1] == 0:
-                assert range_1_done.wait(timeout=60)
-                raise BrokenProcessPool("a child process terminated abruptly")
-            result = chunk_best(task)
-            if task[1] == 1:
-                range_1_done.set()
-            return result
-
-        monkeypatch.setattr(search, "ProcessPoolExecutor", ThreadPoolExecutor)
-        monkeypatch.setattr(search, "_chunk_best", range_0_dies_after_range_1)
-        monkeypatch.setattr(search, "POOL_MIN_CODES", 1)
-        path = tmp_path / "order.checkpoint"
-        with small_slabs():
-            with pytest.raises(WorkerFailure, match="7 of 8 ranges are checkpointed"):
-                max_kemeny_search(9, threads=2, checkpoint=str(path))
-            records = [line.split()[0] for line in path.read_text().splitlines()[1:]]
-            assert sorted(records) == [str(cid) for cid in range(1, 8)]
-            monkeypatch.setattr(search, "_chunk_best", chunk_best)
-            resumed = max_kemeny_search(9, threads=2, checkpoint=str(path))
-            assert report_key(resumed) == report_key(max_kemeny_search(9))
 
 
 class TestCheckpoint:
@@ -439,8 +333,7 @@ class TestCheckpoint:
             resumed = max_kemeny_search(12, checkpoint=str(path))
         assert (resumed.argmax_code, resumed.k_exact) == ("011100000001", Fraction(1923, 170))
 
-    def test_resume_identical_across_thread_counts(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(search, "POOL_MIN_CODES", 1)  # real pools, even for 128 codes
+    def test_resume_identical_across_thread_counts(self, tmp_path):
         path = tmp_path / "threads.checkpoint"
         with small_slabs():
             fresh = max_kemeny_search(9, checkpoint=str(path))
@@ -449,6 +342,32 @@ class TestCheckpoint:
                 path.write_text(cut)
                 resumed = max_kemeny_search(9, threads=threads, checkpoint=str(path))
                 assert report_key(resumed) == report_key(fresh), threads
+
+    @pytest.mark.parametrize("n,slabs", [(9, small_slabs), (20, contextlib.nullcontext)])
+    def test_thread_counts_write_identical_files(self, tmp_path, n, slabs):
+        # 8 ranges of 16 codes, and the default 4 ranges of 65536
+        written = set()
+        with slabs():
+            for threads in (1, 2, 8):
+                path = tmp_path / f"threads{threads}.checkpoint"
+                report = max_kemeny_search(n, threads=threads, checkpoint=str(path))
+                written.add((path.read_bytes(), dataclasses.replace(report, seconds=0)))
+        assert len(written) == 1
+
+    def test_records_in_any_order_resume_identically(self, tmp_path):
+        # earlier versions wrote each range as it finished, so a file can hold
+        # its records in any order, all of them or only some
+        path = tmp_path / "permuted.checkpoint"
+        rng = random.Random(9)
+        with small_slabs():
+            fresh = max_kemeny_search(9, checkpoint=str(path))
+            header, *records = path.read_text().splitlines(keepends=True)
+            for kept in (records[::-1], rng.sample(records, 8), rng.sample(records, 5), rng.sample(records, 1)):
+                assert kept != records[: len(kept)]
+                path.write_text(header + "".join(kept))
+                resumed = max_kemeny_search(9, checkpoint=str(path))
+                assert report_key(resumed) == report_key(fresh)
+                assert sorted(path.read_text().splitlines(keepends=True)[1:]) == sorted(records)
 
     @pytest.mark.parametrize(
         "record",
@@ -507,7 +426,7 @@ def test_truncated_checkpoint_resumes_identically(data):
         path.write_bytes(written[:cut])
         resumed = max_kemeny_search(9, checkpoint=str(path))
         assert report_key(resumed) == key
-        assert path.read_bytes() == written  # one worker appends ranges in order
+        assert path.read_bytes() == written  # ranges are appended in range order
 
 
 class TestConjectureRange:
