@@ -41,11 +41,12 @@ from .kemeny import (
     pineapple_kemeny,
 )
 from .resistance import _verify_orderings, resistance_closed_form, resistance_matrix
-from .search import MAX_ORDER, _checkpoint_in, max_kemeny_search
+from .search import _checkpoint_in, max_kemeny_search
 from .spectral import laplacian_spectrum
 from .verify import SUITES, verify_code
 
 SCHEMA_VERSION = "1"
+ENUMERATE_MAX_ORDER = 26  # the listing holds all 2^(n-2) codes at once, whatever order the search reaches
 
 
 @dataclass
@@ -289,9 +290,8 @@ def _cmd_search(args) -> CommandOutput:
 
 
 def _cmd_enumerate(args) -> CommandOutput:
-    if args.n > MAX_ORDER:
-        # the listing holds all 2^(n-2) codes at once
-        raise OrderOutOfRange(f"enumerate supports n <= {MAX_ORDER}, got {args.n}")
+    if args.n > ENUMERATE_MAX_ORDER:
+        raise OrderOutOfRange(f"enumerate supports n <= {ENUMERATE_MAX_ORDER}, got {args.n}")
     codes = [str(c) for c in enumerate_codes(args.n)]
     payload = {"n": args.n, "count": code_count(args.n), "codes": codes}
     return CommandOutput(payload, codes, itertools.chain([["code"]], ([c] for c in codes)))

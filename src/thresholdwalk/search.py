@@ -4,14 +4,17 @@ The code space splits into ranges of SCREEN_SLAB consecutive indices, or one
 range when the order has fewer codes, so the range size depends only on n.
 Each range is one slab: a numpy float screen sums the terms of
 ``kemeny_from_code`` along ``spectral._positions`` for its up to
-SLAB_BLOCKS blocks of codes at once, with one folded weight row per block,
-one matrix product and one cached row of reciprocals of 2m per block, and
-only the codes within ``SCREEN_WINDOW`` of the range's float maximum are
-evaluated exactly with ``kemeny_from_code``; every comparison that decides
-the result is between exact rationals.  The ranges run one after another
-in the calling process.  Each range keeps its exact maximum with its ties in
-code order, and the reduction compares rationals exactly, then range order,
-so the result is bitwise reproducible.
+SLAB_BLOCKS blocks of codes at once.  Within a block a code's low part
+enters the high positions' terms only through its count of ones and its
+share of 2m, so the screen first bounds each block's groups of low parts
+sharing those two numbers (299 groups of 4096 low parts), then evaluates
+the members of the groups within ``SCREEN_WINDOW`` of the range's float
+maximum, and only the codes within the window are evaluated exactly with
+``kemeny_from_code``; every comparison that decides the result is between
+exact rationals.  The ranges run one after another in the calling process.
+Each range keeps its exact maximum with its ties in code order, and the
+reduction compares rationals exactly, then range order, so the result is
+bitwise reproducible.
 
 Progress is checkpointed in a text file: a header line
 ``thresholdwalk-search <format version> <n> <range size>``, then one line
@@ -27,10 +30,10 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,36 +48,37 @@ CHECKPOINT_VERSION = 2  # version 1 was the header-less format with one line per
 LOW_BITS = 12  # index bits that vary inside a block, whose codes share their high bits
 SLAB_BLOCKS = 16  # blocks per float pass
 SCREEN_SLAB = SLAB_BLOCKS << LOW_BITS  # codes per slab, and per checkpointed range
-# OpenBLAS runs a product of up to 65536 * 4 multiply-adds on one thread and threads
-# larger ones.  Keeping to one thread leaves the other cores to the caller: searches
-# run at once in threads or processes would otherwise oversubscribe them.
-BLAS_ONE_THREAD = 1 << 18
 # With s_i and lambda_i from ``spectral._positions`` and the term of
-# ``kemeny_from_code``'s docstring, for n <= MAX_ORDER every integer of a term
-# (s, 2m - s, their product, i (i+1) lambda_i) is far below 2^53, so only
-# roundings err.  In the names of ``_screen_tables`` and ``_screen``, the screen
-# sums terms to 2m (K - (n - 1)) - 2m C, C the sum of the c_i / lambda_i, and
-# multiplies the sums by 1 / 2m = 1 / (T + h).  A high position i gives
-# (h - s_i) q_i / lambda_i and T q_i / lambda_i, both of the sign of s_i since
-# h - s_i >= 0, so their moduli add up to
-# |s_i| (2m - s_i) / (i (i+1) lambda_i) <= (1 + i (i-1) / 2m) 2m
+# ``kemeny_from_code``'s docstring, every integer the screen forms (s, 2m - s, their
+# product, p (p+1) lambda_p, i (i+1), h - s, T + h, o + t) has modulus below 2 n^4,
+# so below 2^53 for n < 8000, and only roundings err.  In the names of
+# ``_screen_tables``, the screen sums terms to 2m (K - (n - 1)) and multiplies the
+# sum by R = 1 / 2m = 1 / (T + h).  A high position i gives (h - s_i) q_i / lambda_i
+# and T q_i / lambda_i, both of the sign of s_i since h - s_i >= 0, so their moduli
+# add up to |s_i| (2m - s_i) / (i (i+1) lambda_i) <= (1 + i (i-1) / 2m) 2m
 # <= (n/2) 2m, as |s_i| <= i (i-1), 2m - s_i <= 2m + i (i-1) and 2m >= 2 (n-1).
 # A low position p gives a_p S_p (T - S_p) and h a_p (T - S_p), with
 # T - S_p = 2m - s_p >= 0 and |S_p|, h <= p (p-1), so at most
 # 2 (1 + p (p-1) / 2m) 2m <= n 2m.  Each position also carries
 # -(T + h) c_p / lambda_p, of modulus at most 2m as c_p <= 1 <= lambda_p, so the
-# moduli of the n - 1 positions' terms sum to at most (n - 1)(n + 1) 2m.  A
-# term meets at most seven roundings in being formed and scaled (q_i, the
-# folded weight (h - s_i) q_i - h c_i or q_i - c_i, 1 / lambda, the factor T of
-# the table's lower half, the product, 1 / (T + h), the product by it), at most k
-# additions in a low table's sum over the k + 1 low positions or in one weight
-# entry's sum over high positions (first - 2 <= k for n <= MAX_ORDER), and at
-# most 2 first + 5 in the matrix product, whose weight row has at most
-# 2 (first + 1) + 4 nonzero entries.  That is 2 first + k + 12 = 2n - k + 10
-# <= 50 roundings, so with u = 2^-53,
-# |float - exact| <= 50 u (n - 1)(n + 1) < 50 * 675 * 1.111e-16 < 3.8e-12 at
-# n = 26.  An exact maximizer of a range therefore screens at most 7.6e-12
-# below the range's float maximum; the window keeps a margin of over 130x.
+# moduli of the n - 1 positions' terms sum to at most (n - 1)(n + 1) 2m.
+# Roundings per term, adding to a zero counted as exact:
+# - low: at most 3 in forming a position's part of alpha or beta (a_p or c_p / lambda_p,
+#   a product, the difference), k in summing the k + 1 low positions, then h beta,
+#   alpha + h beta, + shared, R and the product by R: k + 8;
+# - high: 3 in forming a weight entry and scaling by T (q_i, q_i - c_i and later T P_b;
+#   or q_i, (h - s_i) q_i and the difference), first - 2 in summing it over the first - 1
+#   high positions, 1 / (o + t), the product, first in P_b's or Q_b's sum of first + 1
+#   entries, T P_b + Q_b, + alpha + h beta, R and the product by R: 2 first + 7.
+# The largest alpha + h beta of a group is one member's float, picked, not rounded.
+# With N = max(2 first + 7, k + 8) and u = 2^-53,
+# |float - exact| <= N u / (1 - N u) (n - 1)(n + 1).  For n <= MAX_ORDER, first <= 13
+# and k <= 12, so N <= 33 and the bound is below 33 * 675 * 1.111e-16 < 2.5e-12.
+# The member that holds its group's largest reads the group's value, and no member
+# reads above its group (``_member_values``), so the slab's largest group value is
+# its largest member float, and an exact maximizer of the slab screens at most
+# 5e-12 below it: the window keeps a margin of over 200x.  At n = 32 (first = 19)
+# the same count gives N = 45, 5.2e-12, and a margin of under 100x.
 SCREEN_WINDOW = 1e-9
 
 
@@ -101,104 +105,134 @@ class SearchReport:
     predicted_asymptote: float
 
 
+class _ScreenTables(NamedTuple):
+    """Per-order tables of the screen, built by ``_screen_tables``."""
+
+    k: int  # low bits of an index
+    low_share: np.ndarray  # T of each (o, T) group of low parts, as floats
+    members: list  # each group's low parts, ascending
+    alpha: np.ndarray  # A0 - T C of each low part
+    beta: np.ndarray  # A1 - C of each low part
+    best: np.ndarray  # [h / 2, group]: the group's largest alpha + h beta
+    reciprocals: np.ndarray  # [h / 2, group]: 1 / (T + h)
+    inverses: np.ndarray  # [t - 1, group]: 1 / (o + t)
+    weights: np.ndarray  # [0 or 1, block, t - 1]: W_P and W_Q
+    half_h: np.ndarray  # h / 2 of each block
+
+
 @functools.lru_cache(maxsize=1)
-def _screen_tables(n: int):
-    """Per-order tables of the screen: the low positions folded, and one weight row per block.
+def _screen_tables(n: int) -> _ScreenTables:
+    """Per-order tables of the screen: the low parts folded and grouped, and two weight rows per block.
 
     A low part L of an index is its last k = min(LOW_BITS, n - 2) bits, at positions
     first .. n - 2, plus the final 1 at n - 1.  ``_positions`` from first gives lambda_p
     and S_p = s_p - h, h the high part's share of 2m; with T the low share, 2m - s_p is
-    T - S_p, all of L alone.  So the low terms of ``kemeny_from_code`` sum to A0 + h A1,
-    A0 = sum a_p S_p (T - S_p), A1 = sum a_p (T - S_p), a_p = 1 / (p (p+1) lambda_p).
-    The table has a column per low part: rows 1 / (ones + t) for t = 1 .. first + 1, then
-    A0, A1 and C, the sum of c_p / lambda_p; below them the same rows times T.
+    T - S_p, all of L alone.  So the low terms of ``kemeny_from_code`` sum to
+    alpha + h beta, alpha = A0 - T C and beta = A1 - C, with A0 = sum a_p S_p (T - S_p),
+    A1 = sum a_p (T - S_p), a_p = 1 / (p (p+1) lambda_p), and C the sum of c_p / lambda_p.
 
     A block shares its high part, the bits at positions 1 .. first - 1, walked by
     ``_positions`` for every block of the order at once with the final 1 as the one later
-    bit: lambda_i lacks only the low ones, so 1 / lambda_i is row lambda_i - 1 <= first of
-    the table (at most first - i high ones, the final 1 and i c_i).  Position i adds
-    (T + h - s_i) q_i / lambda_i to 2m (K - (n - 1)), q_i = s_i / (i (i+1)), and
-    c_i / lambda_i to C.  Over 2m = T + h, a block's values are
-    [A | B] . [column ; T column] / (T + h), its folded weight row [A | B] having
-    A = (terms without T) - h (C's weights) and B = (factors of T) - (C's weights).
+    bit: lambda_i lacks only the o low ones before the final 1, so it is o + t,
+    t = lambda_i from the walk and at most first + 1.  Position i adds
+    (T + h - s_i) q_i / lambda_i - (T + h) c_i / lambda_i to 2m (K - (n - 1)),
+    q_i = s_i / (i (i+1)): T / (o + t) times W_P = q_i - c_i and 1 / (o + t) times
+    W_Q = (h - s_i) q_i - h c_i, summed per t into the block's two weight rows.  So with
+    P_b(o) = sum_t W_P[b, t] / (o + t) and Q_b(o) likewise, code (b, L) screens as
+    (alpha_L + h beta_L + T P_b(o) + Q_b(o)) / (T + h), which reads L only through
+    alpha + h beta and its group (o, T): 299 groups of the 4096 low parts from n = 14.
     The shares h are the even numbers up to (first - 1) first (22 at n = 20, 79 at
-    n = 26), so 1 / (T + h) is row h / 2 of a table of reciprocals.  Returns k, the
-    stacked table, the weight rows, the reciprocal rows and h / 2 per block.
+    n = 26), so the largest alpha + h beta of each group, and 1 / (T + h), are tabled
+    for every h / 2 and group.
     """
     k = min(LOW_BITS, n - 2)
     first = n - 1 - k
     low = np.arange(1 << k, dtype=np.int64)
     bits = [(low >> (n - 2 - p)) & 1 for p in range(first, n - 1)] + [np.ones_like(low)]
-    ones = sum(bits[:-1])
     two_m = sum(2 * p * b for p, b in zip(range(first, n), bits))
-    a0, a1, c_sum = np.zeros(1 << k), np.zeros(1 << k), np.zeros(1 << k)
+    alpha, beta = np.zeros(1 << k), np.zeros(1 << k)
     for p, c, s, lam in _positions(bits, first):
-        a = 1.0 / (p * (p + 1) * lam)
-        a0 += a * (s * (two_m - s))
-        a1 += a * (two_m - s)
-        c_sum += c / lam
-    inv_ones = 1.0 / (ones + np.arange(1, first + 2, dtype=float)[:, None])
-    table, t = np.vstack([inv_ones, a0, a1, c_sum]), two_m.astype(float)
+        a, c_lam = 1.0 / (p * (p + 1) * lam), c / lam
+        alpha += a * (s * (two_m - s)) - two_m * c_lam
+        beta += a * (two_m - s) - c_lam
+    keys, group = np.unique(two_m * (k + 1) + sum(bits[:-1]), return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(np.bincount(group))[:-1]])
 
     high = np.arange(1 << (first - 1))
     bits = [(high >> (first - 1 - i)) & 1 for i in range(1, first)]
     h = sum((2 * i * c for i, c in enumerate(bits, 1)), np.zeros_like(high))
-    rows = len(table)
-    weights = np.zeros((len(high), 2 * rows))
-    weights[:, first + 1] = 1  # A0
-    weights[:, first + 2] = h  # h A1
-    weights[:, first + 3] = -h  # -h C
-    weights[:, -1] = -1  # -T C
+    weights = np.zeros((2, len(high), first + 1))
     for i, c, s, lam in _positions(bits, later=1):
         q = s / (i * (i + 1))
-        weights[high, lam - 1] += (h - s) * q - h * c
-        weights[high, rows + lam - 1] += q - c
-    reciprocals = 1.0 / (t + np.arange(0, h.max() + 1, 2)[:, None])
-    return k, np.vstack([table, t * table]), weights, reciprocals, h // 2
+        weights[0, high, lam - 1] += q - c
+        weights[1, high, lam - 1] += (h - s) * q - h * c
+    shares = np.arange(0, h.max() + 1, 2)[:, None]
+    low_share, ones = np.divmod(keys, k + 1)
+    return _ScreenTables(
+        k=k,
+        low_share=low_share.astype(float),
+        members=np.split(order, starts[1:]),
+        alpha=alpha,
+        beta=beta,
+        best=np.maximum.reduceat((alpha + shares * beta)[:, order], starts, axis=1),
+        reciprocals=1.0 / (low_share + shares),
+        inverses=1.0 / (ones + np.arange(1, first + 2)[:, None]),
+        weights=weights,
+        half_h=h // 2,
+    )
 
 
-# Each thread's buffer for one slab of screen values.  Reusing it spares a slab's
-# 512 KB of fresh pages per call; keeping one per thread keeps threads that search
-# at once from writing into each other's values.
-_scratch = threading.local()
+def _group_values(n: int, slab: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float upper bounds of K - (n - 1) over each group of each block of slab number slab.
 
-
-def _screen(n: int, slab: int) -> np.ndarray:
-    """Float K - (n - 1) of every code of slab number slab, in index order from slab * SCREEN_SLAB.
-
-    Evaluates the term of ``kemeny_from_code`` as ``_screen_tables`` folds it: the weight rows
-    of the slab's blocks times the table's columns in one matrix product, in column chunks
-    of at most BLAS_ONE_THREAD multiply-adds so that OpenBLAS keeps to one thread, then
-    each block's values scaled in place by its row of reciprocals of T + h.  The values are
-    written into this thread's buffer: the view returned is overwritten by the thread's
-    next call.
+    Row b, column g is (E + T P_b(o) + Q_b(o)) / (T + h) of ``_screen_tables``, E the
+    group's largest alpha + h beta: one small matrix product gives every block's P_b and
+    Q_b at every group's o.  Also returns the shared part T P_b(o) + Q_b(o) that
+    ``_member_values`` adds in the same order.
     """
-    k, table, all_weights, reciprocals, half_h = _screen_tables(n)
+    tables = _screen_tables(n)
     blocks = slice(slab * SLAB_BLOCKS, (slab + 1) * SLAB_BLOCKS)
-    weights = all_weights[blocks]
-    if not hasattr(_scratch, "values"):
-        _scratch.values = np.empty(SCREEN_SLAB)
-    out = _scratch.values[: len(weights) << k].reshape(len(weights), 1 << k)
-    step = BLAS_ONE_THREAD // weights.size
-    for j in range(0, 1 << k, step):
-        np.matmul(weights, table[:, j : j + step], out=out[:, j : j + step])
-    for row, half in zip(out, half_h[blocks].tolist()):
-        row *= reciprocals[half]
-    return out.reshape(-1)
+    p, q = np.matmul(tables.weights[:, blocks], tables.inverses)
+    shared = tables.low_share * p + q
+    half = tables.half_h[blocks]
+    return (tables.best[half] + shared) * tables.reciprocals[half], shared
+
+
+def _member_values(n: int, slab: int, block: int, group: int, shared: float) -> tuple[np.ndarray, np.ndarray]:
+    """The low parts of one group of a slab's block, ascending, and the float K - (n - 1) of each.
+
+    Each member is evaluated as ``_group_values`` evaluates its group, with its own
+    alpha + h beta in place of the group's largest.  Rounded addition and multiplication
+    by a positive number are monotone, so no member reads above its group, and the
+    member holding the largest reads exactly the group's value.
+    """
+    tables = _screen_tables(n)
+    lows = tables.members[group]
+    half = int(tables.half_h[slab * SLAB_BLOCKS + block])
+    return lows, (tables.alpha[lows] + 2 * half * tables.beta[lows] + shared) * tables.reciprocals[half, group]
 
 
 def _chunk_best(n: int, slab: int) -> tuple[int, int, tuple[str, ...]]:
     """Exact maximum over the codes of one slab; ties kept in code order.
 
-    The slab is screened once by ``_screen``, and the codes within SCREEN_WINDOW
-    of its float maximum are confirmed with exact ``kemeny_from_code``; the
-    derivation at SCREEN_WINDOW shows no exact maximizer of the slab lies
-    outside them.  Confirmed values are reduced exactly in code order by
+    The slab's groups are screened once by ``_group_values``; the members of every
+    group within SCREEN_WINDOW of the slab's float maximum are screened by
+    ``_member_values``, and those within the window are confirmed with exact
+    ``kemeny_from_code``.  The derivation at SCREEN_WINDOW shows no exact maximizer of
+    the slab lies outside them.  Confirmed values are reduced exactly in code order by
     ``max_with_ties``.
     """
-    approx = _screen(n, slab)
-    offsets = np.flatnonzero(approx >= approx.max() - SCREEN_WINDOW)
-    confirmed = (code_from_index(n, index) for index in (slab * SCREEN_SLAB + offsets).tolist())
+    values, shared = _group_values(n, slab)
+    floor = values.max() - SCREEN_WINDOW
+    k, groups = _screen_tables(n).k, values.shape[1]
+    offsets = []
+    for hit in np.flatnonzero(values >= floor).tolist():
+        block, group = divmod(hit, groups)
+        lows, floats = _member_values(n, slab, block, group, shared[block, group])
+        offsets.append((block << k) + lows[floats >= floor])
+    indices = slab * SCREEN_SLAB + np.sort(np.concatenate(offsets))
+    confirmed = (code_from_index(n, index) for index in indices.tolist())
     best, ties = max_with_ties((str(code), kemeny_from_code(code).exact) for code in confirmed)
     return best.numerator, best.denominator, tuple(ties)
 

@@ -46,23 +46,18 @@ def small_slabs(low_bits=2, slab_blocks=4):
     """Search with slabs, and so checkpointed ranges, of slab_blocks blocks of 2^low_bits codes.
 
     The defaults give ranges of 16 codes: 8 at n = 9 and 64 at n = 12.  The per-order
-    tables and this thread's screen buffer are sized by these constants, so both are
-    dropped on entry and on exit.
+    tables, their groups of low parts included, are sized by these constants, so their
+    cache is dropped on entry and on exit.
     """
     saved = {name: getattr(search, name) for name in ("LOW_BITS", "SLAB_BLOCKS", "SCREEN_SLAB")}
-
-    def drop_sized_state():
-        search._screen_tables.cache_clear()
-        vars(search._scratch).pop("values", None)
-
-    drop_sized_state()
+    search._screen_tables.cache_clear()
     search.LOW_BITS, search.SLAB_BLOCKS, search.SCREEN_SLAB = low_bits, slab_blocks, slab_blocks << low_bits
     try:
         yield
     finally:
         for name, value in saved.items():
             setattr(search, name, value)
-        drop_sized_state()
+        search._screen_tables.cache_clear()
 
 
 def pytest_runtest_logreport(report):

@@ -28,6 +28,7 @@ from thresholdwalk import (
     pseudo_inverse_terms,
     resistance_matrix,
     resistance_oracle,
+    search,
     spectral,
     upper_bounds,
     verify,
@@ -708,6 +709,14 @@ class TestEnumerate:
         assert code == 1
         assert out == ""
         assert "OrderOutOfRange" in err and "Traceback" not in err
+
+    def test_own_cap_whatever_the_search_reaches(self, capsys, monkeypatch):
+        # a search cap raised past 26 leaves the listing, which holds every code, at 26
+        monkeypatch.setattr(search, "MAX_ORDER", 30)
+        code, out, err = run(capsys, "enumerate", "--n", "27")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: OrderOutOfRange: ") and "Traceback" not in err
 
 
 class TestDispatch:

@@ -58,6 +58,25 @@ def exact_best_of(n, indices):
     return best.numerator, best.denominator, tuple(ties)
 
 
+def groups_of_low_parts(tables):
+    """The group of each low part, from the screen tables' member lists."""
+    groups = np.empty(1 << tables.k, dtype=np.int64)
+    for group, lows in enumerate(tables.members):
+        groups[lows] = group
+    return groups
+
+
+def slab_screen(n, slab):
+    """The group values of one slab and each of its codes' member float, in index order."""
+    values, shared = search._group_values(n, slab)
+    k = search._screen_tables(n).k
+    floats = np.full(len(values) << k, np.nan)
+    for block, group in np.ndindex(values.shape):
+        lows, member = search._member_values(n, slab, block, group, shared[block, group])
+        floats[(block << k) + lows] = member
+    return values, floats
+
+
 class TestScreen:
     @pytest.mark.parametrize("n", range(3, 17))
     def test_chunk_best_equals_exact_reference(self, n):
@@ -74,16 +93,43 @@ class TestScreen:
     @pytest.mark.parametrize("n", (13, 14))
     def test_every_code_in_window_reduces_in_code_order(self, n, monkeypatch):
         # a screen that cannot tell codes apart sends every code of the range
-        # to exact confirmation
-        monkeypatch.setattr(search, "_screen", lambda n, slab: np.zeros(1 << (n - 2)))
+        # to exact confirmation, in code order, though it finds them group by group
+        group_values, member_values, confirmed = search._group_values, search._member_values, []
+
+        def flat_groups(n, slab):
+            values, shared = group_values(n, slab)
+            return np.zeros_like(values), shared
+
+        def flat_members(*args):
+            lows, floats = member_values(*args)
+            return lows, np.zeros_like(floats)
+
+        def recording(code):
+            confirmed.append(str(code))
+            return kemeny_from_code(code)
+
+        monkeypatch.setattr(search, "_group_values", flat_groups)
+        monkeypatch.setattr(search, "_member_values", flat_members)
+        monkeypatch.setattr(search, "kemeny_from_code", recording)
         assert search._chunk_best(n, 0) == exact_chunk_best((n, 0, 1 << (n - 2)))
+        assert confirmed == [str(code_from_index(n, index)) for index in range(1 << (n - 2))]
 
     def test_screen_error_within_its_bound_keeps_every_tie(self, monkeypatch):
-        # the two order-21 maximizers share range 7; a screen off by up to the
-        # proven 3.8e-12 still sends both to exact confirmation
-        screen, rng = search._screen, np.random.default_rng(21)
-        noisy = lambda n, slab: screen(n, slab) + rng.uniform(-3.8e-12, 3.8e-12, 1 << 16)
-        monkeypatch.setattr(search, "_screen", noisy)
+        # the two order-21 maximizers share range 7; group values and member
+        # values each off by up to the proven 2.5e-12 still send both to exact
+        # confirmation
+        group_values, member_values, rng = search._group_values, search._member_values, np.random.default_rng(21)
+
+        def noisy_groups(n, slab):
+            values, shared = group_values(n, slab)
+            return values + rng.uniform(-2.5e-12, 2.5e-12, values.shape), shared
+
+        def noisy_members(*args):
+            lows, floats = member_values(*args)
+            return lows, floats + rng.uniform(-2.5e-12, 2.5e-12, floats.shape)
+
+        monkeypatch.setattr(search, "_group_values", noisy_groups)
+        monkeypatch.setattr(search, "_member_values", noisy_members)
         ties = ("011110000000000000001", "011111000000000000001")
         assert {int(code[1:-1], 2) >> 16 for code in ties} == {7}
         assert search._chunk_best(21, 7)[2] == ties
@@ -104,10 +150,12 @@ class TestScreen:
     @pytest.mark.parametrize("n", range(15, 23))
     def test_table_rows_reach_exactly_first(self, n):
         # a high position's 1 / lambda row is lambda - 1, walked with the final
-        # 1 as the one later bit: the table holds rows 0 .. first, all needed
-        k, stacked, _, _, _ = search._screen_tables(n)
-        first = n - 1 - k
-        assert len(stacked) // 2 - 3 == first + 1  # the upper half; the lower is it times T
+        # 1 as the one later bit: the weight rows and the table of 1 / (o + t)
+        # hold t = 1 .. first + 1, all needed
+        tables = search._screen_tables(n)
+        first = n - 1 - tables.k
+        assert tables.weights.shape[::2] == (2, first + 1)
+        assert len(tables.inverses) == first + 1
         top = 0
         for high in range(1 << (first - 1)):
             bits = [(high >> (first - 1 - i)) & 1 for i in range(1, first)]
@@ -116,85 +164,101 @@ class TestScreen:
 
     def test_reciprocal_rows_are_one_over_each_blocks_2m(self):
         # the first and last slab of every order: 2m = sum of 2 i c_i from each
-        # code's own bits, and every code of a block reads its block's row
+        # code's own bits, and every code reads 1 / 2m from its block's row at
+        # its group's column
         for n in range(3, 27):
-            k, _, _, reciprocals, half_h = search._screen_tables(n)
+            tables = search._screen_tables(n)
             total = 1 << (n - 2)
             span = min(total, search.SCREEN_SLAB)
             for slab in {0, total // span - 1}:
                 index = np.arange(slab * span, (slab + 1) * span, dtype=np.int64)
                 two_m = 2 * (n - 1) + sum(2 * i * ((index >> (n - 2 - i)) & 1) for i in range(1, n - 1))
-                blocks = range(slab * span >> k, (slab + 1) * span >> k)
-                rows = np.concatenate([reciprocals[half_h[block]] for block in blocks])
-                assert np.array_equal(rows, 1.0 / two_m.astype(float)), (n, slab)
+                rows = tables.half_h[index >> tables.k]
+                columns = groups_of_low_parts(tables)[index & ((1 << tables.k) - 1)]
+                assert np.array_equal(tables.reciprocals[rows, columns], 1.0 / two_m.astype(float)), (n, slab)
                 for offset in (0, span - 1):
                     code = str(code_from_index(n, slab * span + offset))
                     assert two_m[offset] == sum(2 * i for i, bit in enumerate(code) if bit == "1")
 
+    def test_groups_partition_the_low_parts_and_bound_their_members(self):
+        # the first and last slab of every order: each low part is in exactly one
+        # group, the groups are the distinct (ones, T) of the codes' own bits, each
+        # group's column of the table of 1 / (o + t) is its own, and every group
+        # value is at least each member's float and equals the largest
+        for n in range(3, 27):
+            tables = search._screen_tables(n)
+            k, first = tables.k, n - 1 - tables.k
+            assert all(np.all(np.diff(lows) > 0) for lows in tables.members)
+            assert np.array_equal(np.sort(np.concatenate(tables.members)), np.arange(1 << k))
+            shapes = []
+            for lows in tables.members:
+                codes = [str(code_from_index(n, low)) for low in lows.tolist()]
+                shape = {(code[first:-1].count("1"), sum(2 * i for i in range(first, n) if code[i] == "1")) for code in codes}
+                assert len(shape) == 1, (n, shape)
+                shapes += shape
+            assert len(set(shapes)) == len(shapes)
+            ones, low_share = np.array(shapes).T
+            assert np.array_equal(tables.low_share, low_share)
+            assert np.array_equal(tables.inverses, 1.0 / (ones + np.arange(1, first + 2)[:, None]))
+            total = 1 << (n - 2)
+            span = min(total, search.SCREEN_SLAB)
+            for slab in {0, total // span - 1}:
+                values, floats = slab_screen(n, slab)
+                blocks = np.arange(span) >> k
+                groups = groups_of_low_parts(tables)[np.arange(span) & ((1 << k) - 1)]
+                assert np.all(floats <= values[blocks, groups]), (n, slab)
+                largest = np.full(values.shape, -np.inf)
+                np.maximum.at(largest, (blocks, groups), floats)
+                assert np.array_equal(largest, values), (n, slab)
+
     @pytest.mark.parametrize("n", (21, 22))
     def test_chunk_best_equals_confirming_a_wider_window(self, n):
         # every slab of orders too large for the per-code exact reference: the
-        # codes within 1e-6 of the slab's float maximum, confirmed exactly in
-        # code order, hold the same maximum and ties as the 1e-9 window
+        # codes whose own floats are within 1e-6 of the slab's float maximum,
+        # confirmed exactly in code order, hold the same maximum and ties as the
+        # 1e-9 window of the group screen
         span = search.SCREEN_SLAB
         for slab in range((1 << (n - 2)) // span):
-            approx = search._screen(n, slab)
-            offsets = np.flatnonzero(approx >= approx.max() - 1e-6)
+            _, floats = slab_screen(n, slab)
+            offsets = np.flatnonzero(floats >= floats.max() - 1e-6)
             wide = exact_best_of(n, (slab * span + offsets).tolist())
             assert search._chunk_best(n, slab) == wide, (n, slab, len(offsets))
 
     def test_float_error_far_inside_window(self):
-        # the first and last slab of every order: each code through n = 16, whose
-        # whole order is one slab, then 300 sampled codes of each slab
+        # the first and last slab of every order: each code's member float, for
+        # each code through n = 16, whose whole order is one slab, then 300
+        # sampled codes of each slab
         rng = random.Random(2026)
         worst = 0
         for n in range(3, 27):
             total = 1 << (n - 2)
             span = min(total, search.SCREEN_SLAB)
             for slab in {0, total // span - 1}:
-                approx = search._screen(n, slab)
-                assert len(approx) == span
+                _, floats = slab_screen(n, slab)
+                assert len(floats) == span and not np.isnan(floats).any()
                 offsets = range(span) if n <= 16 else rng.sample(range(span), 300)
                 for offset in offsets:
                     exact = exact_kemeny(n, slab * span + offset) - (n - 1)
-                    worst = max(worst, abs(Fraction(float(approx[offset])) - exact))
+                    worst = max(worst, abs(Fraction(float(floats[offset])) - exact))
         assert worst <= search.SCREEN_WINDOW / 1e3
 
     def test_blas_products_stay_on_one_thread(self, monkeypatch):
-        # OpenBLAS threads a product past 65536 * 4 multiply-adds, and the threads of
-        # two pool workers then oversubscribe the cores
+        # OpenBLAS threads a product past 65536 * 4 multiply-adds, and its threads
+        # would take the cores of whatever else the caller runs
         matmul, sizes = np.matmul, []
 
         def recording(a, b, **kwargs):
-            sizes.append(a.shape[0] * a.shape[1] * b.shape[1])
+            sizes.append(int(np.prod(a.shape)) * b.shape[-1])
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", recording)
         for n in range(3, 27):
+            search._screen_tables.cache_clear()  # the table build is recorded too
+            sizes.clear()
             total = 1 << (n - 2)
             for slab in {0, total // min(total, search.SCREEN_SLAB) - 1}:
-                sizes.clear()
-                search._screen(n, slab)
-                assert sizes and max(sizes) <= 1 << 18, (n, slab, sizes)
-
-    @pytest.mark.parametrize("n", (14, 20, 26))
-    def test_consecutive_screens_read_no_stale_values(self, n):
-        # each call overwrites the thread's one buffer; poisoning it between calls,
-        # which alternate with the other orders so that the buffer's shape changes,
-        # shows every value returned was written by that call
-        rng = random.Random(n)
-        others = [order for order in (14, 17, 20, 26) if order != n]
-        search._screen(n, 0)  # makes the buffer
-        for order in (n, others[0], n, others[1], n, others[2], n):
-            total = 1 << (order - 2)
-            span = min(total, search.SCREEN_SLAB)
-            slab = rng.randrange(total // span)
-            search._scratch.values.fill(np.nan)
-            approx = search._screen(order, slab)
-            assert len(approx) == span and not np.isnan(approx).any()
-            for offset in rng.sample(range(span), 40):
-                exact = exact_kemeny(order, slab * span + offset) - (order - 1)
-                assert abs(Fraction(float(approx[offset])) - exact) <= search.SCREEN_WINDOW / 1e3
+                search._chunk_best(n, slab)
+            assert sizes and max(sizes) <= 1 << 18, (n, sizes)
 
     @pytest.mark.parametrize("n", range(19, 23))
     def test_matches_pineapple_argmax(self, n):
@@ -261,8 +325,8 @@ class TestSearch:
             verify_conjecture_range(3, 5, threads=0)
 
     def test_threads_of_one_process_search_at_once(self):
-        # each thread screens into its own buffer: with one buffer shared by the
-        # threads, a screen read values another thread had just written
+        # the screen keeps no state between calls but its per-order tables, so
+        # searches in threads of one process at once give the one report
         want = report_key(max_kemeny_search(19))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

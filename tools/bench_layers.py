@@ -4,8 +4,9 @@ Times each layer of the ROADMAP layer table at fixed orders on codes drawn
 from ``random.Random(n)``, plus the search at n = 20 in one process with a
 checkpoint (the shape of the benchmark's search workload, 20 calls per run),
 the ordering checks at n = 64 as well as at 3000 (64 is the order the
-profile and verify workloads draw; 100 calls per run), 64 consecutive slabs
-of the search's float screen at n = 26 with its tables built beforehand,
+profile and verify workloads draw; 100 calls per run), the exact maximum of
+64 consecutive slabs at n = 26 (screen and confirmation, ``_chunk_best``)
+with the order's tables built beforehand,
 ``spanning_tree_oracle`` on the complete graph of order 200, ``parse_code``
 at n = 4000, both exact Kemeny routes at n = 4000 on the seeded code and on
 ``(01)^2000`` (every run of equal bits of length one, the most runs an
@@ -45,7 +46,7 @@ PARSE_CALLS = 100  # parse_code is timed over this many calls per run
 FOREST_CALLS = 20  # two_forest_matrix is timed over this many cold calls per run
 KEMENY_CALLS = 20  # each exact Kemeny route is timed over this many calls per run
 SEARCH_CALLS = 20  # the n = 20 search takes a few ms, so it is timed over this many calls per run
-SCREEN_SLABS = 64  # consecutive screen slabs timed per run; one takes well under a millisecond
+SCREEN_SLABS = 64  # consecutive slabs timed per run; one takes well under a millisecond
 ORDERINGS_CALLS = 100  # the ordering checks at n = 64 take well under a millisecond, so they are timed over this many
 
 
@@ -80,13 +81,13 @@ def layers():
     from thresholdwalk.cli import main
     from thresholdwalk.oracle import _forest_bipartitions, spanning_tree_oracle, two_forest_matrix
     from thresholdwalk.resistance import _verify_orderings
-    from thresholdwalk.search import _screen, max_kemeny_search
+    from thresholdwalk.search import _chunk_best, max_kemeny_search
 
     def code(n):
         return parse_code(seeded_code(n))
 
     def search(n):
-        return partial(max_kemeny_search, n, threads=2)
+        return partial(max_kemeny_search, n)
 
     def search_checkpointed(n):
         def call():
@@ -96,12 +97,12 @@ def layers():
 
         return call
 
-    def screen(n):
-        _screen(n, 0)  # builds the order's tables and this thread's buffer
+    def slabs(n):
+        _chunk_best(n, 0)  # builds the order's tables
 
         def call():
             for slab in range(SCREEN_SLABS):
-                _screen(n, slab)
+                _chunk_best(n, slab)
 
         return call
 
@@ -155,10 +156,10 @@ def layers():
         return "01" * (n // 2)
 
     return [
-        ("max_kemeny_search_2threads", 24, search),
-        ("max_kemeny_search_2threads", 26, search),
+        ("max_kemeny_search", 24, search),
+        ("max_kemeny_search", 26, search),
         (f"max_kemeny_search_1thread_x{SEARCH_CALLS}", 20, search_checkpointed),
-        (f"search_screen_x{SCREEN_SLABS}", 26, screen),
+        (f"search_chunk_best_x{SCREEN_SLABS}", 26, slabs),
         ("resistance_matrix", 1000, core),
         ("resistance_matrix", 5000, core),
         ("resistance_matrix_plus_verify_orderings", 10_000, core_and_orderings),
