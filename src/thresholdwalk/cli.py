@@ -408,7 +408,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - started
-    if not args.quiet:
+    if args.quiet:
+        return output.exit_code
+    try:
         if args.json:
             envelope = {
                 "schema_version": SCHEMA_VERSION,
@@ -427,6 +429,15 @@ def main(argv: list[str] | None = None) -> int:
         else:
             for line in output.text:
                 print(line)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed early: what is still buffered goes to the null device,
+        # so that the interpreter's flush at exit raises nothing more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     return output.exit_code
 
 

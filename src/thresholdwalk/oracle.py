@@ -361,19 +361,32 @@ def _crt_primes(bound: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _largest_primes(count: int) -> tuple[int, ...]:
-    """The ``count`` largest primes below 2^31, descending, from a sieve of a window below it."""
+    """The ``count`` largest primes below 2^31, descending.
+
+    One sieve of the window [2^31 - width, 2^31) by the base primes up to
+    sqrt(2^31), with the width doubled until the window holds ``count``
+    primes.  Each base prime's first multiple in the window comes from one
+    array remainder.  The base primes below the width, 97 of 4792 at count
+    16, strike it with a strided slice each; every larger one strikes it at
+    most once, so all of those are marked by a single indexed store.
+    """
     root = math.isqrt(_PRIME_LIMIT)
     small = np.ones(root + 1, dtype=bool)
     small[:2] = False
     for q in range(2, math.isqrt(root) + 1):
         if small[q]:
             small[q * q :: q] = False
+    base = np.flatnonzero(small)
     width = 32 * count  # primes near 2^31 are about 21.5 apart
     while True:
         low = _PRIME_LIMIT - width
+        first = -low % base  # offset of each base prime's first multiple in the window
+        dense = int(np.searchsorted(base, width))  # base primes below the width
         composite = np.zeros(width, dtype=bool)
-        for q in np.flatnonzero(small).tolist():
-            composite[-low % q :: q] = True
+        for q, start in zip(base[:dense].tolist(), first[:dense].tolist()):
+            composite[start::q] = True
+        once = first[dense:]
+        composite[once[once < width]] = True
         primes = low + np.flatnonzero(~composite)[::-1]
         if len(primes) >= count:
             return tuple(primes[:count].tolist())

@@ -5,7 +5,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from decimal import Decimal
@@ -796,6 +799,26 @@ class TestDispatch:
         code, out, err = run(capsys, "compute", text)
         assert (code, out) == (1, "")
         assert err.startswith("error: OrderOutOfRange: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("enumerate", "--n", "18"), ("resistance", str(seeded_codes(300, 1, 300, 300)[0]))],
+        ids=lambda argv: argv[0],
+    )
+    def test_reader_closing_early_exits_one(self, argv):
+        # each output is far past a pipe's buffer, so writes go on after the reader has left
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "thresholdwalk.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 1
+        assert err.startswith("error: BrokenPipeError: ") and err.count("\n") == 1, err
 
 
 _ROW_COMMANDS = [

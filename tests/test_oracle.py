@@ -30,6 +30,7 @@ from thresholdwalk.oracle import (
     _determinants_mod,
     _forest_bipartitions,
     _independent_set,
+    _largest_primes,
     _modular_determinants,
     _padded_laplacians,
     _psd_determinants,
@@ -343,6 +344,26 @@ def hadamard(graph):
     return math.prod(len(nb) + 1 for nb in graph.neighbors)
 
 
+def is_prime(m):
+    """Miller-Rabin to the bases 2, 3, 5 and 7, which is exact below 3,215,031,751."""
+    if m < 2 or any(m % p == 0 for p in (2, 3, 5, 7)):
+        return m in (2, 3, 5, 7)
+    odd, twos = m - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, odd, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def block_diagonal(*blocks):
     size = sum(len(b) for b in blocks)
     out = np.zeros((size, size), dtype=np.int64)
@@ -426,6 +447,17 @@ class TestTreeCounts:
             assert math.prod(primes) > bound >= math.prod(primes[:-1])
         divisors = np.arange(2, math.isqrt(1 << 31) + 1)
         assert all((p % divisors).all() for p in _crt_primes(10**1000))
+
+    def test_largest_primes_walk_down_from_two_to_the_31(self):
+        counts = sorted({1 << k for k in range(12)} | {3, 100, 1000})
+        reference = list(itertools.islice(filter(is_prime, range((1 << 31) - 1, 1, -1)), counts[-1]))
+        found = {}
+        for count in counts:
+            _largest_primes.cache_clear()
+            found[count] = _largest_primes(count)
+            assert found[count] == tuple(reference[:count]), count
+        for shorter, longer in itertools.combinations(counts, 2):
+            assert found[longer][:shorter] == found[shorter]
 
     def test_independent_set(self):
         rng = random.Random(19)

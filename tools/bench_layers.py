@@ -7,7 +7,8 @@ the ordering checks at n = 64 as well as at 3000 (64 is the order the
 profile and verify workloads draw; 100 calls per run), the exact maximum of
 64 consecutive slabs at n = 26 (screen and confirmation, ``_chunk_best``)
 with the order's tables built beforehand,
-``spanning_tree_oracle`` on the complete graph of order 200, ``parse_code``
+``spanning_tree_oracle`` on the complete graph of order 200 and at n = 64
+with the CRT primes' cache cleared in each of 20 calls, ``parse_code``
 at n = 4000, both exact Kemeny routes at n = 4000 on the seeded code and on
 ``(01)^2000`` (every run of equal bits of length one, the most runs an
 order-4000 code has), ``two_forest_matrix`` at n = 9 (its bipartition cache
@@ -44,6 +45,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 K = 3  # timed runs per layer; the file records their median
 PARSE_CALLS = 100  # parse_code is timed over this many calls per run
 FOREST_CALLS = 20  # two_forest_matrix is timed over this many cold calls per run
+TREE_CALLS = 20  # spanning_tree_oracle is timed over this many calls per run, each sieving its primes afresh
 KEMENY_CALLS = 20  # each exact Kemeny route is timed over this many calls per run
 SEARCH_CALLS = 20  # the n = 20 search takes a few ms, so it is timed over this many calls per run
 SCREEN_SLABS = 64  # consecutive slabs timed per run; one takes well under a millisecond
@@ -79,7 +81,7 @@ def layers():
         resistance_matrix,
     )
     from thresholdwalk.cli import main
-    from thresholdwalk.oracle import _forest_bipartitions, spanning_tree_oracle, two_forest_matrix
+    from thresholdwalk.oracle import _forest_bipartitions, _largest_primes, spanning_tree_oracle, two_forest_matrix
     from thresholdwalk.resistance import _verify_orderings
     from thresholdwalk.search import _chunk_best, max_kemeny_search
 
@@ -125,6 +127,16 @@ def layers():
     def tree_oracle(n):
         return partial(spanning_tree_oracle, build_graph(code(n)))
 
+    def tree_oracle_cold_primes(n):
+        graph = build_graph(code(n))
+
+        def call():
+            for _ in range(TREE_CALLS):
+                _largest_primes.cache_clear()
+                spanning_tree_oracle(graph)
+
+        return call
+
     def complete_tree_oracle(n):
         return partial(spanning_tree_oracle, build_graph(parse_code("0" + "1" * (n - 1))))
 
@@ -168,6 +180,7 @@ def layers():
         ("pseudo_inverse", 1000, lambda n: partial(pseudo_inverse, code(n))),
         ("spanning_tree_oracle", 64, tree_oracle),
         ("spanning_tree_oracle", 200, tree_oracle),
+        (f"spanning_tree_oracle_cold_primes_x{TREE_CALLS}", 64, tree_oracle_cold_primes),
         ("spanning_tree_oracle_complete_graph", 200, complete_tree_oracle),
         (f"two_forest_matrix_x{FOREST_CALLS}", 9, forests),
         ("mfpt_matrix", 200, mfpt),
