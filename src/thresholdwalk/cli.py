@@ -258,7 +258,7 @@ def _cmd_search(args) -> CommandOutput:
         checkpoint_dir = os.environ.get("CHECKPOINT_DIR")
         if checkpoint_dir:
             checkpoint = _checkpoint_in(checkpoint_dir, args.n)
-    report = max_kemeny_search(args.n, threads=1 if args.threads is None else args.threads, checkpoint=checkpoint)
+    report = max_kemeny_search(args.n, checkpoint=checkpoint)
     payload = {
         "n": report.n,
         "argmax_code": report.argmax_code,
@@ -358,7 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common], help="exhaustive Kemeny maximum at order n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None, help="at least 1; changes neither result nor checkpoint")
     p.add_argument("--checkpoint", default=None, help="progress file (defaults under CHECKPOINT_DIR)")
     p.set_defaults(handler=_cmd_search)
 

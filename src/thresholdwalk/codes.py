@@ -293,8 +293,7 @@ def code_from_index(n: int, index: int) -> ConstructionCode:
     """The index-th connected code of order n, lexicographic in the interior bits.
 
     Index 0 is 0 0...0 1 (the star) and index 2^(n-2) - 1 is 0 1...1 (the
-    complete graph); the mapping lets workers partition the code space into
-    contiguous index ranges.
+    complete graph); the search's ranges are contiguous runs of indices.
     """
     count = code_count(n)
     if not 0 <= index < count:
@@ -303,27 +302,11 @@ def code_from_index(n: int, index: int) -> ConstructionCode:
     return ConstructionCode((0, *interior, 1))
 
 
-def enumerate_codes(n: int, start: int = 0, stop: int | None = None):
-    """Yield the connected codes of order n in lexicographic interior order.
-
-    The optional [start, stop) window selects a slice of the enumeration so
-    independent consumers can split the space deterministically.
-    """
-    count = code_count(n)
-    if stop is None:
-        stop = count
-    if not (0 <= start <= stop <= count):
-        raise IndexOutOfRange(f"window [{start}, {stop}) outside 0..{count}")
-    # lexicographic order of the interior bits is index order; the window's
-    # low `width` bits come from product and its high bits from a prefix, so
-    # the work is proportional to the window size, not to where it starts
-    width = min(n - 2, (stop - start).bit_length())
-    for prefix in range(start >> width, (stop + (1 << width) - 1) >> width):
-        high = tuple((prefix >> (n - 3 - width - k)) & 1 for k in range(n - 2 - width))
-        base = prefix << width
-        low = itertools.product((0, 1), repeat=width)
-        for bits in itertools.islice(low, max(start - base, 0), min(stop - base, 1 << width)):
-            yield ConstructionCode((0, *high, *bits, 1))
+def enumerate_codes(n: int):
+    """Yield the connected codes of order n in lexicographic interior order, which is index order."""
+    code_count(n)  # OrderTooSmall below order 2
+    for interior in itertools.product((0, 1), repeat=n - 2):
+        yield ConstructionCode((0, *interior, 1))
 
 
 def pineapple_code(n: int, r: int) -> ConstructionCode:

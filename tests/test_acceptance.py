@@ -132,7 +132,7 @@ def test_criterion_09_accessibility_identities():
 
 def test_criterion_10_extremal_search_reproduction(tmp_path):
     started = time.perf_counter()
-    reports = verify_conjecture_range(3, 18, threads=2)
+    reports = verify_conjecture_range(3, 18)
     for report in reports:
         assert report.is_pineapple, f"n={report.n} argmax {report.argmax_code}"
         assert report.r == pineapple_argmax(report.n).r_star, f"n={report.n}"

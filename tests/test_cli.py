@@ -441,7 +441,7 @@ class TestPineapple:
 
 class TestSearch:
     def test_json(self, capsys):
-        code, envelope, _ = run_json(capsys, "search", "--n", "6", "--threads", "1")
+        code, envelope, _ = run_json(capsys, "search", "--n", "6")
         assert code == 0
         payload = envelope["payload"]
         assert payload["argmax_code"] == "010001"
@@ -451,7 +451,7 @@ class TestSearch:
         assert "seconds" not in payload  # timing stays outside the payload
 
     def test_csv_columns(self, capsys):
-        code, out, _ = run(capsys, "search", "--n", "5", "--threads", "1", "--csv")
+        code, out, _ = run(capsys, "search", "--n", "5", "--csv")
         assert code == 0
         header, row = out.strip().splitlines()
         assert header == "n,argmax_code,k_num,k_den,k_float,is_pineapple,r,seconds"
@@ -463,29 +463,26 @@ class TestSearch:
         assert code == 0
         assert path.exists()
 
-    def test_threads_zero_exits_one(self, capsys):
-        code, out, err = run(capsys, "search", "--n", "5", "--threads", "0")
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ParameterOutOfRange: ") and "Traceback" not in err
-
-    def test_threads_echoed_but_payload_unchanged(self, capsys):
-        argvs = ([], ["--threads", "1"], ["--threads", "2"])
-        envelopes = [run_json(capsys, "search", "--n", "9", *argv)[1] for argv in argvs]
-        assert envelopes[0]["payload"] == envelopes[1]["payload"] == envelopes[2]["payload"]
-        inputs = [{"n": 9}, {"n": 9, "threads": 1}, {"n": 9, "threads": 2}]
-        assert [envelope["input"] for envelope in envelopes] == inputs
+    def test_threads_flag_gone(self, capsys):
+        # the search runs in the calling process, so there is no thread count to pass
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "--n", "5", "--threads", "1"])
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, out) == (2, "")
+        assert err.startswith("usage: ") and "unrecognized arguments: --threads 1" in err
+        assert "Traceback" not in err
 
     def test_corrupt_checkpoint_exits_one(self, capsys, tmp_path):
         path = tmp_path / "corrupt.checkpoint"
         path.write_text("thresholdwalk-search 2 5 8\n0 11 3 0x001\n")
-        code, out, err = run(capsys, "search", "--n", "5", "--threads", "1", "--checkpoint", str(path))
+        code, out, err = run(capsys, "search", "--n", "5", "--checkpoint", str(path))
         assert code == 1
         assert out == ""
         assert "CheckpointMismatch" in err and "Traceback" not in err
 
     def test_checkpoint_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CHECKPOINT_DIR", str(tmp_path))
-        code, _, _ = run(capsys, "search", "--n", "5", "--threads", "1", "--quiet")
+        code, _, _ = run(capsys, "search", "--n", "5", "--quiet")
         assert code == 0
         assert (tmp_path / "search_n5.checkpoint").exists()
 
@@ -498,7 +495,7 @@ class TestSearch:
         ],
     )
     def test_unusable_checkpoint_path_exits_one(self, capsys, tmp_path, monkeypatch, where, error):
-        argv = ["search", "--n", "5", "--threads", "1"]
+        argv = ["search", "--n", "5"]
         if where == "missing_dir":
             argv += ["--checkpoint", str(tmp_path / "missing" / "x")]
         elif where == "directory":
@@ -740,7 +737,7 @@ class TestDispatch:
         code, out, _ = run(capsys, "verify", "0101")
         assert code == 0
         assert out.splitlines() == ["kemeny: PASS", "resistance: PASS", "forest: PASS", "ordering: PASS", "all: PASS"]
-        _, out, _ = run(capsys, "search", "--n", "5", "--threads", "1", "--csv")
+        _, out, _ = run(capsys, "search", "--n", "5", "--csv")
         _, envelope, _ = run_json(capsys, "search", "--n", "5")
         assert out.startswith("n,argmax_code,")
         assert "threads" not in envelope["input"]
@@ -832,8 +829,8 @@ _ROW_COMMANDS = [
     ("pineapple", "--n", "3", "--sweep"),
     ("pineapple", "--n", "12", "--sweep"),
     ("pineapple", "--n", "21", "--r", "4"),
-    ("search", "--n", "3", "--threads", "1"),
-    ("search", "--n", "8", "--threads", "1"),
+    ("search", "--n", "3"),
+    ("search", "--n", "8"),
     ("enumerate", "--n", "2"),
     ("enumerate", "--n", "9"),
 ]

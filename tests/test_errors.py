@@ -63,7 +63,6 @@ WALK_FAILURES = {
         pytest.param(lambda: ConstructionCode((0, 2)), IllegalCharacter, None, id="code-symbol-2"),
         pytest.param(lambda: parse_code(None), EmptyInput, None, id="parse-none"),
         pytest.param(lambda: parse_code("01").bit(3), IndexOutOfRange, None, id="bit-past-end"),
-        pytest.param(lambda: list(enumerate_codes(4, 3, 1)), IndexOutOfRange, None, id="enumerate-reversed-window"),
         pytest.param(lambda: OrthonormalBasis(3).entry(4, 1), IndexOutOfRange, None, id="basis-entry-row"),
         pytest.param(lambda: integer_eigenvector(3, 3), IndexOutOfRange, None, id="eigenvector-index"),
         pytest.param(lambda: BlockForm((1,), (1, 1)), ValueError, None, id="blocks-extra-one-run"),

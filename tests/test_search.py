@@ -321,8 +321,6 @@ class TestSearch:
     def test_bad_threads(self):
         with pytest.raises(ParameterOutOfRange):
             max_kemeny_search(5, threads=0)
-        with pytest.raises(ParameterOutOfRange):
-            verify_conjecture_range(3, 5, threads=0)
 
     def test_threads_of_one_process_search_at_once(self):
         # the screen keeps no state between calls but its per-order tables, so
@@ -417,6 +415,28 @@ class TestCheckpoint:
                 report = max_kemeny_search(n, threads=threads, checkpoint=str(path))
                 written.add((path.read_bytes(), dataclasses.replace(report, seconds=0)))
         assert len(written) == 1
+
+    @pytest.mark.parametrize("kept", [0, 3])
+    def test_each_record_is_flushed_before_the_next_range(self, tmp_path, monkeypatch, kept):
+        # one append handle is held for the whole search, so every range screened so
+        # far must already be on disk when the next one starts
+        written, key = fresh_checkpoint()
+        path = tmp_path / "held.checkpoint"
+        path.write_bytes(b"".join(written.splitlines(keepends=True)[: 1 + kept]))
+        chunk_best, screened = search._chunk_best, []
+
+        def checking(n, slab):
+            header, *records = path.read_text().splitlines()
+            assert header == "thresholdwalk-search 2 9 16"
+            assert [int(record.split()[0]) for record in records] == [*range(kept), *screened]
+            screened.append(slab)
+            return chunk_best(n, slab)
+
+        monkeypatch.setattr(search, "_chunk_best", checking)
+        with small_slabs():
+            report = max_kemeny_search(9, checkpoint=str(path))
+        assert screened == list(range(kept, 8))
+        assert (path.read_bytes(), report_key(report)) == (written, key)
 
     def test_records_in_any_order_resume_identically(self, tmp_path):
         # earlier versions wrote each range as it finished, so a file can hold

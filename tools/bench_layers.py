@@ -95,7 +95,7 @@ def layers():
         def call():
             for _ in range(SEARCH_CALLS):
                 with tempfile.TemporaryDirectory() as scratch:
-                    max_kemeny_search(n, threads=1, checkpoint=os.path.join(scratch, "search.checkpoint"))
+                    max_kemeny_search(n, checkpoint=os.path.join(scratch, "search.checkpoint"))
 
         return call
 
@@ -170,6 +170,7 @@ def layers():
     return [
         ("max_kemeny_search", 24, search),
         ("max_kemeny_search", 26, search),
+        # named when the search took a thread count, so that it still compares with older files
         (f"max_kemeny_search_1thread_x{SEARCH_CALLS}", 20, search_checkpointed),
         (f"search_chunk_best_x{SCREEN_SLABS}", 26, slabs),
         ("resistance_matrix", 1000, core),
