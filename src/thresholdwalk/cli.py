@@ -123,14 +123,10 @@ def _cmd_compute(args) -> CommandOutput:
     code = parse_code(args.code)
     exact = kemeny_degree_form(code) if args.method == "degree" else kemeny_from_code(code)
     payload: dict = {"n": code.n, "m": exact.m, "method": args.method}
-    text = [f"code {code}  n={code.n}  m={exact.m}"]
     if args.method == "spectral":
-        spectral_value = kemeny_spectral_form(code).value
-        payload["kemeny"] = {"num": None, "den": None, "float": spectral_value}
-        text.append(f"K = {spectral_value!r} (spectral route, floating)")
+        payload["kemeny"] = {"num": None, "den": None, "float": kemeny_spectral_form(code).value}
     else:
         payload["kemeny"] = _frac_obj(exact.exact)
-        text.append(f"K = {_frac_str(exact.exact)} = {float(exact.exact)!r}")
     if args.method == "all":
         degree = kemeny_degree_form(code)
         spectral = kemeny_spectral_form(code)
@@ -143,7 +139,6 @@ def _cmd_compute(args) -> CommandOutput:
             "exact_routes_equal": exact.exact == degree.exact,
             "spectral_abs_diff": abs(spectral.value - exact.value),
         }
-        text.append(f"routes agree: exact={exact.exact == degree.exact}")
     if code.n >= 3:
         bounds = _bounds_for(code.n, exact)
         payload["bounds"] = {
@@ -151,13 +146,24 @@ def _cmd_compute(args) -> CommandOutput:
             "sparse": bounds.sparse_bound,
             "hold": bounds.both_hold,
         }
-        text.append(
-            f"bounds: K < {bounds.linear_bound} and K < {bounds.sparse_bound!r}: "
-            + ("both hold" if bounds.both_hold else "VIOLATED")
-        )
     else:
         payload["bounds"] = None
-    return CommandOutput(payload, text)
+
+    def text():
+        yield f"code {code}  n={code.n}  m={exact.m}"
+        if args.method == "spectral":
+            yield f"K = {payload['kemeny']['float']!r} (spectral route, floating)"
+        else:
+            yield f"K = {_frac_str(exact.exact)} = {float(exact.exact)!r}"
+        if args.method == "all":
+            yield f"routes agree: exact={payload['agreement']['exact_routes_equal']}"
+        if code.n >= 3:
+            yield (
+                f"bounds: K < {bounds.linear_bound} and K < {bounds.sparse_bound!r}: "
+                + ("both hold" if bounds.both_hold else "VIOLATED")
+            )
+
+    return CommandOutput(payload, text())
 
 
 def _cmd_spectrum(args) -> CommandOutput:

@@ -79,6 +79,25 @@ def require_walk(code: ConstructionCode) -> None:
 
 _RUN_RE = re.compile(r"([01])(?:\^0*([0-9]+))?")  # ASCII digits only, as in the plain form
 MAX_CODE_LENGTH = 10**6  # symbols parse_code accepts in either notation: 100x the largest order tested
+# Orders above ARRAY_ORDER evaluate the code recurrences of degree_profile, laplacian_spectrum and
+# both exact Kemeny routes in numpy int64 passes, and at and below it in per-position loops: 160 is
+# where kemeny_from_code's passes caught up with its loop; the other three cross between 64 and 128
+# (2-core VM, Python 3.11.7).  Every int64 entry of the passes is at most 2 n^3 < 2^63 for
+# n <= MAX_CODE_LENGTH, so a longer code built directly as a ConstructionCode stays on the loops.
+ARRAY_ORDER = 160
+
+
+def _array_path(n: int) -> bool:
+    """Whether order n takes the int64 array path of the code recurrences."""
+    return ARRAY_ORDER < n <= MAX_CODE_LENGTH
+
+
+def _code_columns(bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The array path's int64 columns of a code: its bits, theta (the ones strictly after each
+    0-based position k) and the degrees k c_k + theta_k."""
+    b = np.frombuffer(bytes(bits), dtype=np.uint8).astype(np.int64)
+    theta = b.sum() - b.cumsum()
+    return b, theta, np.arange(len(b)) * b + theta
 
 
 def parse_code(text: str) -> ConstructionCode:
@@ -207,10 +226,18 @@ class DegreeProfile:
 
 
 def degree_profile(code: ConstructionCode) -> DegreeProfile:
-    """Degrees, tail one-counts and edge count, straight from the code."""
+    """Degrees, tail one-counts and edge count, straight from the code.
+
+    Above ARRAY_ORDER (up to MAX_CODE_LENGTH) theta and the degrees come from int64 cumulative
+    sums (``_code_columns``), every entry below n; at and below it from an accumulate.
+    """
     bits = code.bits
-    theta = [*itertools.accumulate(reversed(bits[1:]))][::-1] + [0]
-    degrees = tuple(map(add, map(mul, range(code.n), bits), theta))
+    if _array_path(code.n):
+        _, theta, degrees = _code_columns(bits)
+        theta, degrees = theta.tolist(), tuple(degrees.tolist())
+    else:
+        theta = [*itertools.accumulate(reversed(bits[1:]))][::-1] + [0]
+        degrees = tuple(map(add, map(mul, range(code.n), bits), theta))
     total = sum(degrees)
     if total % 2:
         raise ArithmeticError("degree sum is odd; construction code is corrupt")

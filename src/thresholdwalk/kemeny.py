@@ -20,7 +20,7 @@ from operator import ne
 
 import numpy as np
 
-from .codes import MAX_CODE_LENGTH, ConstructionCode, degree_profile, require_walk
+from .codes import MAX_CODE_LENGTH, ConstructionCode, _array_path, _code_columns, degree_profile, require_walk
 from .errors import OrderOutOfRange, OrderTooSmall, ParameterOutOfRange
 from .spectral import _runs, hessenberg_basis, laplacian_spectrum
 
@@ -99,16 +99,28 @@ def kemeny_from_code(code: ConstructionCode) -> KemenyResult:
     sum_{i=a}^{b} 1 / (i (i+1)) = 1/a - 1/(b+1), so the run's terms telescope to one,
     len [s (2m - s) - 2m c a (b+1)] / (2m lambda a (b+1)).  The run terms, scaled by 2m, are
     summed exactly by block folding and a balanced tree.
+
+    Above ``codes.ARRAY_ORDER`` (up to MAX_CODE_LENGTH) the runs' a, end, c, s and lambda come
+    from int64 cumulative sums over the code, with s and t = a (b+1) at most n^2 and t lambda at
+    most 2 n^3 < 2^63; only the numerators, which pass int64, are formed as Python ints.  At and
+    below it ``spectral._runs`` walks the code.
     """
     require_walk(code)
     n, bits = code.n, code.bits
     # each dominating vertex at 1-based position j contributes j-1 edges
-    m = sum(compress(range(n), bits))
+    if _array_path(n):
+        b, theta, _ = _code_columns(bits)
+        m = int(np.flatnonzero(b).sum())
+        a = np.concatenate(([1], np.flatnonzero(b[2:] != b[1:-1]) + 2))
+        end, c = np.append(a[1:], n), b[a]
+        s, t = np.cumsum(a * (a - 1) * (1 - 2 * c)), a * end
+        runs = zip(*(column.tolist() for column in (end - a, s, c * t, t * (theta[a - 1] + a * c))))
+    else:
+        m = sum(compress(range(n), bits))
+        runs = ((end - a, s, c * a * end, a * end * lam) for a, end, c, s, lam in _runs(bits))
     two_m = 2 * m
     terms = [((n - 1) * two_m, 1)]
-    for a, end, c, s, lam in _runs(bits):
-        t = a * end
-        terms.append(((end - a) * (s * (two_m - s) - two_m * c * t), t * lam))
+    terms += ((length * (s * (two_m - s) - two_m * ct), q) for length, s, ct, q in runs)
     exact = _exact_sum(terms, two_m)
     return KemenyResult(n, m, CODE_VECTOR, exact, float(exact))
 
@@ -122,22 +134,34 @@ def kemeny_degree_form(code: ConstructionCode) -> KemenyResult:
     a .. b, s = P_i - i d_i stays P_a - a d_a, so the bracket is s (2m - s) + 2m d i (i+1) and the
     run telescopes to len [s (2m - s) + 2m d a (b+1)] / (2m (d + c) a (b+1)).  The runs are found
     from the degrees, not from ``spectral._runs``, so this route stays an independent check.
+
+    Above ``codes.ARRAY_ORDER`` (up to MAX_CODE_LENGTH) the degrees, the run starts and P come
+    from int64 cumulative sums (``codes._code_columns``), with s, t = a (b+1) and P at most n^2
+    and (d + c) t at most n^3 < 2^63; only the numerators, which pass int64, are formed as Python
+    ints.  At and below it the runs are walked over ``degree_profile``.
     """
     require_walk(code)
     n, bits = code.n, code.bits
-    prof = degree_profile(code)
-    d = prof.degrees
-    two_m = 2 * prof.m
-    starts = [1, *compress(range(2, n), map(ne, d[1:], d[2:])), n]
-    prefix = d[0]  # P_a
-    terms = []
-    for a, end in zip(starts, starts[1:]):
-        da, length, t = d[a], end - a, a * end
-        s = prefix - a * da
-        terms.append((length * (s * (two_m - s) + two_m * da * t), (da + bits[a]) * t))
-        prefix += length * da
+    if _array_path(n):
+        b, _, d = _code_columns(bits)
+        m = int(d.sum()) // 2
+        a = np.concatenate(([1], np.flatnonzero(d[2:] != d[1:-1]) + 2))
+        end, da = np.append(a[1:], n), d[a]
+        s, t = np.cumsum(d)[a - 1] - a * da, a * end
+        runs = zip(*(column.tolist() for column in (end - a, s, da * t, (da + b[a]) * t)))
+    else:
+        prof = degree_profile(code)
+        d, m = prof.degrees, prof.m
+        starts = [1, *compress(range(2, n), map(ne, d[1:], d[2:])), n]
+        prefix, runs = d[0], []  # P_a
+        for a, end in zip(starts, starts[1:]):
+            da, length, t = d[a], end - a, a * end
+            runs.append((length, prefix - a * da, da * t, (da + bits[a]) * t))
+            prefix += length * da
+    two_m = 2 * m
+    terms = [(length * (s * (two_m - s) + two_m * dt), q) for length, s, dt, q in runs]
     total = _exact_sum(terms, two_m)
-    return KemenyResult(n, prof.m, DEGREE_FORM, total, float(total))
+    return KemenyResult(n, m, DEGREE_FORM, total, float(total))
 
 
 def kemeny_spectral_form(code: ConstructionCode) -> KemenyResult:

@@ -1,7 +1,10 @@
 """The per-layer timing script: K timed runs per layer, their median, and the machine they ran on."""
 
 import importlib.util
+import multiprocessing
 import os
+import sys
+import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -36,3 +39,23 @@ def test_environment_names_the_machine():
 def test_every_layer_has_a_distinct_name():
     keys = [f"{name}_n{n}" for name, n, _ in _script().layers()]
     assert len(keys) == len(set(keys))
+
+
+def test_worker_times_the_layers_it_is_sent(monkeypatch):
+    script = _script()
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the worker puts the checkout's src first
+    mine, theirs = multiprocessing.Pipe()
+    thread = threading.Thread(target=script.worker, args=(ROOT, theirs))
+    thread.start()
+    names = [name for name, _, _ in script.layers()]
+    try:
+        count = mine.recv()
+        mine.send(names.index(f"parse_code_x{script.PARSE_CALLS}"))
+        key, layer = mine.recv()
+    finally:
+        mine.send(None)
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert count == len(names) + 1  # the tier-1 pytest run is the last layer
+    assert key == f"parse_code_x{script.PARSE_CALLS}_n4000"
+    assert layer["n"] == 4000 and len(layer["runs_s"]) == script.K

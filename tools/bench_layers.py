@@ -11,19 +11,24 @@ with the order's tables built beforehand,
 with the CRT primes' cache cleared in each of 20 calls, ``parse_code``
 at n = 4000, both exact Kemeny routes at n = 4000 on the seeded code and on
 ``(01)^2000`` (every run of equal bits of length one, the most runs an
-order-4000 code has), ``two_forest_matrix`` at n = 9 (its bipartition cache
-cleared in every call), ``enumerate --n 20 --json`` and the tier-1 pytest
-wall time.  Each layer is set up once and then timed K = 3 times; the file
-records every run and their median, with ``nproc``, the CPU, the Python and
-numpy versions and the git SHA of the measured tree.  Needs only the
-standard library and numpy.
+order-4000 code has), ``laplacian_spectrum`` and ``degree_profile`` at
+n = 4000, ``two_forest_matrix`` at n = 9 (its bipartition cache cleared in
+every call), ``enumerate --n 20 --json`` and the tier-1 pytest wall time.
+Each layer is set up once and then timed K = 3 times; the file records every
+run and their median, with ``nproc``, the CPU, the Python and numpy versions
+and the git SHA of the measured tree.  Needs only the standard library and
+numpy.
 
-    python3 tools/bench_layers.py --label baseline                 # this checkout
-    python3 tools/bench_layers.py --label parent --root OTHER_CHECKOUT
+    python3 tools/bench_layers.py --label baseline                        # this checkout
+    python3 tools/bench_layers.py --label after --parent PARENT_CHECKOUT  # BENCH_after.json, BENCH_after_parent.json
 
-``--root`` imports ``src/thresholdwalk`` from another checkout and runs its
-tests; the file goes to ``--out`` (default: this checkout's root).  Run as a
-script, it pins BLAS to one thread, as the benchmark runs.
+Each checkout is measured in its own worker process, which imports
+``src/thresholdwalk`` from it and runs its tests; ``--root`` names the
+checkout of ``BENCH_<label>.json`` (default: this one).  With ``--parent``
+the two workers take turns layer by layer, the first to run alternating, so
+that the machine's drift over the session falls on both files alike.  The
+files go to ``--out`` (default: this checkout's root).  Run as a script, it
+pins BLAS to one thread, as the benchmark runs.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import multiprocessing
 import os
 import platform
 import random
@@ -46,7 +52,7 @@ K = 3  # timed runs per layer; the file records their median
 PARSE_CALLS = 100  # parse_code is timed over this many calls per run
 FOREST_CALLS = 20  # two_forest_matrix is timed over this many cold calls per run
 TREE_CALLS = 20  # spanning_tree_oracle is timed over this many calls per run, each sieving its primes afresh
-KEMENY_CALLS = 20  # each exact Kemeny route is timed over this many calls per run
+RECURRENCE_CALLS = 20  # both exact Kemeny routes, the spectrum and the degrees are timed over this many calls per run
 SEARCH_CALLS = 20  # the n = 20 search takes a few ms, so it is timed over this many calls per run
 SCREEN_SLABS = 64  # consecutive slabs timed per run; one takes well under a millisecond
 ORDERINGS_CALLS = 100  # the ordering checks at n = 64 take well under a millisecond, so they are timed over this many
@@ -73,8 +79,10 @@ def layers():
     """(name, n, setup) per layer; setup(n) builds the inputs and returns the call to time."""
     from thresholdwalk import (
         build_graph,
+        degree_profile,
         kemeny_degree_form,
         kemeny_from_code,
+        laplacian_spectrum,
         mfpt_matrix,
         parse_code,
         pseudo_inverse,
@@ -160,9 +168,9 @@ def layers():
         text = seeded_code(n)
         return lambda: [parse_code(text) for _ in range(PARSE_CALLS)]
 
-    def exact_kemeny(route, text, n):
+    def recurrence(function, text, n):
         c = parse_code(text(n))
-        return lambda: [route(c) for _ in range(KEMENY_CALLS)]
+        return lambda: [function(c) for _ in range(RECURRENCE_CALLS)]
 
     def alternating(n):
         return "01" * (n // 2)
@@ -193,9 +201,13 @@ def layers():
         ("cli_resistance_json", 600, lambda n: cli_call(main, ["resistance", seeded_code(n), "--json"])),
         (f"parse_code_x{PARSE_CALLS}", 4000, parse),
         *(
-            (f"{route.__name__}{tag}_x{KEMENY_CALLS}", 4000, partial(exact_kemeny, route, text))
+            (f"{route.__name__}{tag}_x{RECURRENCE_CALLS}", 4000, partial(recurrence, route, text))
             for route in (kemeny_from_code, kemeny_degree_form)
             for tag, text in (("", seeded_code), ("_alternating", alternating))
+        ),
+        *(
+            (f"{function.__name__}_x{RECURRENCE_CALLS}", 4000, partial(recurrence, function, seeded_code))
+            for function in (laplacian_spectrum, degree_profile)
         ),
         ("cli_enumerate_json", 20, lambda n: cli_call(main, ["enumerate", "--n", str(n), "--json"])),
     ]
@@ -258,28 +270,65 @@ def environment(root: str) -> dict:
     }
 
 
+def worker(root: str, conn) -> None:
+    """Time root's layers on request: sends the number of layers, then for each index received
+    the layer's key and its timed() result, until it receives None."""
+    sys.path.insert(0, os.path.join(root, "src"))
+    plan = [*layers(), ("tier1_pytest", None, lambda _: tier1(root))]
+    conn.send(len(plan))
+    for index in iter(conn.recv, None):
+        name, n, setup = plan[index]
+        conn.send((name if n is None else f"{name}_n{n}", {"n": n, **timed(setup(n))}))
+
+
+def measure(roots: list[str]) -> list[dict]:
+    """Every layer of every root, each root in its own worker; the roots take turns per layer,
+    and which goes first alternates from one layer to the next."""
+    context = multiprocessing.get_context("spawn")
+    links = []
+    try:
+        for root in roots:
+            mine, theirs = context.Pipe()
+            process = context.Process(target=worker, args=(root, theirs))
+            process.start()
+            links.append((mine, process))
+        results = [{} for _ in roots]
+        count = [conn.recv() for conn, _ in links][0]  # every worker sends the length of the same plan
+        for index in range(count):
+            turns = list(range(len(roots)))
+            for side in turns if index % 2 == 0 else turns[::-1]:
+                conn = links[side][0]
+                conn.send(index)
+                key, results[side][key] = conn.recv()
+            print(f"{key:52s}", *(f"{side[key]['median_s']:10.4f} s" for side in results), flush=True)
+        return results
+    finally:
+        for conn, process in links:
+            if process.is_alive():
+                conn.send(None)
+            process.join()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     parser.add_argument("--root", default=REPO, help="checkout whose src/ and tests are measured")
-    parser.add_argument("--out", default=REPO, help="directory for the BENCH file")
+    parser.add_argument("--parent", help="also measure this checkout, alternating, into BENCH_<label>_parent.json")
+    parser.add_argument("--out", default=REPO, help="directory for the BENCH files")
     args = parser.parse_args(argv)
-    root = os.path.abspath(args.root)
-    sys.path.insert(0, os.path.join(root, "src"))
+    files = [(os.path.abspath(args.root), args.label)]
+    if args.parent is not None:
+        files.append((os.path.abspath(args.parent), f"{args.label}_parent"))
 
-    results = {}
-    plan = [*layers(), ("tier1_pytest", None, lambda _: tier1(root))]
-    for name, n, setup in plan:
-        key = name if n is None else f"{name}_n{n}"
-        results[key] = {"n": n, **timed(setup(n))}
-        print(f"{key:52s} {results[key]['median_s']:10.4f} s", flush=True)
-
-    report = {"label": args.label, **environment(root), "layers": results}
-    path = os.path.join(args.out, f"BENCH_{args.label}.json")
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=1)
-        handle.write("\n")
-    print(path)
+    print(f"{'layer':52s}", *(f"{label:>12s}" for _, label in files))
+    for (root, label), results in zip(files, measure([root for root, _ in files])):
+        others = [f"BENCH_{other}.json" for _, other in files if other != label]
+        report = {"label": label, **environment(root), "measured_alternately_with": others, "layers": results}
+        path = os.path.join(args.out, f"BENCH_{label}.json")
+        with open(path, "w") as handle:
+            json.dump(report, handle, indent=1)
+            handle.write("\n")
+        print(path)
     return 0
 
 
