@@ -220,13 +220,14 @@ def _cmd_access(args) -> CommandOutput:
         "degrees": list(degree_profile(code).degrees),
         "ordering_ok": report.all_pass,
     }
-    text = [
-        "mu: " + " ".join(payload["mu"]),
-        "alpha: " + " ".join(payload["alpha"]),
-        "degrees: " + " ".join(str(x) for x in payload["degrees"]),
-        f"ordering_ok: {report.all_pass}",
-    ]
-    return CommandOutput(payload, text)
+
+    def text():
+        yield "mu: " + " ".join(payload["mu"])
+        yield "alpha: " + " ".join(payload["alpha"])
+        yield "degrees: " + " ".join(map(str, payload["degrees"]))
+        yield f"ordering_ok: {report.all_pass}"
+
+    return CommandOutput(payload, text())
 
 
 def _cmd_pineapple(args) -> CommandOutput:

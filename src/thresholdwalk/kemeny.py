@@ -20,7 +20,7 @@ from operator import ne
 
 import numpy as np
 
-from .codes import MAX_CODE_LENGTH, ConstructionCode, _array_path, _code_columns, degree_profile, require_walk
+from .codes import MAX_CODE_LENGTH, ConstructionCode, _code_columns, degree_profile, require_walk
 from .errors import OrderOutOfRange, OrderTooSmall, ParameterOutOfRange
 from .spectral import _runs, hessenberg_basis, laplacian_spectrum
 
@@ -30,6 +30,17 @@ SPECTRAL_FORM = "spectral-form"
 # Largest order of kemeny_spectral_form and verify_code: their n x n arrays peaked at 287 MB
 # and 816 MB RSS at n = 4096 (the star, 2-core VM, Python 3.11.7), growing as n^2.
 _DENSE_ORDER_CAP = 4096
+# Orders above ARRAY_ORDER evaluate both exact routes' runs in int64 passes, and at and below it in
+# per-position loops: forcing each path (best of 7, seeded codes, 2-core VM, Python 3.11.7), the
+# passes caught up at n = 160-176 for kemeny_from_code and 110-128 for kemeny_degree_form.  Every
+# int64 entry of the passes is at most 2 n^3 < 2^63 for n <= MAX_CODE_LENGTH, so a longer code
+# built directly as a ConstructionCode stays on the loops.
+ARRAY_ORDER = 160
+
+
+def _array_path(n: int) -> bool:
+    """Whether order n takes the int64 array path of the exact routes."""
+    return ARRAY_ORDER < n <= MAX_CODE_LENGTH
 
 
 @dataclass(frozen=True)
@@ -100,7 +111,7 @@ def kemeny_from_code(code: ConstructionCode) -> KemenyResult:
     len [s (2m - s) - 2m c a (b+1)] / (2m lambda a (b+1)).  The run terms, scaled by 2m, are
     summed exactly by block folding and a balanced tree.
 
-    Above ``codes.ARRAY_ORDER`` (up to MAX_CODE_LENGTH) the runs' a, end, c, s and lambda come
+    Above ARRAY_ORDER (up to MAX_CODE_LENGTH) the runs' a, end, c, s and lambda come
     from int64 cumulative sums over the code, with s and t = a (b+1) at most n^2 and t lambda at
     most 2 n^3 < 2^63; only the numerators, which pass int64, are formed as Python ints.  At and
     below it ``spectral._runs`` walks the code.
@@ -135,7 +146,7 @@ def kemeny_degree_form(code: ConstructionCode) -> KemenyResult:
     run telescopes to len [s (2m - s) + 2m d a (b+1)] / (2m (d + c) a (b+1)).  The runs are found
     from the degrees, not from ``spectral._runs``, so this route stays an independent check.
 
-    Above ``codes.ARRAY_ORDER`` (up to MAX_CODE_LENGTH) the degrees, the run starts and P come
+    Above ARRAY_ORDER (up to MAX_CODE_LENGTH) the degrees, the run starts and P come
     from int64 cumulative sums (``codes._code_columns``), with s, t = a (b+1) and P at most n^2
     and (d + c) t at most n^3 < 2^63; only the numerators, which pass int64, are formed as Python
     ints.  At and below it the runs are walked over ``degree_profile``.

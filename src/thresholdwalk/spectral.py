@@ -19,7 +19,7 @@ from operator import ne
 
 import numpy as np
 
-from .codes import ConstructionCode, _array_path, _code_columns, require_walk
+from .codes import ConstructionCode, _code_columns, require_walk
 from .errors import IndexOutOfRange, LengthMismatch, OrderTooSmall
 
 
@@ -150,17 +150,13 @@ def _runs(bits):
 def laplacian_spectrum(code: ConstructionCode) -> LaplacianSpectrum:
     """Eigenvalues lambda_i of ``_positions`` in basis-column order, lambda_n = 0.
 
-    Above ``codes.ARRAY_ORDER`` (up to MAX_CODE_LENGTH) they are lambda_i = theta_{i-1} + i c_i
-    over the int64 columns of ``codes._code_columns``, every entry at most n; at and below it
-    ``_positions`` walks the code.
+    With 0-based positions, lambda_i = d_i + c_i for i >= 1, read off one int64 pass of
+    ``codes._code_columns``.
     """
-    n = code.n
-    if n < 2:
+    if code.n < 2:
         raise OrderTooSmall("spectra are reported for order >= 2")
-    if _array_path(n):
-        b, theta, _ = _code_columns(code.bits)
-        return LaplacianSpectrum(tuple(np.append(theta[:-1] + np.arange(1, n) * b[1:], 0).tolist()))
-    return LaplacianSpectrum(tuple(lam for _, _, _, lam in _positions(code.bits[1:])) + (0,))
+    b, _, d = _code_columns(code.bits)
+    return LaplacianSpectrum((*(d + b)[1:].tolist(), 0))
 
 
 def diagonalization_residual(code: ConstructionCode) -> float:

@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .codes import AdjacencyStructure, ConstructionCode, build_graph, degree_profile
+from .errors import OrderOutOfRange
 from .kemeny import _require_dense_order, kemeny_degree_form, kemeny_from_code, kemeny_spectral_form
 from .oracle import (
     FOREST_ORDER_CAP,
@@ -30,6 +31,10 @@ from .oracle import (
 )
 from .resistance import ResistanceProfile, _verify_orderings, resistance_matrix
 from .spectral import pseudo_inverse_terms
+
+# Largest order of the forest suite: its Kirchhoff oracle took 2.98 s at n = 400 and 7.7 s at 500 on
+# seeded codes, 20.7 s on the complete graph of order 400, and ran past 100 s at 1000 (2-core VM).
+_FOREST_SUITE_ORDER_CAP = 400
 
 
 class _Shared:
@@ -155,8 +160,11 @@ def verify_code(code: ConstructionCode, suites: tuple[str, ...] = SUITES) -> dic
 
     Returns {suite name: result dict}; every result has a boolean ``pass``
     and a ``max_deviation`` (None where the suite compares only exactly).
-    Past the dense order cap of ``kemeny`` OrderOutOfRange comes first; other domain errors propagate.
+    Past the dense order cap of ``kemeny``, or past _FOREST_SUITE_ORDER_CAP when ``forest`` is named,
+    OrderOutOfRange comes first; other domain errors propagate.
     """
     _require_dense_order(code.n)
+    if "forest" in suites and code.n > _FOREST_SUITE_ORDER_CAP:
+        raise OrderOutOfRange(f"the forest suite supports order n <= {_FOREST_SUITE_ORDER_CAP}, got {code.n}")
     shared = _Shared(code)
     return {name: _RUNNERS[name](code, shared) for name in suites}

@@ -1,5 +1,10 @@
-"""The int64 array path of the code recurrences against the per-position loops it replaces above
-``codes.ARRAY_ORDER``: both exact Kemeny routes, the Laplacian spectrum and the degree profile."""
+"""The int64 passes of the code recurrences against per-position loops.
+
+Both exact Kemeny routes take an int64 array path above ``kemeny.ARRAY_ORDER`` and per-position
+loops at and below it; each is checked against itself forced onto the loops.  ``laplacian_spectrum``
+and ``degree_profile`` take one int64 pass of ``codes._code_columns`` at every order: the spectrum
+is checked against the ``spectral._positions`` walk, and the degree profile against the explicit
+graph up to GRAPH_ORDER and against a running theta loop written here above it."""
 
 from fractions import Fraction
 
@@ -8,6 +13,7 @@ import pytest
 from conftest import connected_codes_upto, seeded_codes
 from thresholdwalk import (
     ConstructionCode,
+    build_graph,
     degree_profile,
     kemeny_degree_form,
     kemeny_from_code,
@@ -15,25 +21,55 @@ from thresholdwalk import (
     parse_code,
     pineapple_code,
 )
-from thresholdwalk import codes
-from thresholdwalk.codes import ARRAY_ORDER, MAX_CODE_LENGTH, DegreeProfile
-from thresholdwalk.kemeny import CODE_VECTOR, DEGREE_FORM, KemenyResult
-from thresholdwalk.spectral import LaplacianSpectrum
+from thresholdwalk import kemeny
+from thresholdwalk.codes import MAX_CODE_LENGTH, DegreeProfile
+from thresholdwalk.kemeny import ARRAY_ORDER, CODE_VECTOR, DEGREE_FORM, KemenyResult
+from thresholdwalk.spectral import LaplacianSpectrum, _positions
 
-FUNCTIONS = [kemeny_from_code, kemeny_degree_form, laplacian_spectrum, degree_profile]
+KEMENY_ROUTES = [kemeny_from_code, kemeny_degree_form]
+SINGLE_PASS = [laplacian_spectrum, degree_profile]
 EVERY_ORDER_ON_LOOPS = MAX_CODE_LENGTH
+GRAPH_ORDER = 2000  # degree_profile is compared with the explicit graph up to this order
 
 
-def on_loops(monkeypatch, function, code):
-    """function(code) with every order on the per-position loops, the constant restored after."""
+def walked_spectrum(code):
+    """The eigenvalues of the ``spectral._positions`` walk, which the search keeps using."""
+    return LaplacianSpectrum((*(lam for _, _, _, lam in _positions(code.bits[1:])), 0))
+
+
+def looped_profile(code):
+    """The degree profile from a running count theta of the ones after each position."""
+    theta, ones = [], 0
+    for c in reversed(code.bits):
+        theta.append(ones)
+        ones += c
+    theta.reverse()
+    degrees = tuple(k * c + t for k, (c, t) in enumerate(zip(code.bits, theta)))
+    return DegreeProfile(degrees, tuple(theta), sum(degrees) // 2)
+
+
+def graph_profile(code):
+    """The degree profile of the explicit graph; vertex v's later neighbours are the ones after it."""
+    graph = build_graph(code)
+    theta = tuple(sum(u > v for u in neighbours) for v, neighbours in enumerate(graph.neighbors, 1))
+    return DegreeProfile(graph.degree_sequence(), theta, graph.m)
+
+
+def reference(monkeypatch, function, code):
+    """function(code) by a per-position loop: a Kemeny route on its own loops, the constant restored
+    after, the spectrum by the ``_positions`` walk and the degree profile by the graph or a loop."""
+    if function is laplacian_spectrum:
+        return walked_spectrum(code)
+    if function is degree_profile:
+        return graph_profile(code) if code.n <= GRAPH_ORDER else looped_profile(code)
     with monkeypatch.context() as patch:
-        patch.setattr(codes, "ARRAY_ORDER", EVERY_ORDER_ON_LOOPS)
+        patch.setattr(kemeny, "ARRAY_ORDER", EVERY_ORDER_ON_LOOPS)
         return function(code)
 
 
-def assert_paths_agree(monkeypatch, function, codes_to_check):
+def assert_equals_reference(monkeypatch, function, codes_to_check):
     for code in codes_to_check:
-        assert function(code) == on_loops(monkeypatch, function, code), (function.__name__, code.n)
+        assert function(code) == reference(monkeypatch, function, code), (function.__name__, code.n)
 
 
 def order_n_codes(n, seed):
@@ -41,18 +77,24 @@ def order_n_codes(n, seed):
     return [*seeded_codes(seed, 2, n, n), pineapple_code(n, 0), pineapple_code(n, n - 2)]
 
 
-@pytest.mark.parametrize("function", FUNCTIONS, ids=lambda f: f.__name__)
+def each(functions):
+    return pytest.mark.parametrize("function", functions, ids=lambda f: f.__name__)
+
+
 class TestArrayPathEqualsLoops:
+    @each(KEMENY_ROUTES + SINGLE_PASS)
     def test_orders_around_the_constant(self, monkeypatch, function):
         orders = range(ARRAY_ORDER - 3, ARRAY_ORDER + 4)
-        assert [codes._array_path(n) for n in orders] == [False] * 4 + [True] * 3
-        assert_paths_agree(monkeypatch, function, [code for n in orders for code in order_n_codes(n, n)])
+        assert [kemeny._array_path(n) for n in orders] == [False] * 4 + [True] * 3
+        assert_equals_reference(monkeypatch, function, [code for n in orders for code in order_n_codes(n, n)])
 
+    @each(KEMENY_ROUTES + SINGLE_PASS)
     def test_seeded_codes_up_to_order_ten_thousand(self, monkeypatch, function):
         drawn = seeded_codes(32, 12, ARRAY_ORDER + 1, 5000)
         fixed = [code for n in (1000, 4000, 10_000) for code in seeded_codes(n, 1, n, n)]
-        assert_paths_agree(monkeypatch, function, drawn + fixed)
+        assert_equals_reference(monkeypatch, function, drawn + fixed)
 
+    @each(KEMENY_ROUTES + SINGLE_PASS)
     def test_families_and_long_runs(self, monkeypatch, function):
         n = 300
         family = [
@@ -62,28 +104,35 @@ class TestArrayPathEqualsLoops:
             parse_code("0^9999 1"),
             parse_code("0 1^9999"),
         ]
-        assert_paths_agree(monkeypatch, function, family)
+        assert_equals_reference(monkeypatch, function, family)
 
+    @each(KEMENY_ROUTES + SINGLE_PASS)
     def test_small_codes_forced_onto_the_array_path(self, monkeypatch, function):
         small = list(connected_codes_upto(9))
-        loops = [on_loops(monkeypatch, function, code) for code in small]
-        monkeypatch.setattr(codes, "ARRAY_ORDER", 0)
-        assert [function(code) for code in small] == loops
+        expected = [reference(monkeypatch, function, code) for code in small]
+        monkeypatch.setattr(kemeny, "ARRAY_ORDER", 0)
+        assert [function(code) for code in small] == expected
 
+    @each(KEMENY_ROUTES + SINGLE_PASS)
     def test_int64_extreme(self, monkeypatch, function):
         # the last run, a = N - 2 .. N - 1, has t = a N and lambda = N, so t lambda is about 10^18
         code = ConstructionCode((0,) * (MAX_CODE_LENGTH - 2) + (1, 1))
-        assert codes._array_path(code.n)
-        assert function(code) == on_loops(monkeypatch, function, code)
+        assert kemeny._array_path(code.n)
+        assert function(code) == reference(monkeypatch, function, code)
 
+    @each(KEMENY_ROUTES)
     def test_longer_than_a_parsed_code_stays_on_the_loops(self, function):
         n = MAX_CODE_LENGTH + 1
-        star, k = ConstructionCode((0,) * (n - 1) + (1,)), n - Fraction(3, 2)
-        assert not codes._array_path(n)
+        k = n - Fraction(3, 2)
+        assert not kemeny._array_path(n)
+        method = {kemeny_from_code: CODE_VECTOR, kemeny_degree_form: DEGREE_FORM}[function]
+        assert function(ConstructionCode((0,) * (n - 1) + (1,))) == KemenyResult(n, n - 1, method, k, float(k))
+
+    @each(SINGLE_PASS)
+    def test_longer_than_a_parsed_code_takes_the_one_pass(self, function):
+        n = MAX_CODE_LENGTH + 1
         expected = {
-            kemeny_from_code: KemenyResult(n, n - 1, CODE_VECTOR, k, float(k)),
-            kemeny_degree_form: KemenyResult(n, n - 1, DEGREE_FORM, k, float(k)),
             laplacian_spectrum: LaplacianSpectrum((1,) * (n - 2) + (n, 0)),
             degree_profile: DegreeProfile((1,) * (n - 1) + (n - 1,), (1,) * (n - 1) + (0,), n - 1),
         }
-        assert function(star) == expected[function]
+        assert function(ConstructionCode((0,) * (n - 1) + (1,))) == expected[function]

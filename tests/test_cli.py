@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -388,6 +389,20 @@ class TestAccess:
             monkeypatch.setattr(module, "laplacian_spectrum", counted)
         assert run_json(capsys, command, "0" + "01" * 31 + "1")[0] == 0
         assert calls == {"laplacian_spectrum": 1}
+
+    def test_json_never_starts_the_text(self, capsys, monkeypatch):
+        outputs, command_output = [], cli.CommandOutput
+
+        def recorded(*args, **kwargs):
+            outputs.append(command_output(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(cli, "CommandOutput", recorded)
+        assert run_json(capsys, "access", "0110100111")[0] == 0
+        (output,) = outputs
+        assert inspect.getgeneratorstate(output.text) == inspect.GEN_CREATED
+        assert run(capsys, "access", "0110100111")[0] == 0
+        assert inspect.getgeneratorstate(outputs[-1].text) == inspect.GEN_CLOSED
 
     def test_star(self, capsys):
         _, envelope, _ = run_json(capsys, "access", "0001")
@@ -790,6 +805,17 @@ class TestDispatch:
         assert time.perf_counter() - started < 0.5
         assert (code, out) == (1, "")
         assert err.startswith("error: OrderOutOfRange: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("suite", ["forest", "all"])
+    def test_order_past_the_forest_cap_exits_one(self, capsys, suite):
+        # the forest suite names the order before the graph or any Kirchhoff determinant is built
+        text = str(seeded_codes(401, 1, 401, 401)[0])
+        started = time.perf_counter()
+        code, out, err = run(capsys, "verify", text, "--suite", suite)
+        assert time.perf_counter() - started < 0.5
+        assert (code, out) == (1, "")
+        assert err.startswith("error: OrderOutOfRange: the forest suite ") and "Traceback" not in err
+        assert run(capsys, "verify", text, "--suite", "kemeny")[:2] == (0, "kemeny: PASS\nall: PASS\n")
 
     @pytest.mark.parametrize("text", ["0^99999999999999999999 1", "0^1000000 1"])
     def test_code_longer_than_limit_exits_one(self, capsys, text):

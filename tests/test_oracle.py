@@ -24,7 +24,7 @@ from thresholdwalk import (
     verify_code,
 )
 from thresholdwalk import oracle, spanning_tree_count
-from thresholdwalk.errors import Disconnected, SameVertex, TooLarge
+from thresholdwalk.errors import Disconnected, OrderOutOfRange, SameVertex, TooLarge
 from thresholdwalk.oracle import (
     _crt_primes,
     _determinants_mod,
@@ -270,6 +270,18 @@ class TestForestSuiteTau:
         monkeypatch.setattr(verify_module, "spanning_tree_oracle", lambda g: calls.append(g) or spanning_tree_oracle(g))
         suite = verify_code(parse_code("0" + "01" * 5), ("forest",))["forest"]
         assert suite["tau_equal"] and suite["enumeration_skipped"] and len(calls) == 1
+
+    def test_forest_suite_order_cap(self, monkeypatch):
+        # past the cap the forest suite refuses the code before any graph is built; the others still run
+        monkeypatch.setattr(verify_module, "_FOREST_SUITE_ORDER_CAP", 6)
+        at_cap, past_cap = parse_code("010011"), parse_code("0100111")
+        assert all(suite["pass"] for suite in verify_code(at_cap).values())
+        others = ("kemeny", "resistance", "ordering")
+        assert all(suite["pass"] for suite in verify_code(past_cap, others).values())
+        monkeypatch.setattr(verify_module, "build_graph", lambda code: pytest.fail("graph built past the cap"))
+        for suites in (("forest",), verify_module.SUITES, ("kemeny", "forest")):
+            with pytest.raises(OrderOutOfRange, match="forest suite"):
+                verify_code(past_cap, suites)
 
 
 class TestForestReference:

@@ -12,7 +12,8 @@ with the CRT primes' cache cleared in each of 20 calls, ``parse_code``
 at n = 4000, both exact Kemeny routes at n = 4000 on the seeded code and on
 ``(01)^2000`` (every run of equal bits of length one, the most runs an
 order-4000 code has), ``laplacian_spectrum`` and ``degree_profile`` at
-n = 4000, ``two_forest_matrix`` at n = 9 (its bipartition cache cleared in
+n = 4000, the same four recurrences on the seeded codes of orders 8 and 64
+(1000 calls per run), ``two_forest_matrix`` at n = 9 (its bipartition cache cleared in
 every call), ``enumerate --n 20 --json`` and the tier-1 pytest wall time.
 Each layer is set up once and then timed K = 3 times; the file records every
 run and their median, with ``nproc``, the CPU, the Python and numpy versions
@@ -53,6 +54,7 @@ PARSE_CALLS = 100  # parse_code is timed over this many calls per run
 FOREST_CALLS = 20  # two_forest_matrix is timed over this many cold calls per run
 TREE_CALLS = 20  # spanning_tree_oracle is timed over this many calls per run, each sieving its primes afresh
 RECURRENCE_CALLS = 20  # both exact Kemeny routes, the spectrum and the degrees are timed over this many calls per run
+SMALL_ORDER_CALLS = 1000  # the same four at n = 8 and 64, where one call takes microseconds
 SEARCH_CALLS = 20  # the n = 20 search takes a few ms, so it is timed over this many calls per run
 SCREEN_SLABS = 64  # consecutive slabs timed per run; one takes well under a millisecond
 ORDERINGS_CALLS = 100  # the ordering checks at n = 64 take well under a millisecond, so they are timed over this many
@@ -168,9 +170,12 @@ def layers():
         text = seeded_code(n)
         return lambda: [parse_code(text) for _ in range(PARSE_CALLS)]
 
-    def recurrence(function, text, n):
+    def recurrence(function, text, calls, n):
         c = parse_code(text(n))
-        return lambda: [function(c) for _ in range(RECURRENCE_CALLS)]
+        return lambda: [function(c) for _ in range(calls)]
+
+    def seeded(function, calls):
+        return partial(recurrence, function, seeded_code, calls)
 
     def alternating(n):
         return "01" * (n // 2)
@@ -201,13 +206,18 @@ def layers():
         ("cli_resistance_json", 600, lambda n: cli_call(main, ["resistance", seeded_code(n), "--json"])),
         (f"parse_code_x{PARSE_CALLS}", 4000, parse),
         *(
-            (f"{route.__name__}{tag}_x{RECURRENCE_CALLS}", 4000, partial(recurrence, route, text))
+            (f"{route.__name__}{tag}_x{RECURRENCE_CALLS}", 4000, partial(recurrence, route, text, RECURRENCE_CALLS))
             for route in (kemeny_from_code, kemeny_degree_form)
             for tag, text in (("", seeded_code), ("_alternating", alternating))
         ),
         *(
-            (f"{function.__name__}_x{RECURRENCE_CALLS}", 4000, partial(recurrence, function, seeded_code))
+            (f"{function.__name__}_x{RECURRENCE_CALLS}", 4000, seeded(function, RECURRENCE_CALLS))
             for function in (laplacian_spectrum, degree_profile)
+        ),
+        *(
+            (f"{function.__name__}_x{SMALL_ORDER_CALLS}", n, seeded(function, SMALL_ORDER_CALLS))
+            for n in (8, 64)
+            for function in (kemeny_from_code, kemeny_degree_form, laplacian_spectrum, degree_profile)
         ),
         ("cli_enumerate_json", 20, lambda n: cli_call(main, ["enumerate", "--n", str(n), "--json"])),
     ]
