@@ -16,13 +16,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import ne
 
 import numpy as np
 
-from .codes import MAX_CODE_LENGTH, ConstructionCode, _code_columns, degree_profile, require_walk
+from .codes import MAX_CODE_LENGTH, ConstructionCode, _code_columns, require_walk
 from .errors import OrderOutOfRange, OrderTooSmall, ParameterOutOfRange
-from .spectral import _runs, hessenberg_basis, laplacian_spectrum
+from .spectral import _runs, hessenberg_basis
 
 CODE_VECTOR = "code-vector"
 DEGREE_FORM = "degree-form"
@@ -30,16 +29,15 @@ SPECTRAL_FORM = "spectral-form"
 # Largest order of kemeny_spectral_form and verify_code: their n x n arrays peaked at 287 MB
 # and 816 MB RSS at n = 4096 (the star, 2-core VM, Python 3.11.7), growing as n^2.
 _DENSE_ORDER_CAP = 4096
-# Orders above ARRAY_ORDER evaluate both exact routes' runs in int64 passes, and at and below it in
-# per-position loops: forcing each path (best of 7, seeded codes, 2-core VM, Python 3.11.7), the
-# passes caught up at n = 160-176 for kemeny_from_code and 110-128 for kemeny_degree_form.  Every
-# int64 entry of the passes is at most 2 n^3 < 2^63 for n <= MAX_CODE_LENGTH, so a longer code
-# built directly as a ConstructionCode stays on the loops.
+# Orders above ARRAY_ORDER evaluate kemeny_from_code's runs in int64 passes, and at and below it in
+# a per-position loop: forcing each path (best of 7, seeded codes, 2-core VM, Python 3.11.7), the
+# passes caught up at n = 160-176.  Every int64 entry of the passes is at most 2 n^3 < 2^63 for
+# n <= MAX_CODE_LENGTH, so a longer code built directly as a ConstructionCode stays on the loop.
 ARRAY_ORDER = 160
 
 
 def _array_path(n: int) -> bool:
-    """Whether order n takes the int64 array path of the exact routes."""
+    """Whether order n takes the int64 array path of kemeny_from_code."""
     return ARRAY_ORDER < n <= MAX_CODE_LENGTH
 
 
@@ -146,30 +144,22 @@ def kemeny_degree_form(code: ConstructionCode) -> KemenyResult:
     run telescopes to len [s (2m - s) + 2m d a (b+1)] / (2m (d + c) a (b+1)).  The runs are found
     from the degrees, not from ``spectral._runs``, so this route stays an independent check.
 
-    Above ARRAY_ORDER (up to MAX_CODE_LENGTH) the degrees, the run starts and P come
-    from int64 cumulative sums (``codes._code_columns``), with s, t = a (b+1) and P at most n^2
-    and (d + c) t at most n^3 < 2^63; only the numerators, which pass int64, are formed as Python
-    ints.  At and below it the runs are walked over ``degree_profile``.
+    The degrees, the run starts and P come from one int64 pass (``codes._code_columns``) at every
+    order, with s, t = a (b+1) and P at most n^2; only the numerators, which pass int64, are formed
+    as Python ints.  d t and (d + c) t reach n^3, which leaves int64 from n ~ 2.1e6, so past
+    MAX_CODE_LENGTH the bits and degrees are promoted to Python ints first.
     """
     require_walk(code)
-    n, bits = code.n, code.bits
-    if _array_path(n):
-        b, _, d = _code_columns(bits)
-        m = int(d.sum()) // 2
-        a = np.concatenate(([1], np.flatnonzero(d[2:] != d[1:-1]) + 2))
-        end, da = np.append(a[1:], n), d[a]
-        s, t = np.cumsum(d)[a - 1] - a * da, a * end
-        runs = zip(*(column.tolist() for column in (end - a, s, da * t, (da + b[a]) * t)))
-    else:
-        prof = degree_profile(code)
-        d, m = prof.degrees, prof.m
-        starts = [1, *compress(range(2, n), map(ne, d[1:], d[2:])), n]
-        prefix, runs = d[0], []  # P_a
-        for a, end in zip(starts, starts[1:]):
-            da, length, t = d[a], end - a, a * end
-            runs.append((length, prefix - a * da, da * t, (da + bits[a]) * t))
-            prefix += length * da
+    n = code.n
+    b, _, d = _code_columns(code.bits)
+    if n > MAX_CODE_LENGTH:
+        b, d = b.astype(object), d.astype(object)
+    m = int(d.sum()) // 2
+    a = np.concatenate(([1], np.flatnonzero(d[2:] != d[1:-1]) + 2))
+    end, da = np.append(a[1:], n), d[a]
+    s, t = np.cumsum(d)[a - 1] - a * da, a * end
     two_m = 2 * m
+    runs = zip(*(column.tolist() for column in (end - a, s, da * t, (da + b[a]) * t)))
     terms = [(length * (s * (two_m - s) + two_m * dt), q) for length, s, dt, q in runs]
     total = _exact_sum(terms, two_m)
     return KemenyResult(n, m, DEGREE_FORM, total, float(total))
@@ -179,18 +169,18 @@ def kemeny_spectral_form(code: ConstructionCode) -> KemenyResult:
     """Floating Kemeny's constant from the shared eigenbasis.
 
     Per basis column u of a nonzero eigenvalue, sum_{a<b} d_a d_b (u_a - u_b)^2
-    = (sum d)(d . u^2) - (d . u)^2, so all columns together cost O(n^2).
+    = (sum d)(d . u^2) - (d . u)^2, so all columns together cost O(n^2).  The degrees and the
+    eigenvalues lambda_i = d_i + c_i (i >= 1) come from one int64 pass (``codes._code_columns``).
     Agrees with the exact routes to ~1e-12 at desk scale; OrderOutOfRange past _DENSE_ORDER_CAP.
     """
     require_walk(code)
     _require_dense_order(code.n)
     n = code.n
-    prof = degree_profile(code)
-    d = np.array(prof.degrees, dtype=float)
-    lam = np.array(laplacian_spectrum(code).eigenvalues[: n - 1], dtype=float)
+    b, _, d = _code_columns(code.bits)
+    two_m = int(d.sum())
     U = hessenberg_basis(n).to_array()[:, : n - 1]
-    pair_sums = d.sum() * (d @ (U * U)) - (d @ U) ** 2
-    return KemenyResult(n, prof.m, SPECTRAL_FORM, None, float((pair_sums / lam).sum()) / (2.0 * prof.m))
+    pair_sums = two_m * (d @ (U * U)) - (d @ U) ** 2
+    return KemenyResult(n, two_m // 2, SPECTRAL_FORM, None, float((pair_sums / (d + b)[1:]).sum()) / two_m)
 
 
 @dataclass(frozen=True)

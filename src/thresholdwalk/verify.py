@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .codes import AdjacencyStructure, ConstructionCode, build_graph, degree_profile
-from .errors import OrderOutOfRange
+from .errors import OrderOutOfRange, ParameterOutOfRange
 from .kemeny import _require_dense_order, kemeny_degree_form, kemeny_from_code, kemeny_spectral_form
 from .oracle import (
     FOREST_ORDER_CAP,
@@ -160,9 +160,13 @@ def verify_code(code: ConstructionCode, suites: tuple[str, ...] = SUITES) -> dic
 
     Returns {suite name: result dict}; every result has a boolean ``pass``
     and a ``max_deviation`` (None where the suite compares only exactly).
-    Past the dense order cap of ``kemeny``, or past _FOREST_SUITE_ORDER_CAP when ``forest`` is named,
-    OrderOutOfRange comes first; other domain errors propagate.
+    A name outside SUITES raises ParameterOutOfRange before any suite runs.  Past the dense order
+    cap of ``kemeny``, or past _FOREST_SUITE_ORDER_CAP when ``forest`` is named, OrderOutOfRange
+    comes next; other domain errors propagate.
     """
+    for name in suites:
+        if name not in _RUNNERS:
+            raise ParameterOutOfRange(f"unknown suite {name!r}; the suites are {', '.join(SUITES)}")
     _require_dense_order(code.n)
     if "forest" in suites and code.n > _FOREST_SUITE_ORDER_CAP:
         raise OrderOutOfRange(f"the forest suite supports order n <= {_FOREST_SUITE_ORDER_CAP}, got {code.n}")

@@ -1,11 +1,14 @@
 """The int64 passes of the code recurrences against per-position loops.
 
-Both exact Kemeny routes take an int64 array path above ``kemeny.ARRAY_ORDER`` and per-position
-loops at and below it; each is checked against itself forced onto the loops.  ``laplacian_spectrum``
-and ``degree_profile`` take one int64 pass of ``codes._code_columns`` at every order: the spectrum
-is checked against the ``spectral._positions`` walk, and the degree profile against the explicit
-graph up to GRAPH_ORDER and against a running theta loop written here above it."""
+``kemeny_from_code`` takes an int64 array path above ``kemeny.ARRAY_ORDER`` and a per-position loop
+at and below it, and is checked against itself forced onto the loop.  ``kemeny_degree_form``,
+``laplacian_spectrum`` and ``degree_profile`` take one int64 pass of ``codes._code_columns`` at
+every order.  The degree route is checked against its docstring formula summed position by
+position here, over the reference degrees; the spectrum against the ``spectral._positions`` walk;
+and the degree profile, which gives the reference degrees, against the explicit graph up to
+GRAPH_ORDER and against a running theta loop written here above it."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,7 +32,8 @@ from thresholdwalk.spectral import LaplacianSpectrum, _positions
 KEMENY_ROUTES = [kemeny_from_code, kemeny_degree_form]
 SINGLE_PASS = [laplacian_spectrum, degree_profile]
 EVERY_ORDER_ON_LOOPS = MAX_CODE_LENGTH
-GRAPH_ORDER = 2000  # degree_profile is compared with the explicit graph up to this order
+GRAPH_ORDER = 2000  # the reference degrees are the explicit graph's up to this order
+REDUCE_EVERY = 16  # positions between reductions of the running num/den of the degree route
 
 
 def walked_spectrum(code):
@@ -55,16 +59,36 @@ def graph_profile(code):
     return DegreeProfile(graph.degree_sequence(), theta, graph.m)
 
 
+def running_degree_kemeny(code, d):
+    """The degree route's per-position formula over the degrees d and one running num/den:
+    K = sum_{i=1}^{n-1} [(P_i + i^2 d_i) 2m - (P_i - i d_i)^2] / (2m (d_i + c_i) i (i+1))."""
+    two_m = sum(d)
+    num, den, prefix = 0, 1, d[0]  # P_i
+    for i in range(1, code.n):
+        s, q = prefix - i * d[i], two_m * (d[i] + code.bits[i]) * i * (i + 1)
+        num, den = num * q + den * ((prefix + i * i * d[i]) * two_m - s * s), den * q
+        if i % REDUCE_EVERY == 0:
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+        prefix += d[i]
+    k = Fraction(num, den)
+    return KemenyResult(code.n, two_m // 2, DEGREE_FORM, k, float(k))
+
+
 def reference(monkeypatch, function, code):
-    """function(code) by a per-position loop: a Kemeny route on its own loops, the constant restored
-    after, the spectrum by the ``_positions`` walk and the degree profile by the graph or a loop."""
+    """function(code) by a per-position loop: kemeny_from_code on its own loop, the constant restored
+    after, the spectrum by the ``_positions`` walk, the degree profile by the graph or a loop, and
+    the degree route by its formula over the graph's degrees or the loop's."""
+    if function is kemeny_from_code:
+        with monkeypatch.context() as patch:
+            patch.setattr(kemeny, "ARRAY_ORDER", EVERY_ORDER_ON_LOOPS)
+            return function(code)
     if function is laplacian_spectrum:
         return walked_spectrum(code)
     if function is degree_profile:
         return graph_profile(code) if code.n <= GRAPH_ORDER else looped_profile(code)
-    with monkeypatch.context() as patch:
-        patch.setattr(kemeny, "ARRAY_ORDER", EVERY_ORDER_ON_LOOPS)
-        return function(code)
+    degrees = build_graph(code).degree_sequence() if code.n <= GRAPH_ORDER else looped_profile(code).degrees
+    return running_degree_kemeny(code, degrees)
 
 
 def assert_equals_reference(monkeypatch, function, codes_to_check):
@@ -120,13 +144,26 @@ class TestArrayPathEqualsLoops:
         assert kemeny._array_path(code.n)
         assert function(code) == reference(monkeypatch, function, code)
 
-    @each(KEMENY_ROUTES)
+    @each([kemeny_from_code])
     def test_longer_than_a_parsed_code_stays_on_the_loops(self, function):
         n = MAX_CODE_LENGTH + 1
         k = n - Fraction(3, 2)
         assert not kemeny._array_path(n)
-        method = {kemeny_from_code: CODE_VECTOR, kemeny_degree_form: DEGREE_FORM}[function]
-        assert function(ConstructionCode((0,) * (n - 1) + (1,))) == KemenyResult(n, n - 1, method, k, float(k))
+        assert function(ConstructionCode((0,) * (n - 1) + (1,))) == KemenyResult(n, n - 1, CODE_VECTOR, k, float(k))
+
+    def test_longer_than_a_parsed_code_the_degree_route_promotes_to_python_ints(self, monkeypatch):
+        n = MAX_CODE_LENGTH + 1
+        k = n - Fraction(3, 2)
+        star = ConstructionCode((0,) * (n - 1) + (1,))
+        expected = KemenyResult(n, n - 1, DEGREE_FORM, k, float(k))
+        assert kemeny_degree_form(star) == expected == reference(monkeypatch, kemeny_degree_form, star)
+
+    def test_past_int64_the_exact_routes_agree(self):
+        # the last run, a = N - 2 .. N - 1, has (d + c) a (b+1) = N (N - 2) N, about 9.26e18 > 2^63
+        n = 2_100_000
+        assert n * (n - 2) * n > 2**63
+        code = ConstructionCode((0,) * (n - 2) + (1, 1))
+        assert kemeny_degree_form(code).exact == kemeny_from_code(code).exact
 
     @each(SINGLE_PASS)
     def test_longer_than_a_parsed_code_takes_the_one_pass(self, function):

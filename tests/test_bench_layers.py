@@ -44,14 +44,18 @@ def test_every_layer_has_a_distinct_name():
 def test_recurrences_are_timed_at_small_orders_and_at_4000():
     script = _script()
     plan = {f"{name}_n{n}": (n, setup) for name, n, setup in script.layers()}
-    for function in ("kemeny_from_code", "kemeny_degree_form", "laplacian_spectrum", "degree_profile"):
+    recurrences = ("kemeny_from_code", "kemeny_degree_form", "laplacian_spectrum", "degree_profile")
+    for function in recurrences:
         assert f"{function}_x{script.RECURRENCE_CALLS}_n4000" in plan
+    for function in (*recurrences, "kemeny_spectral_form"):
         for n in (8, 64):
             assert plan[f"{function}_x{script.SMALL_ORDER_CALLS}_n{n}"][0] == n
     n, setup = plan[f"degree_profile_x{script.SMALL_ORDER_CALLS}_n8"]
     profiles = setup(n)()
     assert len(profiles) == script.SMALL_ORDER_CALLS == 1000
     assert {profile.n for profile in profiles} == {8}
+    n, setup = plan[f"kemeny_spectral_form_x{script.SMALL_ORDER_CALLS}_n64"]
+    assert {(result.n, result.method) for result in setup(n)()} == {(64, "spectral-form")}
 
 
 def test_worker_times_the_layers_it_is_sent(monkeypatch):

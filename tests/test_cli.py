@@ -385,7 +385,7 @@ class TestAccess:
         # tau is the tree count of the spectrum the reciprocals came from, not of a second one
         calls = {"laplacian_spectrum": 0}
         counted = _counted(calls, "laplacian_spectrum", spectral.laplacian_spectrum)
-        for module in (cli, kemeny, resistance_module, spectral):
+        for module in (cli, resistance_module, spectral):
             monkeypatch.setattr(module, "laplacian_spectrum", counted)
         assert run_json(capsys, command, "0" + "01" * 31 + "1")[0] == 0
         assert calls == {"laplacian_spectrum": 1}

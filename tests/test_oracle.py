@@ -24,7 +24,7 @@ from thresholdwalk import (
     verify_code,
 )
 from thresholdwalk import oracle, spanning_tree_count
-from thresholdwalk.errors import Disconnected, OrderOutOfRange, SameVertex, TooLarge
+from thresholdwalk.errors import Disconnected, OrderOutOfRange, ParameterOutOfRange, SameVertex, TooLarge
 from thresholdwalk.oracle import (
     _crt_primes,
     _determinants_mod,
@@ -282,6 +282,16 @@ class TestForestSuiteTau:
         for suites in (("forest",), verify_module.SUITES, ("kemeny", "forest")):
             with pytest.raises(OrderOutOfRange, match="forest suite"):
                 verify_code(past_cap, suites)
+
+
+class TestSuiteNames:
+    def test_unknown_suite_names_are_refused_before_any_suite_runs(self, monkeypatch):
+        for name in verify_module.SUITES:
+            monkeypatch.setitem(verify_module._RUNNERS, name, lambda code, shared: pytest.fail("a suite ran"))
+        monkeypatch.setattr(verify_module, "_Shared", lambda code: pytest.fail("shared state built"))
+        for suites in (("nope",), ("kemeny", "nope"), ("forest", "kemeny", "Kemeny")):
+            with pytest.raises(ParameterOutOfRange, match="the suites are kemeny, resistance, forest, ordering"):
+                verify_code(parse_code("0101"), suites)
 
 
 class TestForestReference:

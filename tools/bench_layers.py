@@ -12,8 +12,8 @@ with the CRT primes' cache cleared in each of 20 calls, ``parse_code``
 at n = 4000, both exact Kemeny routes at n = 4000 on the seeded code and on
 ``(01)^2000`` (every run of equal bits of length one, the most runs an
 order-4000 code has), ``laplacian_spectrum`` and ``degree_profile`` at
-n = 4000, the same four recurrences on the seeded codes of orders 8 and 64
-(1000 calls per run), ``two_forest_matrix`` at n = 9 (its bipartition cache cleared in
+n = 4000, the same four recurrences and ``kemeny_spectral_form`` on the seeded
+codes of orders 8 and 64 (1000 calls per run), ``two_forest_matrix`` at n = 9 (its bipartition cache cleared in
 every call), ``enumerate --n 20 --json`` and the tier-1 pytest wall time.
 Each layer is set up once and then timed K = 3 times; the file records every
 run and their median, with ``nproc``, the CPU, the Python and numpy versions
@@ -54,7 +54,7 @@ PARSE_CALLS = 100  # parse_code is timed over this many calls per run
 FOREST_CALLS = 20  # two_forest_matrix is timed over this many cold calls per run
 TREE_CALLS = 20  # spanning_tree_oracle is timed over this many calls per run, each sieving its primes afresh
 RECURRENCE_CALLS = 20  # both exact Kemeny routes, the spectrum and the degrees are timed over this many calls per run
-SMALL_ORDER_CALLS = 1000  # the same four at n = 8 and 64, where one call takes microseconds
+SMALL_ORDER_CALLS = 1000  # the same four and the spectral route at n = 8 and 64, where one call takes microseconds
 SEARCH_CALLS = 20  # the n = 20 search takes a few ms, so it is timed over this many calls per run
 SCREEN_SLABS = 64  # consecutive slabs timed per run; one takes well under a millisecond
 ORDERINGS_CALLS = 100  # the ordering checks at n = 64 take well under a millisecond, so they are timed over this many
@@ -84,6 +84,7 @@ def layers():
         degree_profile,
         kemeny_degree_form,
         kemeny_from_code,
+        kemeny_spectral_form,
         laplacian_spectrum,
         mfpt_matrix,
         parse_code,
@@ -217,7 +218,13 @@ def layers():
         *(
             (f"{function.__name__}_x{SMALL_ORDER_CALLS}", n, seeded(function, SMALL_ORDER_CALLS))
             for n in (8, 64)
-            for function in (kemeny_from_code, kemeny_degree_form, laplacian_spectrum, degree_profile)
+            for function in (
+                kemeny_from_code,
+                kemeny_degree_form,
+                kemeny_spectral_form,
+                laplacian_spectrum,
+                degree_profile,
+            )
         ),
         ("cli_enumerate_json", 20, lambda n: cli_call(main, ["enumerate", "--n", str(n), "--json"])),
     ]
